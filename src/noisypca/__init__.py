@@ -48,7 +48,6 @@ from .experiments import (
     ExperimentConfig,
     GridResult,
     ModelRealization,
-    TrialResult,
     adversarial_experiment,
     adversarial_sigma,
     bound_tightness,
@@ -58,7 +57,6 @@ from .experiments import (
     rank_estimation,
     realize_model,
     refinement_loop,
-    run_trial,
 )
 from .linalg import (
     BasisMatrix,
@@ -76,12 +74,10 @@ from .model import (
     SddnModel,
     SignalModel,
     UncorrNoiseModel,
-    apply_missing,
     derived_spectra,
     make_random_basis,
     profile_scales,
     row_occupancy,
-    sample_sddn,
     sample_signal,
     sample_uncorr_noise,
     signal_noise_eigenvalues,

@@ -21,21 +21,24 @@ from .errors import (
     ValidationError,
 )
 from .bounds import general_bound, rank_delta
-from .experiments import bound_inputs, realize_model, with_overrides
-from .model import row_occupancy, support_sequence
+from .experiments import bound_inputs, realize_model, support_occupancy, with_overrides
 
 SEED_ENV_VAR = "NOISYPCA_SEED"
 
-COMMANDS = (
-    "bound",
-    "bound-tightness",
-    "phase-transition",
-    "concentration",
-    "rank-estimation",
-    "adversarial",
-    "refine",
-    "missing",
-)
+# Subcommand -> (experiment function name in noisypca.experiments, whether it
+# runs trials). The function is looked up when the command runs. Commands
+# that run trials go through the trial runner and take --workers; `bound`
+# is handled by _print_bound.
+COMMANDS = {
+    "bound": (None, False),
+    "bound-tightness": ("bound_tightness", True),
+    "phase-transition": ("phase_transition", True),
+    "concentration": ("concentration_check", True),
+    "rank-estimation": ("rank_estimation", True),
+    "adversarial": ("adversarial_experiment", True),
+    "refine": ("refinement_loop", False),
+    "missing": ("missing_data_experiment", True),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -47,15 +50,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _worker_count(text):
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def _build_parser():
     parser = _Parser(prog="noisypca", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="|".join(COMMANDS))
-    for name in COMMANDS:
+    for name, (_, runs_trials) in COMMANDS.items():
         p = sub.add_parser(name, add_help=True)
         p.add_argument("--config", required=True, help="config file path or preset name")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-        p.add_argument("--workers", type=int, default=1, help="worker processes (does not change output bytes)")
+        if runs_trials:
+            p.add_argument("--workers", type=_worker_count, default=1,
+                           help="worker processes, >= 1 (does not change output bytes)")
         p.add_argument("--c", type=float, default=None, help="override the bound constant c")
         p.add_argument("--trials", type=int, default=None, help="override the trial count")
         if name == "bound":
@@ -76,10 +88,7 @@ def _resolve_seed(flag_seed, config_seed):
 
 def _print_bound(cfg, alpha, out_path):
     model = realize_model(cfg)
-    b = 0.0
-    if model.sddn is not None:
-        b = row_occupancy(support_sequence(model.n, model.sddn, alpha), model.n)
-    inputs = bound_inputs(cfg, model, alpha, b)
+    inputs = bound_inputs(cfg, model, alpha, support_occupancy(model, alpha))
     report = general_bound(inputs)
     delta = rank_delta(inputs)
     s = model.spectra
@@ -113,7 +122,8 @@ def _print_bound(cfg, alpha, out_path):
     result = exp.GridResult(
         tuple(k for k, _ in pairs), [tuple(v for _, v in pairs)]
     )
-    result.write(out_path)
+    if out_path is not None:
+        result.write(out_path)
     return result
 
 
@@ -125,37 +135,19 @@ def _dispatch(args):
     for line in describe(cfg).splitlines():
         sys.stderr.write(f"# {line}\n")
     start = time.time()
-    command = args.command
-    if command == "bound":
+    function, runs_trials = COMMANDS[args.command]
+    workers = args.workers if runs_trials else 1
+    if function is None:
         alpha = args.alpha if args.alpha is not None else cfg.alpha_grid[0]
         result = _print_bound(cfg, alpha, args.out)
-    elif command == "bound-tightness":
-        result = exp.bound_tightness(cfg, workers=args.workers)
+    else:
+        kwargs = {"workers": workers} if runs_trials else {}
+        result = getattr(exp, function)(cfg, **kwargs)
         result.write(args.out)
-    elif command == "phase-transition":
-        result = exp.phase_transition(cfg, workers=args.workers)
-        result.write(args.out)
-    elif command == "concentration":
-        result = exp.concentration_check(cfg, workers=args.workers)
-        result.write(args.out)
-    elif command == "rank-estimation":
-        result = exp.rank_estimation(cfg, workers=args.workers)
-        result.write(args.out)
-    elif command == "adversarial":
-        result = exp.adversarial_experiment(cfg)
-        result.write(args.out)
-    elif command == "refine":
-        result = exp.refinement_loop(cfg)
-        result.write(args.out)
-    elif command == "missing":
-        result = exp.missing_data_experiment(cfg, workers=args.workers)
-        result.write(args.out)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown subcommand {command!r}")
     wall = time.time() - start
     sys.stderr.write(
         f"# rows={len(result.rows)} trials={cfg.n_trials} seed={cfg.master_seed} "
-        f"workers={args.workers} wall={wall:.2f}s\n"
+        f"workers={workers} wall={wall:.2f}s\n"
     )
     return 0
 

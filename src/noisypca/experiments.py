@@ -18,9 +18,13 @@ refinement_loop        staged re-estimation where each pass shrinks the
 missing_data_experiment PCA on columns with erased blocks vs. the
                        incoherence-based bound
 
-Every result is a pure function of (config, master_seed): each
-(grid point, trial) owns an independent RNG substream, aggregation is
-order-independent, and CSV output is byte-identical for any worker count.
+Every experiment that runs trials runs them through one runner,
+`_run_trials`, which applies the experiment's measure to each (grid cell,
+trial). Each (grid point, trial) owns an independent RNG substream and
+aggregation is order-independent, so for a fixed BLAS thread count the
+CSV bytes are a pure function of (config, master_seed): identical across
+reruns and for any worker count. Across BLAS thread counts the last few
+ulps of a float can move; values agree to rel 1e-12.
 """
 
 import sys
@@ -205,37 +209,28 @@ def bound_inputs(cfg, model, alpha, b):
     )
 
 
-# ---------------------------------------------------------------------------
-# Single trial
-# ---------------------------------------------------------------------------
+def support_occupancy(model, alpha):
+    """Realized per-row occupancy b of the support schedule at (n, alpha).
 
-@dataclass(frozen=True)
-class TrialResult:
-    se: float
-    r_hat_threshold: int
-    r_hat_gap: int
-    deviation_norms: tuple = None  # (aa, lw, ww, lv, vv) when recorded
-    realized_b: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.se <= 1.0 + 1e-12:
-            raise ValidationError(f"subspace error {self.se} outside [0, 1]")
-
-
-def run_trial(cfg, grid_point, trial_index, record_deviations=True):
-    """One full Monte Carlo trial, determined by (master_seed, grid_point, trial).
-
-    grid_point is either an alpha or an (n, r, alpha) triple.
+    The schedule is deterministic, so b is one number per (n, alpha); it is
+    0 for a model without sparse data-dependent noise.
     """
-    if np.isscalar(grid_point):
-        n, r, alpha = cfg.n, cfg.r, int(grid_point)
-    else:
-        n, r, alpha = (int(v) for v in grid_point)
-    model = realize_model(cfg, n, r)
-    return _trial(cfg, model, alpha, trial_index, record_deviations)
+    if model.sddn is None:
+        return 0.0
+    return row_occupancy(support_sequence(model.n, model.sddn, alpha), model.n)
 
 
-def _trial(cfg, model, alpha, trial, record_deviations=False):
+# ---------------------------------------------------------------------------
+# Trial measures: one per kind of experiment, each a pure function of
+# (cfg, model, alpha, trial) that reduces one trial to what is reported
+# ---------------------------------------------------------------------------
+
+def _draw(cfg, model, alpha, trial, moments=False):
+    """Columns y = l + v + w of one trial, each part from its own substream.
+
+    Returns (y, l, a, v, w, sddn_moments); v, w and the moments are None
+    where the model has no such part.
+    """
     n, r = model.n, model.r
     seed = cfg.master_seed
     l_cols, a_cols = sample_signal(
@@ -248,73 +243,117 @@ def _trial(cfg, model, alpha, trial, record_deviations=False):
             model.noise, substream(seed, STREAM_NOISE, n, r, alpha, trial), alpha
         )
         y += v_cols
-    w_cols = None
-    moments = None
-    realized_b = 0.0
+    w_cols = sddn_moments = None
     if model.sddn is not None:
-        supports = support_sequence(n, model.sddn, alpha)
-        w_cols, moments = sample_sddn_batch(
+        w_cols, sddn_moments = sample_sddn_batch(
             model.sddn,
             model.signal.P,
-            supports,
+            support_sequence(n, model.sddn, alpha),
             l_cols,
             substream(seed, STREAM_SDDN, n, r, alpha, trial),
             lambdas=model.signal.lambdas,
-            moments=record_deviations,
+            moments=moments,
         )
         y += w_cols
-        realized_b = row_occupancy(supports, n)
+    return y, l_cols, a_cols, v_cols, w_cols, sddn_moments
 
+
+def _checked_se(se):
+    se = float(se)
+    if not 0.0 <= se <= 1.0 + 1e-12:
+        raise ValidationError(f"subspace error {se} outside [0, 1]")
+    return se
+
+
+def _pca_se(y, model):
+    """(se of the top-r PCA estimate from the columns y, sample covariance)."""
     d = sample_covariance(DataBatch(y))
-    phat = top_r_eigvecs(d, r)
-    se = subspace_error(phat, model.signal.P)
-    r_thr = estimate_rank_threshold(d, model.signal.lambda_minus)
-    r_gap = estimate_rank_eigengap(d)
+    return _checked_se(subspace_error(top_r_eigvecs(d, model.r), model.signal.P)), d
 
-    deviations = None
-    if record_deviations:
-        pe = model.signal.P.entries
-        sigma_l = (pe * model.signal.lambdas) @ pe.T
-        dev_aa = np.linalg.norm(a_cols @ a_cols.T / alpha - np.diag(model.signal.lambdas), 2)
-        dev_lw = dev_ww = 0.0
-        if w_cols is not None:
-            dev_lw = np.linalg.norm(l_cols @ w_cols.T / alpha - sigma_l @ moments.mean_m.T, 2)
-            dev_ww = np.linalg.norm(w_cols @ w_cols.T / alpha - moments.mean_mlm, 2)
-        dev_lv = dev_vv = 0.0
-        if v_cols is not None:
-            dev_lv = np.linalg.norm(l_cols @ v_cols.T / alpha, 2)
-            dev_vv = np.linalg.norm(v_cols @ v_cols.T / alpha - model.noise.covariance(), 2)
-        deviations = (float(dev_aa), float(dev_lw), float(dev_ww), float(dev_lv), float(dev_vv))
 
-    return TrialResult(float(se), r_thr, r_gap, deviations, realized_b)
+def _se_measure(cfg, model, alpha, trial):
+    """Subspace error of one trial (bound tightness, phase transition)."""
+    return _pca_se(_draw(cfg, model, alpha, trial)[0], model)[0]
+
+
+def _deviation_measure(cfg, model, alpha, trial):
+    """The five batch deviation norms (aa, lw, ww, lv, vv) of one trial."""
+    y, l_cols, a_cols, v_cols, w_cols, moments = _draw(cfg, model, alpha, trial, moments=True)
+    _pca_se(y, model)  # not reported, but every trial's estimate is checked
+    lambdas = model.signal.lambdas
+    pe = model.signal.P.entries
+    dev_aa = np.linalg.norm(a_cols @ a_cols.T / alpha - np.diag(lambdas), 2)
+    dev_lw = dev_ww = 0.0
+    if w_cols is not None:
+        sigma_l = (pe * lambdas) @ pe.T
+        dev_lw = np.linalg.norm(l_cols @ w_cols.T / alpha - sigma_l @ moments.mean_m.T, 2)
+        dev_ww = np.linalg.norm(w_cols @ w_cols.T / alpha - moments.mean_mlm, 2)
+    dev_lv = dev_vv = 0.0
+    if v_cols is not None:
+        dev_lv = np.linalg.norm(l_cols @ v_cols.T / alpha, 2)
+        dev_vv = np.linalg.norm(v_cols @ v_cols.T / alpha - model.noise.covariance(), 2)
+    return (float(dev_aa), float(dev_lw), float(dev_ww), float(dev_lv), float(dev_vv))
+
+
+def _rank_measure(cfg, model, alpha, trial):
+    """(threshold, eigengap) rank estimates of one trial."""
+    _, d = _pca_se(_draw(cfg, model, alpha, trial)[0], model)
+    return estimate_rank_threshold(d, model.signal.lambda_minus), estimate_rank_eigengap(d)
+
+
+def _missing_measure(cfg, model, alpha, trial):
+    """Subspace error of one trial with the support entries erased."""
+    l_cols, _ = sample_signal(
+        model.signal,
+        substream(cfg.master_seed, STREAM_SIGNAL, model.n, model.r, alpha, trial),
+        alpha,
+    )
+    y = apply_missing_batch(l_cols, support_sequence(model.n, model.sddn, alpha))
+    return _pca_se(y, model)[0]
+
+
+def _adversarial_measure(cfg, model, alpha, trial):
+    """(se, deviation) of one adversarial trial; it draws its own basis."""
+    rng = substream(cfg.master_seed, STREAM_AUX, cfg.n, cfg.r, alpha, trial)
+    se, dev = adversarial_sigma(
+        cfg.n, cfg.r, alpha, cfg.lambdas_for(cfg.r), rng, distribution=cfg.signal_distribution
+    )
+    return _checked_se(se), dev
 
 
 # ---------------------------------------------------------------------------
-# Parallel trial runner (deterministic for any worker count)
+# Trial runner (deterministic for any worker count)
 # ---------------------------------------------------------------------------
 
-def _trial_chunk(args):
-    cfg, n, r, alpha, trials, record = args
-    model = realize_model(cfg, n, r)
-    return [_trial(cfg, model, alpha, t, record) for t in trials]
+def _run_chunk(task):
+    measure, cfg, model, alpha, trials = task
+    return [measure(cfg, model, alpha, t) for t in trials]
 
 
-def _run_trials(cfg, n, r, alpha, workers=1, record_deviations=False, model=None):
-    trials = list(range(cfg.n_trials))
-    if workers <= 1:
-        if model is None:
-            model = realize_model(cfg, n, r)
-        return [_trial(cfg, model, alpha, t, record_deviations) for t in trials]
-    chunk = max(1, (len(trials) + workers - 1) // workers)
-    tasks = [
-        (cfg, n, r, alpha, trials[i : i + chunk], record_deviations)
-        for i in range(0, len(trials), chunk)
+def _run_trials(cfg, cells, measure, workers=1):
+    """measure(cfg, model, alpha, trial) for every trial of every grid cell.
+
+    cells is the experiment's whole grid as (model, alpha) pairs, each model
+    realized once by the caller. Returns one list per cell, in trial order.
+    With workers > 1 every (cell, trial-chunk) task of the run goes through
+    one process pool; each trial draws only from its own substreams, so the
+    results do not depend on the worker count.
+    """
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    trials = range(cfg.n_trials)
+    size = -(-cfg.n_trials // workers)
+    chunks = [trials[i : i + size] for i in range(0, cfg.n_trials, size)]
+    tasks = [(measure, cfg, model, alpha, chunk) for model, alpha in cells for chunk in chunks]
+    if workers == 1:
+        parts = list(map(_run_chunk, tasks))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_chunk, tasks))
+    return [
+        [result for part in parts[i : i + len(chunks)] for result in part]
+        for i in range(0, len(parts), len(chunks))
     ]
-    out = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_trial_chunk, tasks):
-            out.extend(part)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +403,10 @@ class GridResult:
 def bound_tightness(cfg, workers=1):
     """Mean/max subspace error and the c-calibrated bound per alpha."""
     model = realize_model(cfg)
+    cells = [(model, alpha) for alpha in cfg.alpha_grid]
     rows = []
-    for alpha in cfg.alpha_grid:
-        results = _run_trials(cfg, model.n, model.r, alpha, workers, model=model)
-        ses = [t.se for t in results]
-        report = general_bound(bound_inputs(cfg, model, alpha, results[0].realized_b))
+    for (_, alpha), ses in zip(cells, _run_trials(cfg, cells, _se_measure, workers)):
+        report = general_bound(bound_inputs(cfg, model, alpha, support_occupancy(model, alpha)))
         rows.append((alpha, float(np.mean(ses)), float(np.max(ses)), report.se_bound))
     return GridResult(("alpha", "mean_se", "max_se", "bound"), rows)
 
@@ -398,27 +436,26 @@ def phase_transition(cfg, workers=1):
         raise ValidationError("set exactly one of r_grid / n_grid")
     axis_name = "r" if cfg.r_grid is not None else "n"
     values = cfg.r_grid if cfg.r_grid is not None else cfg.n_grid
+    models = {v: realize_model(cfg, *((cfg.n, v) if axis_name == "r" else (v, cfg.r))) for v in values}
+    eps = {v: success_epsilon(cfg, model) for v, model in models.items()}
+    cells = [(models[v], alpha) for v in values for alpha in cfg.alpha_grid]
     rows = []
-    for value in values:
-        n, r = (cfg.n, value) if axis_name == "r" else (value, cfg.r)
-        model = realize_model(cfg, n, r)
-        eps = success_epsilon(cfg, model)
-        for alpha in cfg.alpha_grid:
-            results = _run_trials(cfg, n, r, alpha, workers, model=model)
-            prob = np.mean([t.se <= eps for t in results])
-            rows.append((value, alpha, float(prob)))
+    for (model, alpha), ses in zip(cells, _run_trials(cfg, cells, _se_measure, workers)):
+        value = getattr(model, axis_name)
+        prob = np.mean([se <= eps[value] for se in ses])
+        rows.append((value, alpha, float(prob)))
     return GridResult((axis_name, "alpha", "probability"), rows)
 
 
 def concentration_check(cfg, workers=1):
     """Median of each batch deviation norm against its concentration bound."""
     model = realize_model(cfg)
+    cells = [(model, alpha) for alpha in cfg.alpha_grid]
     rows = []
-    for alpha in cfg.alpha_grid:
-        results = _run_trials(cfg, model.n, model.r, alpha, workers, record_deviations=True, model=model)
-        limits = concentration_bounds(bound_inputs(cfg, model, alpha, results[0].realized_b))
+    for (_, alpha), norms in zip(cells, _run_trials(cfg, cells, _deviation_measure, workers)):
+        limits = concentration_bounds(bound_inputs(cfg, model, alpha, support_occupancy(model, alpha)))
         for idx, term in enumerate(DEVIATION_TERMS):
-            med = median(t.deviation_norms[idx] for t in results)
+            med = median(t[idx] for t in norms)
             rows.append((alpha, term, float(med), limits[term]))
     return GridResult(("alpha", "term_name", "empirical_median", "lemma_bound"), rows)
 
@@ -426,12 +463,12 @@ def concentration_check(cfg, workers=1):
 def rank_estimation(cfg, workers=1):
     """Fraction of trials in which each rank estimator recovers the true r."""
     model = realize_model(cfg)
+    cells = [(model, alpha) for alpha in cfg.alpha_grid]
     rows = []
-    for alpha in cfg.alpha_grid:
-        results = _run_trials(cfg, model.n, model.r, alpha, workers, model=model)
-        delta = rank_delta(bound_inputs(cfg, model, alpha, results[0].realized_b))
-        p_thr = np.mean([t.r_hat_threshold == model.r for t in results])
-        p_gap = np.mean([t.r_hat_gap == model.r for t in results])
+    for (_, alpha), ranks in zip(cells, _run_trials(cfg, cells, _rank_measure, workers)):
+        delta = rank_delta(bound_inputs(cfg, model, alpha, support_occupancy(model, alpha)))
+        p_thr = np.mean([thr == model.r for thr, _ in ranks])
+        p_gap = np.mean([gap == model.r for _, gap in ranks])
         rows.append((alpha, delta, float(p_thr), float(p_gap)))
     return GridResult(("alpha", "delta", "p_threshold", "p_gap"), rows)
 
@@ -471,17 +508,11 @@ def adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussian", chunk=
     return float(se), deviation
 
 
-def adversarial_experiment(cfg):
+def adversarial_experiment(cfg, workers=1):
     """Per-trial (se, deviation) rows for the adversarial covariance."""
-    alpha = cfg.alpha_grid[0]
-    lambdas = cfg.lambdas_for(cfg.r)
-    rows = []
-    for trial in range(cfg.n_trials):
-        rng = substream(cfg.master_seed, STREAM_AUX, cfg.n, cfg.r, alpha, trial)
-        se, dev = adversarial_sigma(
-            cfg.n, cfg.r, alpha, lambdas, rng, distribution=cfg.signal_distribution
-        )
-        rows.append((trial, se, dev))
+    # One cell and no shared model: every trial draws its own basis.
+    (results,) = _run_trials(cfg, [(None, cfg.alpha_grid[0])], _adversarial_measure, workers)
+    rows = [(trial, se, dev) for trial, (se, dev) in enumerate(results)]
     return GridResult(("trial", "se", "deviation"), rows)
 
 
@@ -562,23 +593,10 @@ def missing_data_experiment(cfg, workers=1):
     model = realize_model(cfg)
     mu = incoherence(model.signal.P)
     q = missing_q(mu, model.r, cfg.sddn_s, model.n)
+    cells = [(model, alpha) for alpha in cfg.alpha_grid]
     rows = []
-    for alpha in cfg.alpha_grid:
-        supports = support_sequence(model.n, model.sddn, alpha)
-        realized_b = row_occupancy(supports, model.n)
-        ses = []
-        for trial in range(cfg.n_trials):
-            l_cols, _ = sample_signal(
-                model.signal,
-                substream(cfg.master_seed, STREAM_SIGNAL, model.n, model.r, alpha, trial),
-                alpha,
-            )
-            y = apply_missing_batch(l_cols, supports)
-            phat = pca_estimate(DataBatch(y), model.r)
-            ses.append(subspace_error(phat, model.signal.P))
-        inputs = replace(
-            bound_inputs(cfg, model, alpha, realized_b), q=q
-        )
+    for (_, alpha), ses in zip(cells, _run_trials(cfg, cells, _missing_measure, workers)):
+        inputs = replace(bound_inputs(cfg, model, alpha, support_occupancy(model, alpha)), q=q)
         report = sddn_bound(inputs)
         rows.append((alpha, float(np.mean(ses)), float(np.max(ses)), report.se_bound))
     return GridResult(("alpha", "mean_se", "max_se", "bound"), rows)

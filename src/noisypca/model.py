@@ -232,15 +232,6 @@ def row_occupancy(supports, n):
     return float(np.max(counts) / alpha)
 
 
-def sample_sddn(model, p, support, l, rng):
-    """One frame of sparse data-dependent noise on the given support."""
-    support = np.asarray(sorted(support), dtype=int)
-    w, _ = sample_sddn_batch(
-        model, p, support[None, :], np.asarray(l, dtype=float)[:, None], rng
-    )
-    return w[:, 0]
-
-
 @dataclass
 class SddnMoments:
     """Realized-dependency aggregates needed for concentration checks.
@@ -315,15 +306,6 @@ def sample_sddn_batch(model, p, supports, l_cols, rng, lambdas=None,
         mean_mlm /= alpha
         return w, SddnMoments(mean_m=mean_m, mean_mlm=mean_mlm)
     return w, None
-
-
-def apply_missing(l, support):
-    """Zero the entries of l on the support: y = l - I_T I_T' l."""
-    y = np.array(l, dtype=float, copy=True)
-    support = np.asarray(support, dtype=int)
-    if support.size:
-        y[support] = 0.0
-    return y
 
 
 def apply_missing_batch(l_cols, supports):

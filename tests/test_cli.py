@@ -13,6 +13,7 @@ from noisypca.bounds import rank_delta
 from noisypca.cli import main
 from noisypca.config import PRESETS, describe, parse_config, parse_config_text
 from noisypca.errors import ConfigError, ValidationError
+from test_golden import assert_csv_close
 
 MINIMAL = """
 [model]
@@ -130,7 +131,9 @@ def test_cli_bound_matches_library(tmp_path, capsys):
     rc = main(["bound", "--config", path, "--alpha", "400"])
     out = capsys.readouterr().out
     assert rc == 0
-    values = dict(line.split("=", 1) for line in out.splitlines() if "=" in line)
+    # Without --out the key=value block is the whole of stdout, printed once.
+    assert len(out.splitlines()) == 23
+    values = dict(line.split("=", 1) for line in out.splitlines())
     from noisypca.bounds import general_bound
     from noisypca.config import parse_config_text
     from noisypca.experiments import bound_inputs, realize_model
@@ -218,8 +221,8 @@ def test_cli_trials_and_c_overrides(tmp_path, capsys):
 SOURCE_ROOT = Path(noisypca.__file__).resolve().parent.parent
 
 
-def _run_cli(args, cwd):
-    env = os.environ.copy()
+def _run_cli(args, cwd, **env_overrides):
+    env = dict(os.environ, **env_overrides)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SOURCE_ROOT), env.get("PYTHONPATH")) if p
     )
@@ -253,6 +256,17 @@ def test_cli_no_subcommand_exit_one(tmp_path):
     _assert_usage_error(_run_cli([], str(tmp_path)))
 
 
+def test_cli_bad_workers_exit_one(tmp_path):
+    # --workers must be >= 1, and only the subcommands that run trials take it.
+    for args in (
+        ["bound-tightness", "--config", "fig1a", "--workers", "0"],
+        ["missing", "--config", "missing", "--workers", "-3"],
+        ["refine", "--config", "refine", "--workers", "2"],
+        ["bound", "--config", "fig1a", "--workers", "2"],
+    ):
+        _assert_usage_error(_run_cli(args, str(tmp_path)))
+
+
 def test_cli_byte_identical_reruns(tmp_path):
     path = write_cfg(tmp_path)
     out_a = str(tmp_path / "a.csv")
@@ -274,6 +288,20 @@ def test_cli_worker_count_does_not_change_bytes(tmp_path):
     proc_b = _run_cli(["bound-tightness", "--config", path, "--workers", "2", "--out", out_b], str(tmp_path))
     assert proc_b.returncode == 0, proc_b.stderr
     assert _read_csv_bytes(out_a, 2) == _read_csv_bytes(out_b, 2)
+
+
+def test_cli_blas_thread_count_moves_only_ulps(tmp_path):
+    # Bytes are identical for a fixed BLAS thread count; across thread counts
+    # the floats agree to rel 1e-12.
+    path = write_cfg(tmp_path)
+    out_a = str(tmp_path / "inherited.csv")
+    out_b = str(tmp_path / "one-thread.csv")
+    proc_a = _run_cli(["bound-tightness", "--config", path, "--out", out_a], str(tmp_path))
+    assert proc_a.returncode == 0, proc_a.stderr
+    proc_b = _run_cli(["bound-tightness", "--config", path, "--out", out_b], str(tmp_path),
+                      OPENBLAS_NUM_THREADS="1")
+    assert proc_b.returncode == 0, proc_b.stderr
+    assert_csv_close(_read_csv_bytes(out_b, 2), _read_csv_bytes(out_a, 2))
 
 
 def test_cli_refine_subcommand(tmp_path, capsys):

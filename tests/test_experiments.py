@@ -22,8 +22,8 @@ from noisypca.experiments import (
     rank_estimation,
     realize_model,
     refinement_loop,
-    run_trial,
     success_epsilon,
+    support_occupancy,
 )
 from noisypca.linalg import subspace_error, top_r_eigvecs, orthogonal_complement
 from noisypca.model import make_random_basis, sample_sddn_batch, substream, support_sequence
@@ -54,32 +54,29 @@ def small_cfg(**overrides):
 
 # --- trials ------------------------------------------------------------------
 
-def test_run_trial_deterministic():
-    cfg = small_cfg()
-    a = run_trial(cfg, 300, 2)
-    b = run_trial(cfg, 300, 2)
-    assert a == b
-
-
-def test_run_trial_noiseless_exact():
+def test_noiseless_trials_exact():
     cfg = small_cfg(noise_rv=None, sddn_enabled=False, alpha_grid=(50,))
-    t = run_trial(cfg, 50, 0)
-    assert t.se <= 1e-8
-    assert t.r_hat_threshold == 3
-    assert t.r_hat_gap == 3
+    _, mean_se, _, _ = bound_tightness(cfg).rows[0]
+    assert mean_se <= 1e-8
+    _, _, p_thr, p_gap = rank_estimation(cfg).rows[0]
+    assert p_thr == 1.0
+    assert p_gap == 1.0
 
 
-def test_run_trial_grid_point_forms():
-    cfg = small_cfg()
-    assert run_trial(cfg, 300, 1) == run_trial(cfg, (40, 3, 300), 1)
+def test_concentration_check_records_five_deviations():
+    cfg = small_cfg(alpha_grid=(300,), n_trials=1)
+    res = concentration_check(cfg)
+    assert [row[1] for row in res.rows] == ["aa", "lw", "ww", "lv", "vv"]
+    assert all(row[2] >= 0 for row in res.rows)
+    b = support_occupancy(realize_model(cfg), 300)
+    assert 0 < b <= cfg.sddn_b0 + cfg.sddn_s / 300 + 1e-12
 
 
-def test_run_trial_records_five_deviations():
-    cfg = small_cfg()
-    t = run_trial(cfg, 300, 0)
-    assert len(t.deviation_norms) == 5
-    assert all(d >= 0 for d in t.deviation_norms)
-    assert t.realized_b <= cfg.sddn_b0 + cfg.sddn_s / 300 + 1e-12
+def test_single_coordinate_model_runs():
+    # n = 1 leaves no room for an eigengap rank estimate; experiments that
+    # do not report ranks must not compute one.
+    res = bound_tightness(ExperimentConfig(n=1, r=1, alpha_grid=(10,), n_trials=1))
+    assert len(res.rows) == 1
 
 
 def test_trial_se_below_bound_small_model():
@@ -394,11 +391,23 @@ def test_bound_tightness_bytes_deterministic():
     assert a == b
 
 
-def test_bound_tightness_worker_count_invariant():
-    cfg = small_cfg()
-    serial = bound_tightness(cfg, workers=1).to_csv_bytes()
-    parallel = bound_tightness(cfg, workers=2).to_csv_bytes()
-    assert serial == parallel
+def test_trial_experiments_worker_count_invariant():
+    adversarial_cfg = small_cfg(
+        n=30, r=3, signal_distribution="gaussian",
+        signal_lambdas=(14.0, 13.5, 12.0), noise_rv=None, sddn_enabled=False,
+        alpha_grid=(20_000,), n_trials=3,
+    )
+    cases = [
+        (bound_tightness, small_cfg()),
+        (concentration_check, small_cfg(n_trials=3)),
+        (rank_estimation, small_cfg(n_trials=3)),
+        (missing_data_experiment, missing_cfg(alpha_grid=(500, 1000), n_trials=3)),
+        (adversarial_experiment, adversarial_cfg),
+    ]
+    for experiment, cfg in cases:
+        serial = experiment(cfg, workers=1).to_csv_bytes()
+        parallel = experiment(cfg, workers=2).to_csv_bytes()
+        assert serial == parallel, experiment.__name__
 
 
 def test_phase_transition_worker_count_invariant():
@@ -419,3 +428,5 @@ def test_experiment_config_validation():
         small_cfg(epsilon_rule="fixed")  # missing value
     with pytest.raises(ValidationError):
         small_cfg(r=50)  # r > n
+    with pytest.raises(ValidationError):
+        bound_tightness(small_cfg(), workers=0)

@@ -10,12 +10,11 @@ from noisypca.model import (
     SddnModel,
     SignalModel,
     UncorrNoiseModel,
-    apply_missing,
+    apply_missing_batch,
     derived_spectra,
     make_random_basis,
     profile_scales,
     row_occupancy,
-    sample_sddn,
     sample_sddn_batch,
     sample_signal,
     sample_uncorr_noise,
@@ -203,7 +202,10 @@ def test_row_occupancy_edge_cases():
 
 def test_sddn_zero_amplitude(basis100):
     model = SddnModel(s=5, b0=0.05, q=0.0)
-    w = sample_sddn(model, basis100, [3, 4, 5, 6, 7], np.ones(100), np.random.default_rng(0))
+    w, _ = sample_sddn_batch(
+        model, basis100, np.array([[3, 4, 5, 6, 7]]), np.ones((100, 1)), np.random.default_rng(0)
+    )
+    assert w.shape == (100, 1)
     assert np.all(w == 0.0)
 
 
@@ -245,10 +247,16 @@ def test_sddn_norm_product_bound(basis100):
 
 
 def test_apply_missing_cases():
-    l = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(apply_missing(l, []), l)
-    np.testing.assert_array_equal(apply_missing(l, [0, 1, 2]), np.zeros(3))
-    np.testing.assert_array_equal(apply_missing(l, [1]), [1.0, 0.0, 3.0])
+    l = np.array([[1.0], [2.0], [3.0]])
+    empty = np.empty((1, 0), dtype=int)
+    np.testing.assert_array_equal(apply_missing_batch(l, empty), l)
+    np.testing.assert_array_equal(apply_missing_batch(l, np.array([[0, 1, 2]])), np.zeros((3, 1)))
+    np.testing.assert_array_equal(apply_missing_batch(l, np.array([[1]])), [[1.0], [0.0], [3.0]])
+    # Each column is erased on its own support and nowhere else.
+    two = np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
+    np.testing.assert_array_equal(
+        apply_missing_batch(two, np.array([[0], [2]])), [[0.0, 4.0], [2.0, 5.0], [3.0, 0.0]]
+    )
 
 
 # --- derived spectra ----------------------------------------------------------
