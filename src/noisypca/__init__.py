@@ -19,6 +19,7 @@ from .bounds import (
     sddn_bound,
     sddn_required_alpha,
     spiked_bound,
+    success_floor,
 )
 from .errors import (
     ConfigError,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorollaryInapplicable, NotIsotropic, ValidationError
+from .errors import CorollaryInapplicable, InfeasibleModel, NotIsotropic, ValidationError
 from .model import DerivedSpectra
 
 REGIMES = ("bounded", "subgaussian")
@@ -79,37 +79,33 @@ def eps_den(inputs):
     )
 
 
-def eps_bnd(inputs, proof_level=False):
-    """Numerator concentration term for the selected regime.
+def _log_root(inputs, dim):
+    """sqrt(dim * log n / alpha), the rate of every bounded-regime term."""
+    return math.sqrt(dim * math.log(inputs.n) / inputs.alpha)
 
-    proof_level=True selects the sharper three-term bounded-regime variant
-    that splits the uncorrelated-noise-covariance contribution
-    (lambda_v^+/lambda^-) sqrt(r_v log n / alpha) out of the g term.
-    """
+
+def eps_bnd(inputs):
+    """Numerator concentration term for the selected regime."""
     s = inputs.spectra
     if inputs.regime == "subgaussian":
         return inputs.c * max(s.lambda_v_plus / s.lambda_minus, s.f) * math.sqrt(
             inputs.n / inputs.alpha
         )
-    logn = math.log(inputs.n)
-    root_rlog = math.sqrt(inputs.r * logn / inputs.alpha)
-    root_maxlog = math.sqrt(max(inputs.r_v, inputs.r) * logn / inputs.alpha)
-    terms = [inputs.q * s.f * root_rlog]
-    if proof_level:
-        ratio = s.lambda_v_plus / s.lambda_minus
-        terms.append(math.sqrt(ratio * s.f) * root_maxlog)
-        terms.append(ratio * math.sqrt(inputs.r_v * logn / inputs.alpha))
-    else:
-        terms.append(s.g * root_maxlog)
-    return inputs.c * math.sqrt(inputs.eta) * max(terms)
+    return inputs.c * math.sqrt(inputs.eta) * max(
+        inputs.q * s.f * _log_root(inputs, inputs.r),
+        s.g * _log_root(inputs, max(inputs.r_v, inputs.r)),
+    )
 
 
-def _sddn_terms(inputs):
-    s = inputs.spectra
-    root_b = math.sqrt(inputs.b)
-    mixed = root_b * (2 * inputs.q + inputs.q**2) * s.f
-    condition = 3 * root_b * inputs.q * s.f
-    return mixed, condition
+def _sddn_terms(q, b, f):
+    """(mixed, condition) = (sqrt(b)(2q+q^2) f, 3 sqrt(b) q f)."""
+    root_b = math.sqrt(b)
+    return root_b * (2 * q + q**2) * f, 3 * root_b * q * f
+
+
+def _rest_gap(spectra):
+    """(lam_vrest^+ - lam_vP^-)/lam^-: noise outside the subspace over the floor."""
+    return (spectra.lambda_vrest_plus - spectra.lambda_vP_minus) / spectra.lambda_minus
 
 
 def general_bound(inputs):
@@ -125,8 +121,8 @@ def general_bound(inputs):
     s = inputs.spectra
     eb = eps_bnd(inputs)
     ed = eps_den(inputs)
-    mixed, condition = _sddn_terms(inputs)
-    rest_gap = (s.lambda_vrest_plus - s.lambda_vP_minus) / s.lambda_minus
+    mixed, condition = _sddn_terms(inputs.q, inputs.b, s.f)
+    rest_gap = _rest_gap(s)
     slack = 1.0 - (rest_gap + condition + eb + ed)
     if slack <= 0:
         return BoundReport(eb, ed, float("inf"), False, slack)
@@ -166,7 +162,7 @@ def sddn_bound(inputs):
         raise ValidationError("sddn_bound expects a noise-free Sigma_v")
     eb = eps_bnd(inputs)
     ed = eps_den(inputs)
-    _, condition = _sddn_terms(inputs)
+    _, condition = _sddn_terms(inputs.q, inputs.b, s.f)
     slack = 1.0 - (condition + eb + ed)
     if slack <= 0:
         return BoundReport(eb, ed, float("inf"), False, slack)
@@ -180,7 +176,7 @@ def rank_delta(inputs):
     enters the eigengap-estimator condition.
     """
     s = inputs.spectra
-    _, condition = _sddn_terms(inputs)
+    _, condition = _sddn_terms(inputs.q, inputs.b, s.f)
     return eps_den(inputs) + eps_bnd(inputs) + condition + (
         s.lambda_vrest_plus / s.lambda_minus
     )
@@ -234,7 +230,7 @@ def expected_perturbation(spectra, q, b):
     (lam_vPPperp + sqrt(b)(2q+q^2) lam^+, lam_vrest^+ + sqrt(b)(2q+q^2) lam^+),
     the Cauchy-Schwarz bounds on ||E[D-D0] P|| and lambda_max(E[D-D0]).
     """
-    shift = math.sqrt(b) * (2 * q + q**2) * spectra.lambda_plus
+    shift = spectra.lambda_minus * _sddn_terms(q, b, spectra.f)[0]
     return spectra.lambda_vPPperp + shift, spectra.lambda_vrest_plus + shift
 
 
@@ -243,21 +239,33 @@ def concentration_bounds(inputs):
 
     Keys: aa (signal coefficient covariance), lw (signal/dependent-noise
     cross), ww (dependent-noise covariance), lv (signal/uncorrelated
-    cross), vv (uncorrelated-noise covariance).
+    cross), vv (uncorrelated-noise covariance). Over lam^-, lw, lv and vv
+    are the bounded-regime eps_bnd terms split by source, so none exceeds
+    eps_bnd * lam^-.
     """
     s = inputs.spectra
     lam = s.lambda_minus
-    logn = math.log(inputs.n)
     root_eta = math.sqrt(inputs.eta)
-    root_rlog = math.sqrt(inputs.r * logn / inputs.alpha)
-    root_maxlog = math.sqrt(max(inputs.r_v, inputs.r) * logn / inputs.alpha)
-    root_rvlog = math.sqrt(inputs.r_v * logn / inputs.alpha)
+    root_rlog = _log_root(inputs, inputs.r)
+    root_maxlog = _log_root(inputs, max(inputs.r_v, inputs.r))
     ratio = s.lambda_v_plus / s.lambda_minus
     c = inputs.c
     return {
-        "aa": c * inputs.eta * s.f * math.sqrt((inputs.r + logn) / inputs.alpha) * lam,
+        "aa": eps_den(inputs) * lam,
         "lw": c * root_eta * inputs.q * s.f * root_rlog * lam,
         "ww": c * root_eta * inputs.q**2 * s.f * root_rlog * lam,
         "lv": c * root_eta * math.sqrt(ratio * s.f) * root_maxlog * lam,
-        "vv": c * root_eta * ratio * root_rvlog * lam,
+        "vv": c * root_eta * ratio * _log_root(inputs, inputs.r_v) * lam,
     }
+
+
+def success_floor(spectra, q, b0):
+    """Population error floor sqrt(b0)(2q+q^2) f + (lam_vPPperp/lam^-) / (1 - rest gap).
+
+    Phase-transition targets scale it; InfeasibleModel when the rest gap reaches 1.
+    """
+    rest = 1.0 - _rest_gap(spectra)
+    if rest <= 0:
+        raise InfeasibleModel("noise outside the subspace exceeds the signal floor")
+    mixed, _ = _sddn_terms(q, b0, spectra.f)
+    return mixed + (spectra.lambda_vPPperp / spectra.lambda_minus) / rest

@@ -26,18 +26,19 @@ from .experiments import bound_inputs, realize_model, support_occupancy, with_ov
 SEED_ENV_VAR = "NOISYPCA_SEED"
 
 # Subcommand -> (experiment function name in noisypca.experiments, whether it
-# runs trials). The function is looked up when the command runs. Commands
-# that run trials go through the trial runner and take --workers; `bound`
-# is handled by _print_bound.
+# runs trials, whether it evaluates a bound). The function is looked up when
+# the command runs. Commands that run trials go through the trial runner and
+# take --workers and --trials; commands that evaluate a bound take --c.
+# `bound` is handled by _print_bound.
 COMMANDS = {
-    "bound": (None, False),
-    "bound-tightness": ("bound_tightness", True),
-    "phase-transition": ("phase_transition", True),
-    "concentration": ("concentration_check", True),
-    "rank-estimation": ("rank_estimation", True),
-    "adversarial": ("adversarial_experiment", True),
-    "refine": ("refinement_loop", False),
-    "missing": ("missing_data_experiment", True),
+    "bound": (None, False, True),
+    "bound-tightness": ("bound_tightness", True, True),
+    "phase-transition": ("phase_transition", True, False),
+    "concentration": ("concentration_check", True, True),
+    "rank-estimation": ("rank_estimation", True, True),
+    "adversarial": ("adversarial_experiment", True, False),
+    "refine": ("refinement_loop", False, False),
+    "missing": ("missing_data_experiment", True, True),
 }
 
 
@@ -50,28 +51,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _worker_count(text):
-    count = int(text)
-    if count < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
-    return count
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _build_parser():
     parser = _Parser(prog="noisypca", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="|".join(COMMANDS))
-    for name, (_, runs_trials) in COMMANDS.items():
-        p = sub.add_parser(name, add_help=True)
+    for name, (_, runs_trials, evaluates_bound) in COMMANDS.items():
+        # No prefix matching: `--c` on a command without it must not mean --config.
+        p = sub.add_parser(name, add_help=True, allow_abbrev=False)
+        p.set_defaults(workers=1, trials=None, c=None)
         p.add_argument("--config", required=True, help="config file path or preset name")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
         if runs_trials:
-            p.add_argument("--workers", type=_worker_count, default=1,
+            p.add_argument("--workers", type=_positive_int,
                            help="worker processes, >= 1 (does not change output bytes)")
-        p.add_argument("--c", type=float, default=None, help="override the bound constant c")
-        p.add_argument("--trials", type=int, default=None, help="override the trial count")
+            p.add_argument("--trials", type=_positive_int, help="override the trial count, >= 1")
+        if evaluates_bound:
+            p.add_argument("--c", type=float, help="override the bound constant c")
         if name == "bound":
-            p.add_argument("--alpha", type=int, default=None, help="sample count (default: first grid value)")
+            p.add_argument("--alpha", type=_positive_int, help="sample count, >= 1 (default: first grid value)")
     return parser
 
 
@@ -135,19 +139,18 @@ def _dispatch(args):
     for line in describe(cfg).splitlines():
         sys.stderr.write(f"# {line}\n")
     start = time.time()
-    function, runs_trials = COMMANDS[args.command]
-    workers = args.workers if runs_trials else 1
+    function, runs_trials, _ = COMMANDS[args.command]
     if function is None:
         alpha = args.alpha if args.alpha is not None else cfg.alpha_grid[0]
         result = _print_bound(cfg, alpha, args.out)
     else:
-        kwargs = {"workers": workers} if runs_trials else {}
+        kwargs = {"workers": args.workers} if runs_trials else {}
         result = getattr(exp, function)(cfg, **kwargs)
         result.write(args.out)
     wall = time.time() - start
     sys.stderr.write(
         f"# rows={len(result.rows)} trials={cfg.n_trials} seed={cfg.master_seed} "
-        f"workers={workers} wall={wall:.2f}s\n"
+        f"workers={args.workers} wall={wall:.2f}s\n"
     )
     return 0
 

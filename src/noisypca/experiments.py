@@ -42,6 +42,7 @@ from .bounds import (
     rank_delta,
     sddn_bound,
     sddn_required_alpha,
+    success_floor,
 )
 from .errors import InfeasibleModel, InvalidExample, SupportDegenerate, ValidationError
 from .estimator import DataBatch, estimate_rank_eigengap, estimate_rank_threshold, pca_estimate, sample_covariance
@@ -414,20 +415,14 @@ def bound_tightness(cfg, workers=1):
 def success_epsilon(cfg, model):
     """Error target for phase-transition success counting.
 
-    The default rule scales the population-level bound floor:
-    1.5 * (sqrt(b0)(2q+q^2) f + (lam_vPPperp/lam^-)
-           / (1 - (lam_vrest^+ - lam_vP^-)/lam^-)).
+    The fixed rule returns its value; the default rule is 1.5 times the
+    population floor `bounds.success_floor`.
     """
     if cfg.epsilon_rule == "fixed":
         return float(cfg.epsilon_value)
-    s = model.spectra
-    q = model.sddn.q if model.sddn is not None else 0.0
-    b0 = model.sddn.b0 if model.sddn is not None else 0.0
-    rest = 1.0 - (s.lambda_vrest_plus - s.lambda_vP_minus) / s.lambda_minus
-    if rest <= 0:
-        raise InfeasibleModel("noise outside the subspace exceeds the signal floor")
-    floor = (s.lambda_vPPperp / s.lambda_minus) / rest
-    return 1.5 * (np.sqrt(b0) * (2 * q + q * q) * s.f + floor)
+    sddn = model.sddn
+    q, b0 = (sddn.q, sddn.b0) if sddn is not None else (0.0, 0.0)
+    return 1.5 * success_floor(model.spectra, q, b0)
 
 
 def phase_transition(cfg, workers=1):
@@ -529,18 +524,18 @@ def _tilted_basis(p, target_se, rng):
     return BasisMatrix(entries)
 
 
-def refinement_loop(cfg, stages=None, q0=None, trial=0):
+def refinement_loop(cfg, trial=0):
     """Staged subspace refinement under projection-induced sparse noise.
 
-    Starting from an estimate with error q0/1.2, each stage builds error
-    vectors e_t = I_T B_T^{-1} I_T' (I - Phat Phat') l_t on a fresh batch,
-    re-estimates the subspace from l_t + e_t, and should contract the
-    error by 0.3 per stage: se_k <= 0.25 * q0 * 0.3^(k-1).
+    q0, the stage count and the sample-size constant come from cfg's
+    refine_* fields. Starting from an estimate with error q0/1.2, each
+    stage builds error vectors e_t = I_T B_T^{-1} I_T' (I - Phat Phat') l_t
+    on a fresh batch, re-estimates the subspace from l_t + e_t, and should
+    contract the error by 0.3 per stage: se_k <= 0.25 * q0 * 0.3^(k-1).
 
     Returns a GridResult with columns (stage, se, stage_bound).
     """
-    stages = cfg.refine_stages if stages is None else stages
-    q0 = cfg.refine_q0 if q0 is None else q0
+    stages, q0 = cfg.refine_stages, cfg.refine_q0
     constant = cfg.refine_alpha_constant if cfg.refine_alpha_constant is not None else 16.0
     if stages is None or q0 is None:
         raise ValidationError("refinement needs q0 and a stage count")

@@ -8,7 +8,7 @@ block T_t. Model descriptions are immutable; sampling takes an explicit
 numpy Generator so there is no hidden global state.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,14 +177,14 @@ class SddnModel:
     rho * ceil(b0 * alpha / rho) frames and then advances by s
     (wrapping modulo n): a 1-d object moving every so often. q in [0, 1)
     is the exact noise-to-signal amplitude enforced per frame; b0 is the
-    target per-row occupancy fraction.
+    target per-row occupancy fraction. M_{s,t} is s x n with iid |N(0,1)|
+    entries.
     """
 
     s: int
     b0: float
     rho: int = 1
     q: float = 0.0
-    matrix_distribution: str = "abs_gaussian"
 
     def __post_init__(self):
         if self.s < 1:
@@ -195,8 +195,6 @@ class SddnModel:
             raise ValidationError("rho must be >= 1")
         if not 0 <= self.q < 1:
             raise ValidationError("q must lie in [0, 1)")
-        if self.matrix_distribution != "abs_gaussian":
-            raise ValidationError("only abs_gaussian dependency matrices are supported")
 
 
 def support_sequence(n, model, alpha):
@@ -337,15 +335,13 @@ class DerivedSpectra:
     lambda_vP_minus: float = 0.0
     lambda_vrest_plus: float = 0.0
     lambda_vPPperp: float = 0.0
-    g: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if self.lambda_minus <= 0 or self.lambda_plus < self.lambda_minus:
             raise ValidationError("need 0 < lambda_minus <= lambda_plus")
-        if self.g is None:
-            object.__setattr__(self, "g", self.noise_factor())
 
-    def noise_factor(self):
+    @property
+    def g(self):
         ratio = self.lambda_v_plus / self.lambda_minus
         return max(ratio, np.sqrt(ratio * self.f))
 

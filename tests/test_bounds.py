@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisypca.bounds import (
     BoundInputs,
@@ -24,8 +26,9 @@ from noisypca.bounds import (
     sddn_bound,
     sddn_required_alpha,
     spiked_bound,
+    success_floor,
 )
-from noisypca.errors import CorollaryInapplicable, NotIsotropic, ValidationError
+from noisypca.errors import CorollaryInapplicable, InfeasibleModel, NotIsotropic, ValidationError
 from noisypca.model import DerivedSpectra
 
 
@@ -99,11 +102,22 @@ def test_eps_bnd_subgaussian_direct_formula():
     assert eps_bnd(inp) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_eps_bnd_proof_level_variant_never_larger():
-    s = spectra(lv=1.1)
-    for alpha in (100, 1000, 10000):
-        inp = BoundInputs(s, r=5, r_v=7, n=100, alpha=alpha, eta=3.0, q=0.01)
-        assert eps_bnd(inp, proof_level=True) <= eps_bnd(inp) + 1e-15
+@settings(derandomize=True, deadline=None)
+@given(
+    lam_plus=st.floats(12.0, 30.0),
+    lv=st.floats(0.0, 2.0),
+    r_v=st.integers(0, 12),
+    alpha=st.integers(50, 20000),
+    q=st.floats(0.0, 0.5),
+)
+def test_concentration_terms_never_exceed_eps_bnd(lam_plus, lv, r_v, alpha, q):
+    # lw, lv and vv over lam^- are the bounded-regime eps_bnd terms split by
+    # source (q f, sqrt(ratio f), ratio); g covers the last two.
+    inp = BoundInputs(spectra(lam_plus=lam_plus, lv=lv), r=5, r_v=r_v, n=100,
+                      alpha=alpha, eta=3.0, q=q)
+    limits = concentration_bounds(inp)
+    split = max(limits[term] for term in ("lw", "lv", "vv")) / inp.spectra.lambda_minus
+    assert split <= eps_bnd(inp) * (1 + 1e-12)
 
 
 # --- specialization identities ------------------------------------------------
@@ -275,6 +289,16 @@ def test_missing_q_cases():
         missing_q(10.0, 5, 20, 100)
 
 
+def test_success_floor_formula():
+    s = spectra(lv=0.5, lvp=0.1, lvrest=0.4, lvppp=0.2)
+    rest = 1.0 - (0.4 - 0.1) / 12.0
+    expected = math.sqrt(0.05) * (2 * 0.01 + 0.01**2) * 1.0 + (0.2 / 12.0) / rest
+    assert success_floor(s, q=0.01, b0=0.05) == pytest.approx(expected, rel=1e-12)
+    assert success_floor(spectra(), q=0.0, b0=0.0) == 0.0
+    with pytest.raises(InfeasibleModel):
+        success_floor(spectra(lv=13.0, lvrest=13.0), q=0.0, b0=0.0)
+
+
 def test_expected_perturbation_cases():
     s = spectra(lvrest=0.4, lvppp=0.1)
     num, den = expected_perturbation(s, q=0.0, b=0.3)
@@ -289,16 +313,22 @@ def test_expected_perturbation_cases():
 
 # --- global properties ------------------------------------------------------------
 
-@pytest.mark.parametrize("seed", range(8))
-def test_bounds_monotone_nonincreasing_in_alpha(seed):
-    rng = np.random.default_rng(seed)
-    lv = rng.uniform(0, 1.0)
-    lvp = rng.uniform(0, lv) if lv else 0.0
-    lvrest = rng.uniform(lvp, lv) if lv else 0.0
-    s = spectra(lam_plus=rng.uniform(12, 20), lv=lv, lvp=lvp, lvrest=lvrest,
-                lvppp=rng.uniform(0, lvrest) if lv else 0.0)
-    q = rng.uniform(0, 0.3)
-    b = rng.uniform(0, 0.3)
+unit = st.floats(0.0, 1.0)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    lam_plus=st.floats(12.0, 20.0),
+    lv=unit,
+    fractions=st.tuples(unit, unit, unit),
+    q=st.floats(0.0, 0.3),
+    b=st.floats(0.0, 0.3),
+)
+def test_bounds_monotone_nonincreasing_in_alpha(lam_plus, lv, fractions, q, b):
+    # 0 <= lam_vP^- <= lam_vrest^+ <= lam_v^+ and lam_vPPperp <= lam_vrest^+.
+    lvp = fractions[0] * lv
+    lvrest = lvp + fractions[1] * (lv - lvp)
+    s = spectra(lam_plus=lam_plus, lv=lv, lvp=lvp, lvrest=lvrest, lvppp=fractions[2] * lvrest)
     previous = math.inf
     for alpha in (50, 200, 800, 3200, 12800, 10**6):
         inp = BoundInputs(s, r=4, r_v=6, n=80, alpha=alpha, eta=3.0, q=q, b=b)

@@ -257,12 +257,22 @@ def test_cli_no_subcommand_exit_one(tmp_path):
 
 
 def test_cli_bad_workers_exit_one(tmp_path):
-    # --workers must be >= 1, and only the subcommands that run trials take it.
+    # --workers, --trials and --alpha must be >= 1; only the subcommands that
+    # run trials take --workers and --trials, and only those that evaluate a
+    # bound take --c (which must not be read as an abbreviated --config).
     for args in (
         ["bound-tightness", "--config", "fig1a", "--workers", "0"],
         ["missing", "--config", "missing", "--workers", "-3"],
         ["refine", "--config", "refine", "--workers", "2"],
         ["bound", "--config", "fig1a", "--workers", "2"],
+        ["bound-tightness", "--config", "fig1a", "--trials", "0"],
+        ["bound", "--config", "fig1a", "--alpha", "0"],
+        ["bound", "--config", "fig1a", "--alpha", "-4"],
+        ["phase-transition", "--config", "fig2a", "--c", "50"],
+        ["adversarial", "--config", "adversarial", "--c", "2"],
+        ["refine", "--config", "refine", "--c", "9"],
+        ["bound", "--config", "fig1a", "--trials", "999"],
+        ["refine", "--config", "refine", "--trials", "7"],
     ):
         _assert_usage_error(_run_cli(args, str(tmp_path)))
 
