@@ -313,6 +313,29 @@ def test_expected_perturbation_cases():
 
 # --- global properties ------------------------------------------------------------
 
+def assert_monotone_nonincreasing_in_alpha(s, q, b):
+    previous = math.inf
+    for alpha in (50, 200, 800, 3200, 12800, 10**6):
+        inp = BoundInputs(s, r=4, r_v=6, n=80, alpha=alpha, eta=3.0, q=q, b=b)
+        report = general_bound(inp)
+        value = report.se_bound
+        assert value <= previous + 1e-12
+        assert report.feasible == (report.condition_slack > 0)
+        assert report.feasible == math.isfinite(value)
+        previous = value
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bounds_monotone_nonincreasing_in_alpha(seed):
+    rng = np.random.default_rng(seed)
+    lv = rng.uniform(0, 1.0)
+    lvp = rng.uniform(0, lv) if lv else 0.0
+    lvrest = rng.uniform(lvp, lv) if lv else 0.0
+    s = spectra(lam_plus=rng.uniform(12, 20), lv=lv, lvp=lvp, lvrest=lvrest,
+                lvppp=rng.uniform(0, lvrest) if lv else 0.0)
+    assert_monotone_nonincreasing_in_alpha(s, q=rng.uniform(0, 0.3), b=rng.uniform(0, 0.3))
+
+
 unit = st.floats(0.0, 1.0)
 
 
@@ -324,20 +347,12 @@ unit = st.floats(0.0, 1.0)
     q=st.floats(0.0, 0.3),
     b=st.floats(0.0, 0.3),
 )
-def test_bounds_monotone_nonincreasing_in_alpha(lam_plus, lv, fractions, q, b):
+def test_bounds_monotone_nonincreasing_in_alpha_property(lam_plus, lv, fractions, q, b):
     # 0 <= lam_vP^- <= lam_vrest^+ <= lam_v^+ and lam_vPPperp <= lam_vrest^+.
     lvp = fractions[0] * lv
     lvrest = lvp + fractions[1] * (lv - lvp)
     s = spectra(lam_plus=lam_plus, lv=lv, lvp=lvp, lvrest=lvrest, lvppp=fractions[2] * lvrest)
-    previous = math.inf
-    for alpha in (50, 200, 800, 3200, 12800, 10**6):
-        inp = BoundInputs(s, r=4, r_v=6, n=80, alpha=alpha, eta=3.0, q=q, b=b)
-        report = general_bound(inp)
-        value = report.se_bound
-        assert value <= previous + 1e-12
-        assert report.feasible == (report.condition_slack > 0)
-        assert report.feasible == math.isfinite(value)
-        previous = value
+    assert_monotone_nonincreasing_in_alpha(s, q, b)
 
 
 def test_concentration_bounds_formulas():
