@@ -50,8 +50,8 @@ class BoundInputs:
             raise ValidationError("b must lie in [0, 1)")
         if self.eta < 1:
             raise ValidationError("eta must be >= 1")
-        if self.c <= 0:
-            raise ValidationError("c must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValidationError("c must be finite and positive")
         if self.regime not in REGIMES:
             raise ValidationError(f"unknown regime {self.regime!r}")
 

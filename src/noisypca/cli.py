@@ -7,6 +7,7 @@ Diagnostics (resolved config, summary line) go to stderr; results go to
 """
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -58,6 +59,20 @@ def _positive_int(text):
     return value
 
 
+def _seed(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_float(text):
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
 def _build_parser():
     parser = _Parser(prog="noisypca", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="|".join(COMMANDS))
@@ -66,14 +81,14 @@ def _build_parser():
         p = sub.add_parser(name, add_help=True, allow_abbrev=False)
         p.set_defaults(workers=1, trials=None, c=None)
         p.add_argument("--config", required=True, help="config file path or preset name")
-        p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
+        p.add_argument("--seed", type=_seed, default=None, help="master seed, >= 0 (overrides config)")
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
         if runs_trials:
             p.add_argument("--workers", type=_positive_int,
                            help="worker processes, >= 1 (does not change output bytes)")
             p.add_argument("--trials", type=_positive_int, help="override the trial count, >= 1")
         if evaluates_bound:
-            p.add_argument("--c", type=float, help="override the bound constant c")
+            p.add_argument("--c", type=_positive_float, help="override the bound constant c, finite and > 0")
         if name == "bound":
             p.add_argument("--alpha", type=_positive_int, help="sample count, >= 1 (default: first grid value)")
     return parser
@@ -86,7 +101,10 @@ def _resolve_seed(flag_seed, config_seed):
         return int(config_seed)
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ConfigError(f"{SEED_ENV_VAR}={env!r}: expected an integer") from None
     return 0
 
 

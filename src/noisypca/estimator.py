@@ -49,30 +49,29 @@ def pca_estimate(batch, r):
     return top_r_eigvecs(sample_covariance(batch), r)
 
 
-def estimate_rank_threshold(d, lambda_minus):
-    """Largest index whose sample eigenvalue clears 0.5 * lambda_minus.
+def estimate_rank_threshold(w, lambda_minus):
+    """Number of sample eigenvalues w (descending) that clear 0.5 * lambda_minus.
 
     Returns 0 when no eigenvalue clears the threshold (no subspace
     detected). Non-increasing in lambda_minus.
     """
     if lambda_minus <= 0:
         raise ValueError("lambda_minus must be positive")
-    w = np.linalg.eigvalsh(np.asarray(d, dtype=float))[::-1]
-    return int(np.count_nonzero(w >= 0.5 * lambda_minus))
+    return int(np.count_nonzero(np.asarray(w, dtype=float) >= 0.5 * lambda_minus))
 
 
-def estimate_rank_eigengap(d, max_rank=None):
-    """Index of the largest consecutive eigengap, ties broken low.
+def estimate_rank_eigengap(w, max_rank=None):
+    """Index of the largest gap between consecutive eigenvalues w (descending).
 
-    The search runs over j = 1..max_rank (default floor(n/2)); gaps in
-    the noise tail past max_rank are ignored.
+    Ties are broken low. The search runs over j = 1..max_rank (default
+    floor(n/2) for n eigenvalues); gaps in the noise tail past max_rank are
+    ignored.
     """
-    d = np.asarray(d, dtype=float)
-    n = d.shape[0]
+    w = np.asarray(w, dtype=float)
+    n = len(w)
     if max_rank is None:
         max_rank = n // 2
     if not 1 <= max_rank < n:
         raise InvalidRank(f"need 1 <= max_rank < n, got {max_rank}")
-    w = np.linalg.eigvalsh(d)[::-1]
     gaps = w[:max_rank] - w[1 : max_rank + 1]
     return int(np.argmax(gaps)) + 1

@@ -27,6 +27,7 @@ reruns and for any worker count. Across BLAS thread counts the last few
 ulps of a float can move; values agree to rel 1e-12.
 """
 
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -126,8 +127,10 @@ class ExperimentConfig:
             raise ValidationError(f"unknown epsilon rule {self.epsilon_rule!r}")
         if self.epsilon_rule == "fixed" and self.epsilon_value is None:
             raise ValidationError("fixed epsilon rule needs a value")
-        if self.c <= 0:
-            raise ValidationError("c must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValidationError("c must be finite and positive")
+        if self.master_seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.master_seed}")
 
     def lambdas_for(self, r):
         lam = self.signal_lambdas
@@ -267,9 +270,24 @@ def _checked_se(se):
 
 
 def _pca_se(y, model):
-    """(se of the top-r PCA estimate from the columns y, sample covariance)."""
-    d = sample_covariance(DataBatch(y))
-    return _checked_se(subspace_error(top_r_eigvecs(d, model.r), model.signal.P)), d
+    """(se of the top-r PCA estimate from the columns y, the Gram matrix used).
+
+    The smaller Gram matrix is decomposed. With r <= alpha < n that is the
+    alpha x alpha matrix y'y/alpha, which has the nonzero spectrum of the
+    sample covariance yy'/alpha: its top-r eigenvectors V give y v_i =
+    sigma_i u_i, so the columns of yV scaled to unit norm are the estimate.
+    Otherwise it is the n x n sample covariance.
+    """
+    n, alpha = y.shape
+    if model.r <= alpha < n:
+        gram = y.T @ y / alpha
+        gram = (gram + gram.T) / 2.0
+        u = y @ top_r_eigvecs(gram, model.r).entries
+        basis = BasisMatrix(u / np.linalg.norm(u, axis=0))
+    else:
+        gram = sample_covariance(DataBatch(y))
+        basis = top_r_eigvecs(gram, model.r)
+    return _checked_se(subspace_error(basis, model.signal.P)), gram
 
 
 def _se_measure(cfg, model, alpha, trial):
@@ -297,9 +315,15 @@ def _deviation_measure(cfg, model, alpha, trial):
 
 
 def _rank_measure(cfg, model, alpha, trial):
-    """(threshold, eigengap) rank estimates of one trial."""
-    _, d = _pca_se(_draw(cfg, model, alpha, trial)[0], model)
-    return estimate_rank_threshold(d, model.signal.lambda_minus), estimate_rank_eigengap(d)
+    """(threshold, eigengap) rank estimates of one trial.
+
+    An alpha x alpha Gram matrix lacks the n - alpha zero eigenvalues of the
+    sample covariance; they are appended.
+    """
+    _, gram = _pca_se(_draw(cfg, model, alpha, trial)[0], model)
+    w = np.linalg.eigvalsh(gram)[::-1]
+    w = np.concatenate([w, np.zeros(model.n - len(w))])
+    return estimate_rank_threshold(w, model.signal.lambda_minus), estimate_rank_eigengap(w)
 
 
 def _missing_measure(cfg, model, alpha, trial):

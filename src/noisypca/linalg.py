@@ -50,7 +50,7 @@ class BasisMatrix:
         if not 1 <= r <= n:
             raise InvalidRank(f"need 1 <= r <= n, got r={r}, n={n}")
         gram_defect = np.max(np.abs(entries.T @ entries - np.eye(r)))
-        if gram_defect > ORTHONORMALITY_TOL:
+        if not gram_defect <= ORTHONORMALITY_TOL:  # NaN entries fail too
             raise ValueError(
                 f"columns not orthonormal: max |P'P - I| = {gram_defect:.3e}"
             )

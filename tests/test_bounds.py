@@ -383,3 +383,6 @@ def test_bound_inputs_validation():
         BoundInputs(spectra(), r=5, r_v=5, n=100, alpha=10, b=1.0)
     with pytest.raises(ValidationError):
         BoundInputs(spectra(), r=5, r_v=5, n=100, alpha=10, regime="laplace")
+    for c in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            BoundInputs(spectra(), r=5, r_v=5, n=100, alpha=10, c=c)

@@ -273,8 +273,28 @@ def test_cli_bad_workers_exit_one(tmp_path):
         ["refine", "--config", "refine", "--c", "9"],
         ["bound", "--config", "fig1a", "--trials", "999"],
         ["refine", "--config", "refine", "--trials", "7"],
+        # Seeds must be >= 0 and c finite and > 0.
+        ["bound", "--config", "fig1a", "--seed", "-1"],
+        ["bound-tightness", "--config", "fig1a", "--seed", "-5"],
+        ["bound", "--config", "fig1a", "--c", "nan"],
+        ["bound", "--config", "fig1a", "--c", "inf"],
+        ["rank-estimation", "--config", "fig1a", "--c", "-inf"],
+        ["missing", "--config", "missing", "--c", "0"],
     ):
         _assert_usage_error(_run_cli(args, str(tmp_path)))
+    # The same values from a config file or NOISYPCA_SEED are config errors.
+    no_seed = MINIMAL.replace("seed = 11\n", "")
+    for text, env in (
+        (MINIMAL.replace("seed = 11", "seed = -1"), {}),
+        (MINIMAL + "c = nan\n", {}),
+        (MINIMAL + "c = inf\n", {}),
+        (no_seed, {"NOISYPCA_SEED": "-2"}),
+        (no_seed, {"NOISYPCA_SEED": "abc"}),
+    ):
+        proc = _run_cli(["bound", "--config", write_cfg(tmp_path, text)], str(tmp_path), **env)
+        assert proc.returncode == 1, proc.stderr
+        assert b"error:" in proc.stderr
+        assert b"Traceback" not in proc.stderr
 
 
 def test_cli_byte_identical_reruns(tmp_path):

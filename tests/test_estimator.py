@@ -76,43 +76,43 @@ def test_pca_estimate_scale_equivariant(gamma):
 
 
 def test_rank_threshold_example():
-    d = np.diag([12.3, 11.8, 0.4, 0.1])
-    assert estimate_rank_threshold(d, 12.0) == 2
+    w = np.array([12.3, 11.8, 0.4, 0.1])
+    assert estimate_rank_threshold(w, 12.0) == 2
 
 
 def test_rank_threshold_no_detection():
-    d = np.diag([1.0, 0.5, 0.2])
-    assert estimate_rank_threshold(d, 12.0) == 0
+    w = np.array([1.0, 0.5, 0.2])
+    assert estimate_rank_threshold(w, 12.0) == 0
 
 
 def test_rank_threshold_monotone_in_lambda():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((12, 12))
-    d = m @ m.T / 12
-    estimates = [estimate_rank_threshold(d, lam) for lam in np.linspace(0.01, 30.0, 40)]
+    w = np.linalg.eigvalsh(m @ m.T / 12)[::-1]
+    estimates = [estimate_rank_threshold(w, lam) for lam in np.linspace(0.01, 30.0, 40)]
     assert all(a >= b for a, b in zip(estimates, estimates[1:]))
 
 
 def test_rank_eigengap_example():
-    d = np.diag([10.2, 9.8, 9.5, 0.3, 0.2, 0.1, 0.05, 0.01, 0.0, 0.0])
-    assert estimate_rank_eigengap(d) == 3
+    w = np.array([10.2, 9.8, 9.5, 0.3, 0.2, 0.1, 0.05, 0.01, 0.0, 0.0])
+    assert estimate_rank_eigengap(w) == 3
 
 
 def test_rank_eigengap_single_spike():
-    d = np.diag([5.0, 0.0, 0.0, 0.0])
-    assert estimate_rank_eigengap(d) == 1
+    w = np.array([5.0, 0.0, 0.0, 0.0])
+    assert estimate_rank_eigengap(w) == 1
 
 
 def test_rank_eigengap_tie_breaks_low():
-    d = np.diag([9.0, 6.0, 3.0, 0.0, 0.0, 0.0])
-    assert estimate_rank_eigengap(d, max_rank=3) == 1
+    w = np.array([9.0, 6.0, 3.0, 0.0, 0.0, 0.0])
+    assert estimate_rank_eigengap(w, max_rank=3) == 1
 
 
 def test_rank_eigengap_respects_max_rank():
-    d = np.diag([10.0, 9.9, 9.8, 9.7, 0.0, 0.0])
-    assert estimate_rank_eigengap(d, max_rank=2) in (1, 2)
+    w = np.array([10.0, 9.9, 9.8, 9.7, 0.0, 0.0])
+    assert estimate_rank_eigengap(w, max_rank=2) in (1, 2)
     with pytest.raises(InvalidRank):
-        estimate_rank_eigengap(d, max_rank=6)
+        estimate_rank_eigengap(w, max_rank=6)
 
 
 def test_rank_rules_on_sampled_model():
@@ -123,9 +123,9 @@ def test_rank_rules_on_sampled_model():
         model = SignalModel(p, np.full(3, 12.0))
         l, _ = sample_signal(model, rng, 2000)
         y = l + 0.1 * rng.standard_normal((50, 2000))
-        d = sample_covariance(DataBatch(y))
-        assert estimate_rank_threshold(d, 12.0) == 3
-        assert estimate_rank_eigengap(d) == 3
+        w = np.linalg.eigvalsh(sample_covariance(DataBatch(y)))[::-1]
+        assert estimate_rank_threshold(w, 12.0) == 3
+        assert estimate_rank_eigengap(w) == 3
 
 
 def test_pca_estimate_invalid_rank():

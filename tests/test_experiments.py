@@ -1,7 +1,11 @@
 """Experiment-engine tests: determinism, parallel equivalence, small runs."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisypca.bounds import BoundInputs, expected_perturbation, sddn_bound
 from noisypca.errors import (
@@ -10,9 +14,13 @@ from noisypca.errors import (
     InvalidExample,
     ValidationError,
 )
+from noisypca.estimator import DataBatch, estimate_rank_eigengap, estimate_rank_threshold, pca_estimate, sample_covariance
 from noisypca.experiments import (
     ExperimentConfig,
     GridResult,
+    _draw,
+    _pca_se,
+    _rank_measure,
     adversarial_experiment,
     adversarial_sigma,
     bound_tightness,
@@ -25,7 +33,7 @@ from noisypca.experiments import (
     success_epsilon,
     support_occupancy,
 )
-from noisypca.linalg import subspace_error, top_r_eigvecs, orthogonal_complement
+from noisypca.linalg import orthogonal_complement, orthonormalize, subspace_error, top_r_eigvecs
 from noisypca.model import make_random_basis, sample_sddn_batch, substream, support_sequence
 
 
@@ -50,6 +58,65 @@ def small_cfg(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _reference_model(r, p):
+    """Stand-in model for _pca_se: the rank r and a basis to measure se against."""
+    return SimpleNamespace(r=r, signal=SimpleNamespace(P=p))
+
+
+# --- subspace estimate from the smaller Gram matrix ---------------------------
+
+@settings(derandomize=True, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    r_frac=st.floats(0.0, 1.0),
+    alpha_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pca_se_gram_path_matches_pca_estimate(n, r_frac, alpha_frac, seed):
+    # r <= alpha < n: the alpha x alpha Gram matrix gives the n x n estimate.
+    r = 1 + int(r_frac * (n - 2))
+    alpha = r + int(alpha_frac * (n - 1 - r))
+    rng = np.random.default_rng(seed)
+    # Singular values in [1, 10] over a 1e-3 tail: a clear top-r gap.
+    left = make_random_basis(n, r, rng).entries
+    right = make_random_basis(alpha, r, rng).entries
+    y = (left * rng.uniform(1.0, 10.0, r)) @ right.T + 1e-3 * rng.standard_normal((n, alpha))
+    reference = pca_estimate(DataBatch(y), r)
+    se, gram = _pca_se(y, _reference_model(r, reference))
+    assert gram.shape == (alpha, alpha)
+    assert se <= 1e-10
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    n=st.integers(2, 40),
+    r_frac=st.floats(0.0, 1.0),
+    alpha_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pca_se_fewer_columns_than_rank_falls_back(n, r_frac, alpha_frac, seed):
+    # alpha < r: the n x n covariance is decomposed, and the r-dim estimate
+    # contains the span of the columns.
+    r = 2 + int(r_frac * (n - 2))
+    alpha = 1 + int(alpha_frac * (r - 2))
+    y = np.random.default_rng(seed).standard_normal((n, alpha))
+    se, gram = _pca_se(y, _reference_model(r, orthonormalize(y)))
+    assert gram.shape == (n, n)
+    assert np.array_equal(gram, sample_covariance(DataBatch(y)))
+    assert se <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [3, 12, 40, 90])
+def test_rank_measure_matches_full_covariance(alpha):
+    # alpha < n pads the Gram spectrum with zeros; alpha >= n uses D itself.
+    cfg = small_cfg(alpha_grid=(alpha,))
+    model = realize_model(cfg)
+    for trial in range(3):
+        w = np.linalg.eigvalsh(sample_covariance(DataBatch(_draw(cfg, model, alpha, trial)[0])))[::-1]
+        expected = (estimate_rank_threshold(w, model.signal.lambda_minus), estimate_rank_eigengap(w))
+        assert _rank_measure(cfg, model, alpha, trial) == expected
 
 
 # --- trials ------------------------------------------------------------------
@@ -430,3 +497,8 @@ def test_experiment_config_validation():
         small_cfg(r=50)  # r > n
     with pytest.raises(ValidationError):
         bound_tightness(small_cfg(), workers=0)
+    for c in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            small_cfg(c=c)
+    with pytest.raises(ValidationError):
+        small_cfg(master_seed=-1)

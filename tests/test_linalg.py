@@ -7,6 +7,8 @@ and plane trigonometry for principal angles.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisypca.errors import (
     DimensionMismatch,
@@ -131,6 +133,24 @@ def test_subspace_error_rotation_invariant(seed):
     rot = random_rotation(5, seed)
     a_rot = BasisMatrix(a.entries @ rot)
     assert subspace_error(a_rot, b) == pytest.approx(subspace_error(a, b), abs=1e-10)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    r_frac=st.floats(0.0, 1.0),
+    seeds=st.tuples(*[st.integers(0, 2**32 - 1)] * 3),
+)
+def test_subspace_error_symmetric_and_rotation_invariant_property(n, r_frac, seeds):
+    r = 1 + int(r_frac * (n - 1))
+    a = random_basis(n, r, seeds[0])
+    b = random_basis(n, r, seeds[1])
+    rot = random_rotation(r, seeds[2])
+    err = subspace_error(a, b)
+    assert -1e-12 <= err <= 1 + 1e-12
+    assert abs(subspace_error(b, a) - err) <= 1e-10
+    assert abs(subspace_error(BasisMatrix(a.entries @ rot), b) - err) <= 1e-10
+    assert abs(subspace_error(a, BasisMatrix(b.entries @ rot)) - err) <= 1e-10
 
 
 # --- symmetric_eig --------------------------------------------------------
@@ -322,6 +342,16 @@ def test_incoherence_direct_formula_and_bounds(seed):
 def test_basis_matrix_rejects_non_orthonormal():
     with pytest.raises(ValueError):
         BasisMatrix(np.array([[1.0, 0.9], [0.0, 0.1]]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_basis_matrix_rejects_nonfinite(value):
+    with pytest.raises(ValueError):
+        BasisMatrix(np.full((4, 2), value))
+    entries = np.eye(4)[:, :2]
+    entries[1, 0] = value
+    with pytest.raises(ValueError):
+        BasisMatrix(entries)
 
 
 def test_basis_matrix_rejects_wide():

@@ -1,7 +1,11 @@
 """Generative-model tests: sampling laws, support process, exact spectra."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisypca.errors import InvalidRank, InvalidSupport, ValidationError
 from noisypca.linalg import BasisMatrix, orthogonal_complement, incoherence
@@ -178,6 +182,32 @@ def test_support_sequence_moving_object_occupancy():
     occ = row_occupancy(supports, 100)
     assert occ <= 0.0517
     assert occ == pytest.approx(brute_occupancy(supports, 100, 3000), abs=1e-12)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 120),
+    s_frac=st.floats(0.0, 1.0),
+    b0=st.floats(0.001, 1.0),
+    rho_frac=st.floats(0.0, 1.0),
+    alpha=st.integers(1, 3000),
+)
+def test_support_sequence_occupancy_within_cap(n, s_frac, b0, rho_frac, alpha):
+    # Occupancy never exceeds b0 + s/alpha; a schedule that raises instead is
+    # one whose block comes back to rows it has already covered.
+    s = 1 + int(s_frac * (n - 1))
+    rho = 1 + int(rho_frac * (s - 1))
+    model = SddnModel(s=s, b0=b0, rho=rho, q=0.0)
+    try:
+        supports = support_sequence(n, model, alpha)
+    except InvalidSupport:
+        dwell = rho * math.ceil(b0 * alpha / rho)
+        assert math.ceil(alpha / dwell) * s > n
+        return
+    assert supports.shape == (alpha, s)
+    occupied = np.zeros((alpha, n), dtype=bool)
+    occupied[np.arange(alpha)[:, None], supports] = True
+    assert occupied.mean(axis=0).max() <= b0 + s / alpha + 1e-12
 
 
 def test_support_sequence_rejects_oversized_block():
