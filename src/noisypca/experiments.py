@@ -253,7 +253,7 @@ def _draw(cfg, model, alpha, trial, moments=False):
             model.sddn,
             model.signal.P,
             support_sequence(n, model.sddn, alpha),
-            l_cols,
+            a_cols,
             substream(seed, STREAM_SDDN, n, r, alpha, trial),
             lambdas=model.signal.lambdas,
             moments=moments,

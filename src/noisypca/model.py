@@ -245,8 +245,23 @@ class SddnMoments:
     mean_mlm: np.ndarray
 
 
-def sample_sddn_batch(model, p, supports, l_cols, rng, lambdas=None,
-                      moments=False, chunk=20000):
+# Frames drawn per batch of dependency matrices. The chunking fixes the
+# shapes of the rng draws, so changing it changes every sampled stream.
+_SDDN_CHUNK = 20000
+
+
+def _spectral_norms(g):
+    """||g_t||_2 of each (s, r) slice, from the smaller of g g' and g'g.
+
+    The top eigenvalue of a PSD Gram matrix can round to a tiny negative
+    number when g_t is (nearly) zero; it is clamped so the norm reads 0.
+    """
+    gt = g.transpose(0, 2, 1)
+    gram = g @ gt if g.shape[1] <= g.shape[2] else gt @ g
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+
+
+def sample_sddn_batch(model, p, supports, a_cols, rng, lambdas=None, moments=False):
     """Vectorized SDDN noise for a whole batch.
 
     Parameters
@@ -255,8 +270,9 @@ def sample_sddn_batch(model, p, supports, l_cols, rng, lambdas=None,
     p : BasisMatrix
         True signal basis entering the per-frame normalization.
     supports : (alpha, s) int ndarray
-    l_cols : (n, alpha) ndarray
-        Signal columns.
+    a_cols : (r, alpha) ndarray
+        Signal coefficients: the signal columns are l = P a, so
+        M_t l_t = (M_t P) a_t.
     rng : numpy Generator
         Drives the per-frame |N(0,1)| dependency matrices.
     lambdas : optional signal variances, required when moments=True.
@@ -267,38 +283,43 @@ def sample_sddn_batch(model, p, supports, l_cols, rng, lambdas=None,
     -------
     (w_cols, moments_or_None)
     """
-    n, alpha = l_cols.shape
+    pe = p.entries
+    n, alpha = pe.shape[0], a_cols.shape[1]
     s = model.s
     if moments and lambdas is None:
         raise ValueError("moments=True needs the signal variances")
-    pe = p.entries
     w = np.zeros((n, alpha))
     mean_m = np.zeros((n, n)) if moments else None
     mean_mlm = np.zeros((n, n)) if moments else None
     cols = np.arange(alpha)
-    for lo in range(0, alpha, chunk):
-        hi = min(lo + chunk, alpha)
-        m = np.abs(rng.standard_normal((hi - lo, s, n)))
+    for lo in range(0, alpha, _SDDN_CHUNK):
+        hi = min(lo + _SDDN_CHUNK, alpha)
+        m = rng.standard_normal((hi - lo, s, n))
+        np.abs(m, out=m)
         g = m @ pe  # (chunk, s, r)
-        norms = np.linalg.svd(g, compute_uv=False)[:, 0]
+        norms = _spectral_norms(g)
         # ||M_{s,t} P|| = 0 has probability zero; resample defensively.
         while np.any(norms == 0):
             bad = np.nonzero(norms == 0)[0]
             m[bad] = np.abs(rng.standard_normal((bad.size, s, n)))
             g[bad] = m[bad] @ pe
-            norms[bad] = np.linalg.svd(g[bad], compute_uv=False)[:, 0]
+            norms[bad] = _spectral_norms(g[bad])
         scale = model.q / norms
         sup = supports[lo:hi]
-        ml = np.einsum("tsn,nt->ts", m, l_cols[:, lo:hi])
+        ml = np.einsum("tsr,rt->ts", g, a_cols[:, lo:hi])
         w[sup.T, cols[lo:hi][None, :]] = (scale[:, None] * ml).T
         if moments:
-            scaled_rows = (scale[:, None, None] * m).reshape(-1, n)
-            np.add.at(mean_m, sup.reshape(-1), scaled_rows)
+            # Frames of one dwell block share their support rows, so sum
+            # per block and scatter only the block sums.
+            starts = np.flatnonzero(np.r_[True, np.any(sup[1:] != sup[:-1], axis=1)])
+            block_sup = sup[starts]
+            m *= scale[:, None, None]
+            np.add.at(mean_m, block_sup.ravel(),
+                      np.add.reduceat(m, starts, axis=0).reshape(-1, n))
             h = scale[:, None, None] * g
             k = np.einsum("tsr,r,tur->tsu", h, lambdas, h)
-            rows = np.broadcast_to(sup[:, :, None], (hi - lo, s, s))
-            cols2 = np.broadcast_to(sup[:, None, :], (hi - lo, s, s))
-            np.add.at(mean_mlm, (rows.ravel(), cols2.ravel()), k.ravel())
+            np.add.at(mean_mlm, (block_sup[:, :, None], block_sup[:, None, :]),
+                      np.add.reduceat(k, starts, axis=0))
     if moments:
         mean_m /= alpha
         mean_mlm /= alpha

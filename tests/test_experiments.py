@@ -161,9 +161,9 @@ def test_sddn_population_terms_within_expected_perturbation():
     supports = support_sequence(model.n, model.sddn, 600)
     from noisypca.model import sample_signal
 
-    l, _ = sample_signal(model.signal, substream(5, 1, 40, 3, 600, 0), 600)
+    _, a = sample_signal(model.signal, substream(5, 1, 40, 3, 600, 0), 600)
     _, moments = sample_sddn_batch(
-        model.sddn, model.signal.P, supports, l, substream(5, 3, 40, 3, 600, 0),
+        model.sddn, model.signal.P, supports, a, substream(5, 3, 40, 3, 600, 0),
         lambdas=model.signal.lambdas, moments=True,
     )
     pe = model.signal.P.entries
@@ -279,9 +279,9 @@ def test_rank_delta_dominates_empirical_deviation():
     hits = 0
     for trial in range(trials):
         seed = cfg.master_seed
-        l, _ = sample_signal(model.signal, substream(seed, 1, model.n, model.r, alpha, trial), alpha)
+        l, a = sample_signal(model.signal, substream(seed, 1, model.n, model.r, alpha, trial), alpha)
         v = sample_uncorr_noise(model.noise, substream(seed, 2, model.n, model.r, alpha, trial), alpha)
-        w, _ = sample_sddn_batch(model.sddn, model.signal.P, supports, l,
+        w, _ = sample_sddn_batch(model.sddn, model.signal.P, supports, a,
                                  substream(seed, 3, model.n, model.r, alpha, trial))
         d = sample_covariance(DataBatch(l + v + w))
         hits += np.linalg.norm(d - d0, 2) <= cap

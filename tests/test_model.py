@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import noisypca.model as model_module
 from noisypca.errors import InvalidRank, InvalidSupport, ValidationError
 from noisypca.linalg import BasisMatrix, orthogonal_complement, incoherence
 from noisypca.model import (
     DerivedSpectra,
     SddnModel,
+    SddnMoments,
     SignalModel,
     UncorrNoiseModel,
     apply_missing_batch,
@@ -233,7 +235,7 @@ def test_row_occupancy_edge_cases():
 def test_sddn_zero_amplitude(basis100):
     model = SddnModel(s=5, b0=0.05, q=0.0)
     w, _ = sample_sddn_batch(
-        model, basis100, np.array([[3, 4, 5, 6, 7]]), np.ones((100, 1)), np.random.default_rng(0)
+        model, basis100, np.array([[3, 4, 5, 6, 7]]), np.ones((5, 1)), np.random.default_rng(0)
     )
     assert w.shape == (100, 1)
     assert np.all(w == 0.0)
@@ -243,9 +245,9 @@ def test_sddn_support_and_normalization(basis100):
     model = SddnModel(s=5, b0=0.05, q=0.001)
     sig = SignalModel(basis100, np.full(5, 12.0))
     supports = support_sequence(100, model, 40)
-    l, _ = sample_signal(sig, np.random.default_rng(1), 40)
+    _, a = sample_signal(sig, np.random.default_rng(1), 40)
     w, moments = sample_sddn_batch(
-        model, basis100, supports, l, np.random.default_rng(2),
+        model, basis100, supports, a, np.random.default_rng(2),
         lambdas=sig.lambdas, moments=True,
     )
     # Off-support rows are exactly zero.
@@ -256,7 +258,7 @@ def test_sddn_support_and_normalization(basis100):
     # Single-frame aggregate equals the scaled dependency matrix itself,
     # whose product with P has spectral norm exactly q.
     w1, m1 = sample_sddn_batch(
-        model, basis100, supports[:1], l[:, :1], np.random.default_rng(3),
+        model, basis100, supports[:1], a[:, :1], np.random.default_rng(3),
         lambdas=sig.lambdas, moments=True,
     )
     assert np.linalg.norm(m1.mean_m @ basis100.entries, 2) == pytest.approx(
@@ -269,11 +271,145 @@ def test_sddn_norm_product_bound(basis100):
     model = SddnModel(s=5, b0=0.05, q=0.001)
     sig = SignalModel(basis100, np.full(r, lam_plus))
     supports = support_sequence(100, model, 200)
-    l, _ = sample_signal(sig, np.random.default_rng(4), 200)
-    w, _ = sample_sddn_batch(model, basis100, supports, l, np.random.default_rng(5))
+    l, a = sample_signal(sig, np.random.default_rng(4), 200)
+    w, _ = sample_sddn_batch(model, basis100, supports, a, np.random.default_rng(5))
     cap = model.q * np.sqrt(eta * r * lam_plus)
     assert np.all(np.linalg.norm(w, axis=0) <= cap + 1e-12)
     assert np.all(np.linalg.norm(w, axis=0) <= model.q * np.linalg.norm(l, axis=0) + 1e-12)
+
+
+def _reference_sddn_batch(model, p, supports, l_cols, rng, lambdas=None,
+                          moments=False, chunk=20000):
+    """The sampler as first written, kept as the reference for the same draws.
+
+    It normalizes by a batched SVD, forms M_t l_t over all n coordinates
+    and scatters the moments frame by frame with np.add.at.
+    """
+    n, alpha = l_cols.shape
+    s = model.s
+    pe = p.entries
+    w = np.zeros((n, alpha))
+    mean_m = np.zeros((n, n)) if moments else None
+    mean_mlm = np.zeros((n, n)) if moments else None
+    cols = np.arange(alpha)
+    for lo in range(0, alpha, chunk):
+        hi = min(lo + chunk, alpha)
+        m = np.abs(rng.standard_normal((hi - lo, s, n)))
+        g = m @ pe
+        norms = np.linalg.svd(g, compute_uv=False)[:, 0]
+        while np.any(norms == 0):
+            bad = np.nonzero(norms == 0)[0]
+            m[bad] = np.abs(rng.standard_normal((bad.size, s, n)))
+            g[bad] = m[bad] @ pe
+            norms[bad] = np.linalg.svd(g[bad], compute_uv=False)[:, 0]
+        scale = model.q / norms
+        sup = supports[lo:hi]
+        ml = np.einsum("tsn,nt->ts", m, l_cols[:, lo:hi])
+        w[sup.T, cols[lo:hi][None, :]] = (scale[:, None] * ml).T
+        if moments:
+            scaled_rows = (scale[:, None, None] * m).reshape(-1, n)
+            np.add.at(mean_m, sup.reshape(-1), scaled_rows)
+            h = scale[:, None, None] * g
+            k = np.einsum("tsr,r,tur->tsu", h, lambdas, h)
+            rows = np.broadcast_to(sup[:, :, None], (hi - lo, s, s))
+            cols2 = np.broadcast_to(sup[:, None, :], (hi - lo, s, s))
+            np.add.at(mean_mlm, (rows.ravel(), cols2.ravel()), k.ravel())
+    if moments:
+        return w, SddnMoments(mean_m=mean_m / alpha, mean_mlm=mean_mlm / alpha)
+    return w, None
+
+
+def _moving_block(n, s, dwell, alpha):
+    """Blocks of s rows that dwell `dwell` frames, advance by s and wrap mod n."""
+    starts = (np.arange(alpha) // dwell) * s % n
+    return (starts[:, None] + np.arange(s)[None, :]) % n
+
+
+def assert_rel_close(actual, expected, rel=1e-12):
+    """Entrywise agreement to rel times the largest entry of `expected`."""
+    assert actual.shape == expected.shape
+    np.testing.assert_allclose(actual, expected, rtol=rel, atol=rel * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("moments", [False, True])
+@pytest.mark.parametrize(
+    "n,r,s,dwell,alpha,chunk",
+    [
+        (13, 6, 3, 4, 50, None),  # s < r: s x s Gram matrices
+        (13, 4, 4, 4, 50, None),  # s = r
+        (13, 2, 5, 4, 50, None),  # s > r: r x r Gram matrices
+        (13, 3, 5, 4, 50, 7),  # dwell blocks straddle chunk boundaries
+        (9, 3, 2, 1, 30, 4),  # one frame per block
+    ],
+)
+def test_sddn_matches_reference(monkeypatch, n, r, s, dwell, alpha, chunk, moments):
+    if chunk is not None:
+        monkeypatch.setattr(model_module, "_SDDN_CHUNK", chunk)
+    sig = SignalModel(make_random_basis(n, r, np.random.default_rng(n + r)), np.linspace(12.0, 8.0, r))
+    model = SddnModel(s=s, b0=0.5, q=0.3)
+    supports = _moving_block(n, s, dwell, alpha)
+    assert supports.max() < n and np.any(supports[:, 0] > n - s)  # some blocks wrap
+    l, a = sample_signal(sig, np.random.default_rng(7), alpha)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    w, mom = sample_sddn_batch(model, sig.P, supports, a, rng, lambdas=sig.lambdas, moments=moments)
+    w_ref, mom_ref = _reference_sddn_batch(
+        model, sig.P, supports, l, ref_rng, lambdas=sig.lambdas, moments=moments,
+        chunk=chunk or model_module._SDDN_CHUNK,
+    )
+    # Same draws: both generators end in the same state.
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert_rel_close(w, w_ref)
+    if moments:
+        assert_rel_close(mom.mean_m, mom_ref.mean_m)
+        assert_rel_close(mom.mean_mlm, mom_ref.mean_mlm)
+    else:
+        assert mom is None and mom_ref is None
+
+
+class _ZeroFirstFrame:
+    """Generator stub whose first batch has frame 1 all zero."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.draws = []
+
+    def standard_normal(self, shape):
+        z = self.rng.standard_normal(shape)
+        if not self.draws:
+            z[1] = 0.0
+        self.draws.append(z)
+        return z
+
+
+@pytest.mark.parametrize("zero_top_eig", [0.0, -1e-18])
+def test_sddn_zero_norm_frame_is_redrawn(monkeypatch, zero_top_eig):
+    # zero_top_eig stands in for the value eigvalsh rounds a zero Gram
+    # matrix's top eigenvalue to; a negative one must still read as norm 0.
+    eigvalsh = np.linalg.eigvalsh
+
+    def rounding_eigvalsh(x):
+        e = eigvalsh(x)
+        e[np.all(x == 0, axis=(-2, -1)), -1] = zero_top_eig
+        return e
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", rounding_eigvalsh)
+    n, r, s, alpha = 20, 4, 3, 3
+    sig = SignalModel(make_random_basis(n, r, np.random.default_rng(1)), np.full(r, 12.0))
+    model = SddnModel(s=s, b0=0.5, q=0.2)
+    supports = np.array([[0, 1, 2], [5, 6, 7], [10, 11, 12]])
+    _, a = sample_signal(sig, np.random.default_rng(2), alpha)
+    rng = _ZeroFirstFrame(3)
+    w, mom = sample_sddn_batch(model, sig.P, supports, a, rng, lambdas=sig.lambdas, moments=True)
+    assert [z.shape for z in rng.draws] == [(alpha, s, n), (1, s, n)]
+    assert np.all(np.isfinite(w))
+    pe = sig.P.entries
+    redrawn = np.abs(rng.draws[1][0]) @ pe
+    expected = model.q * redrawn @ a[:, 1] / np.linalg.norm(redrawn, 2)
+    np.testing.assert_allclose(w[supports[1], 1], expected, rtol=1e-12)
+    # Disjoint supports: each frame's scaled M_{s,t} sits in its own rows.
+    for t in range(alpha):
+        scaled = alpha * mom.mean_m[supports[t]]
+        assert np.linalg.norm(scaled @ pe, 2) == pytest.approx(model.q, rel=1e-12)
 
 
 def test_apply_missing_cases():
