@@ -31,7 +31,12 @@ Format::
     stages = 4
     alpha_constant = 16
 
-Unknown sections or keys are errors; so are missing required keys.
+Unknown sections or keys are errors; so are missing required keys. Keys
+marked optional may be left out. The noise_* keys are required unless
+noise_rv = none, the sddn_* keys are required when sddn = on, and all three
+[refine] keys are required once that section has any key; a key whose
+condition is false is not read. The table _KEYS below is the source for
+which keys each section takes, when each is required and how it is read.
 """
 
 import importlib.resources
@@ -41,25 +46,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .experiments import ExperimentConfig
-
-_MODEL_KEYS = {
-    "n",
-    "r",
-    "signal_distribution",
-    "signal_lambdas",
-    "noise_rv",
-    "noise_distribution",
-    "noise_scale_base",
-    "noise_scale_slope",
-    "sddn",
-    "sddn_s",
-    "sddn_b0",
-    "sddn_rho",
-    "sddn_q",
-}
-_EXPERIMENT_KEYS = {"alpha_grid", "trials", "seed", "c", "epsilon_rule", "r_grid", "n_grid"}
-_REFINE_KEYS = {"q0", "stages", "alpha_constant"}
-_SECTIONS = {"model": _MODEL_KEYS, "experiment": _EXPERIMENT_KEYS, "refine": _REFINE_KEYS}
 
 PRESETS = (
     "fig1a",
@@ -104,12 +90,6 @@ def _parse_sections(text, source):
     return sections
 
 
-def _require(section, name, key):
-    if key not in section:
-        raise ConfigError(f"missing key {key!r} in [{name}]")
-    return section[key]
-
-
 def _as_int(value, key):
     try:
         return int(value)
@@ -138,88 +118,93 @@ def _int_list(value, key):
     return tuple(_as_int(part.strip(), key) for part in value.split(","))
 
 
-def _alpha_grid(value):
+def _as_text(value, key):
+    return value
+
+
+def _noise_rv(value, key):
+    if value == "none":
+        return None
+    return value if value in ("r", "n") else _as_int(value, key)
+
+
+def _epsilon_rule(value, key):
+    if value == "floor":
+        return "floor_factor_1_5", None
+    if value.startswith("fixed:"):
+        return "fixed", _as_float(value.split(":", 1)[1], key)
+    raise ConfigError(f"epsilon_rule must be 'floor' or 'fixed:<value>', got {value!r}")
+
+
+def _alpha_grid(value, key):
     if value.startswith("logspace:"):
         parts = value.split(":")
         if len(parts) != 4:
             raise ConfigError("alpha_grid logspace needs logspace:lo:hi:count")
-        lo = _as_float(parts[1], "alpha_grid")
-        hi = _as_float(parts[2], "alpha_grid")
-        count = _as_int(parts[3], "alpha_grid")
+        lo = _as_float(parts[1], key)
+        hi = _as_float(parts[2], key)
+        count = _as_int(parts[3], key)
         if not 0 < lo <= hi or count < 1:
             raise ConfigError("alpha_grid logspace bounds must satisfy 0 < lo <= hi")
         grid = np.unique(np.rint(np.geomspace(lo, hi, count)).astype(int))
         return tuple(int(a) for a in grid)
-    return _int_list(value, "alpha_grid")
+    return _int_list(value, key)
+
+
+# Every config key as (section, key, ExperimentConfig field, converter,
+# required-when), in reading order: the first missing or malformed key is the
+# one reported. A key is read when its _READ_WHEN holds, and must then exist.
+_KEYS = (
+    ("model", "noise_rv", "noise_rv", _noise_rv, "always"),
+    ("model", "n", "n", _as_int, "always"),
+    ("model", "r", "r", _as_int, "always"),
+    ("model", "signal_distribution", "signal_distribution", _as_text, "always"),
+    ("model", "signal_lambdas", "signal_lambdas", _float_list, "always"),
+    ("model", "noise_distribution", "noise_distribution", _as_text, "noise"),
+    ("model", "noise_scale_base", "noise_scale_base", _as_float, "noise"),
+    ("model", "noise_scale_slope", "noise_scale_slope", _as_float, "noise"),
+    ("model", "sddn", "sddn_enabled", _as_flag, "always"),
+    ("model", "sddn_s", "sddn_s", _as_int, "sddn"),
+    ("model", "sddn_b0", "sddn_b0", _as_float, "sddn"),
+    ("model", "sddn_rho", "sddn_rho", _as_int, "sddn"),
+    ("model", "sddn_q", "sddn_q", _as_float, "sddn"),
+    ("experiment", "alpha_grid", "alpha_grid", _alpha_grid, "always"),
+    ("experiment", "trials", "n_trials", _as_int, "always"),
+    ("experiment", "seed", "master_seed", _as_int, "optional"),
+    ("experiment", "c", "c", _as_float, "optional"),
+    ("experiment", "r_grid", "r_grid", _int_list, "optional"),
+    ("experiment", "n_grid", "n_grid", _int_list, "optional"),
+    ("experiment", "epsilon_rule", ("epsilon_rule", "epsilon_value"), _epsilon_rule, "optional"),
+    ("refine", "q0", "refine_q0", _as_float, "refine"),
+    ("refine", "stages", "refine_stages", _as_int, "refine"),
+    ("refine", "alpha_constant", "refine_alpha_constant", _as_float, "refine"),
+)
+_SECTIONS = {name: {row[1] for row in _KEYS if row[0] == name} for name, *_ in _KEYS}
+_READ_WHEN = {
+    "always": lambda kwargs, section, key: True,
+    "optional": lambda kwargs, section, key: key in section,
+    "noise": lambda kwargs, section, key: kwargs["noise_rv"] is not None,
+    "sddn": lambda kwargs, section, key: kwargs["sddn_enabled"],
+    "refine": lambda kwargs, section, key: bool(section),
+}
 
 
 def parse_config_text(text, source="<config>"):
     """Parse and validate config text into an ExperimentConfig."""
     sections = _parse_sections(text, source)
-    model = sections.get("model")
-    if model is None:
-        raise ConfigError(f"{source}: missing [model] section")
-    experiment = sections.get("experiment")
-    if experiment is None:
-        raise ConfigError(f"{source}: missing [experiment] section")
-    refine = sections.get("refine", {})
-
-    rv_raw = _require(model, "model", "noise_rv")
-    if rv_raw == "none":
-        noise_rv = None
-    elif rv_raw in ("r", "n"):
-        noise_rv = rv_raw
-    else:
-        noise_rv = _as_int(rv_raw, "noise_rv")
-    kwargs = {
-        "n": _as_int(_require(model, "model", "n"), "n"),
-        "r": _as_int(_require(model, "model", "r"), "r"),
-        "signal_distribution": _require(model, "model", "signal_distribution"),
-        "signal_lambdas": _float_list(_require(model, "model", "signal_lambdas"), "signal_lambdas"),
-        "noise_rv": noise_rv,
-    }
-    if noise_rv is not None:
-        kwargs["noise_distribution"] = _require(model, "model", "noise_distribution")
-        kwargs["noise_scale_base"] = _as_float(_require(model, "model", "noise_scale_base"), "noise_scale_base")
-        kwargs["noise_scale_slope"] = _as_float(_require(model, "model", "noise_scale_slope"), "noise_scale_slope")
-    sddn_on = _as_flag(_require(model, "model", "sddn"), "sddn")
-    kwargs["sddn_enabled"] = sddn_on
-    if sddn_on:
-        kwargs["sddn_s"] = _as_int(_require(model, "model", "sddn_s"), "sddn_s")
-        kwargs["sddn_b0"] = _as_float(_require(model, "model", "sddn_b0"), "sddn_b0")
-        kwargs["sddn_rho"] = _as_int(_require(model, "model", "sddn_rho"), "sddn_rho")
-        kwargs["sddn_q"] = _as_float(_require(model, "model", "sddn_q"), "sddn_q")
-
-    kwargs["alpha_grid"] = _alpha_grid(_require(experiment, "experiment", "alpha_grid"))
-    kwargs["n_trials"] = _as_int(_require(experiment, "experiment", "trials"), "trials")
-    if "seed" in experiment:
-        kwargs["master_seed"] = _as_int(experiment["seed"], "seed")
-    else:
-        kwargs["master_seed"] = None  # resolved by seed precedence later
-    if "c" in experiment:
-        kwargs["c"] = _as_float(experiment["c"], "c")
-    if "r_grid" in experiment:
-        kwargs["r_grid"] = _int_list(experiment["r_grid"], "r_grid")
-    if "n_grid" in experiment:
-        kwargs["n_grid"] = _int_list(experiment["n_grid"], "n_grid")
-    if "epsilon_rule" in experiment:
-        rule = experiment["epsilon_rule"]
-        if rule == "floor":
-            kwargs["epsilon_rule"] = "floor_factor_1_5"
-        elif rule.startswith("fixed:"):
-            kwargs["epsilon_rule"] = "fixed"
-            kwargs["epsilon_value"] = _as_float(rule.split(":", 1)[1], "epsilon_rule")
-        else:
-            raise ConfigError(f"epsilon_rule must be 'floor' or 'fixed:<value>', got {rule!r}")
-
-    if refine:
-        kwargs["refine_q0"] = _as_float(_require(refine, "refine", "q0"), "q0")
-        kwargs["refine_stages"] = _as_int(_require(refine, "refine", "stages"), "stages")
-        kwargs["refine_alpha_constant"] = _as_float(
-            _require(refine, "refine", "alpha_constant"), "alpha_constant"
-        )
-
-    config_seed = kwargs.pop("master_seed")
+    for name in ("model", "experiment"):
+        if name not in sections:
+            raise ConfigError(f"{source}: missing [{name}] section")
+    kwargs = {}
+    for name, key, field, convert, when in _KEYS:
+        section = sections.get(name, {})
+        if not _READ_WHEN[when](kwargs, section, key):
+            continue
+        if key not in section:
+            raise ConfigError(f"missing key {key!r} in [{name}]")
+        value = convert(section[key], key)
+        kwargs.update(zip(field, value) if isinstance(field, tuple) else [(field, value)])
+    config_seed = kwargs.pop("master_seed", None)  # None: resolved by seed precedence later
     cfg = ExperimentConfig(master_seed=config_seed if config_seed is not None else 0, **kwargs)
     return cfg, config_seed
 

@@ -131,6 +131,12 @@ class ExperimentConfig:
             raise ValidationError("c must be finite and positive")
         if self.master_seed < 0:
             raise ValidationError(f"seed must be >= 0, got {self.master_seed}")
+        if any(v < 1 for v in (self.r_grid or ()) + (self.n_grid or ())):
+            raise ValidationError("r_grid and n_grid entries must be >= 1")
+        if isinstance(self.noise_rv, int) and self.noise_rv < 1:
+            raise ValidationError(f"noise_rv must be >= 1, got {self.noise_rv}")
+        if self.epsilon_rule == "fixed" and not 0 < self.epsilon_value < math.inf:
+            raise ValidationError(f"fixed epsilon must be finite and positive, got {self.epsilon_value}")
 
     def lambdas_for(self, r):
         lam = self.signal_lambdas
@@ -492,7 +498,12 @@ def rank_estimation(cfg, workers=1):
     return GridResult(("alpha", "delta", "p_threshold", "p_gap"), rows)
 
 
-def adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussian", chunk=100000):
+# Samples accumulated per block of the covariance. The chunking fixes the
+# shapes of the rng draws, so changing it changes every sampled stream.
+_ADVERSARIAL_CHUNK = 100000
+
+
+def adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussian"):
     """Worst-case noise covariance 1.2*lam^- along one complement direction.
 
     Returns (se, deviation) where deviation = ||D - E[D]||_2 / lam^-.
@@ -515,7 +526,7 @@ def adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussian", chunk=
     d = np.zeros((n, n))
     done = 0
     while done < alpha:
-        count = min(chunk, alpha - done)
+        count = min(_ADVERSARIAL_CHUNK, alpha - done)
         l_cols, _ = sample_signal(signal, rng, count)
         y = l_cols + sample_uncorr_noise(noise, rng, count)
         d += y @ y.T

@@ -11,7 +11,8 @@ import pytest
 import noisypca
 from noisypca.bounds import rank_delta
 from noisypca.cli import main
-from noisypca.config import PRESETS, describe, parse_config, parse_config_text
+import noisypca.config as config_module
+from noisypca.config import PRESETS, describe, parse_config, parse_config_text, resolve_config_path
 from noisypca.errors import ConfigError, ValidationError
 from test_golden import assert_csv_close
 
@@ -116,6 +117,200 @@ def test_describe_lists_every_field():
     text = describe(cfg)
     for name in ("master_seed=11", "n=40", "sddn_q=0.001", "c=1.0"):
         assert name in text
+
+
+def test_config_docstring_example_parses_and_names_every_key():
+    example = config_module.__doc__.split("Format::", 1)[1].split("Unknown sections", 1)[0]
+    parse_config_text(example)
+    named = {line.split("=", 1)[0].strip() for line in example.splitlines() if "=" in line}
+    assert named == {row[1] for row in config_module._KEYS}
+
+
+# The parser as it was before the key table, kept as the reference for the
+# table-driven one: same key sets, same reading order, same messages. The leaf
+# converters (_as_int, _as_float, ...) are shared; their behaviour is unchanged.
+_REFERENCE_SECTIONS = {
+    "model": {
+        "n", "r", "signal_distribution", "signal_lambdas", "noise_rv", "noise_distribution",
+        "noise_scale_base", "noise_scale_slope", "sddn", "sddn_s", "sddn_b0", "sddn_rho", "sddn_q",
+    },
+    "experiment": {"alpha_grid", "trials", "seed", "c", "epsilon_rule", "r_grid", "n_grid"},
+    "refine": {"q0", "stages", "alpha_constant"},
+}
+
+
+def _reference_parse_sections(text, source):
+    sections = {}
+    current = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if current not in _REFERENCE_SECTIONS:
+                raise ConfigError(f"{source}:{lineno}: unknown section [{current}]")
+            if current in sections:
+                raise ConfigError(f"{source}:{lineno}: duplicate section [{current}]")
+            sections[current] = {}
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{source}:{lineno}: expected key = value")
+        if current is None:
+            raise ConfigError(f"{source}:{lineno}: key outside any section")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _REFERENCE_SECTIONS[current]:
+            raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in [{current}]")
+        if key in sections[current]:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+        sections[current][key] = value
+    if not sections:
+        raise ConfigError(f"{source}: empty config")
+    return sections
+
+
+def _require(section, name, key):
+    if key not in section:
+        raise ConfigError(f"missing key {key!r} in [{name}]")
+    return section[key]
+
+
+def _reference_parse_config_text(text, source="<config>"):
+    _as_int, _as_float, _as_flag = config_module._as_int, config_module._as_float, config_module._as_flag
+    _float_list, _int_list = config_module._float_list, config_module._int_list
+    sections = _reference_parse_sections(text, source)
+    model = sections.get("model")
+    if model is None:
+        raise ConfigError(f"{source}: missing [model] section")
+    experiment = sections.get("experiment")
+    if experiment is None:
+        raise ConfigError(f"{source}: missing [experiment] section")
+    refine = sections.get("refine", {})
+
+    rv_raw = _require(model, "model", "noise_rv")
+    if rv_raw == "none":
+        noise_rv = None
+    elif rv_raw in ("r", "n"):
+        noise_rv = rv_raw
+    else:
+        noise_rv = _as_int(rv_raw, "noise_rv")
+    kwargs = {
+        "n": _as_int(_require(model, "model", "n"), "n"),
+        "r": _as_int(_require(model, "model", "r"), "r"),
+        "signal_distribution": _require(model, "model", "signal_distribution"),
+        "signal_lambdas": _float_list(_require(model, "model", "signal_lambdas"), "signal_lambdas"),
+        "noise_rv": noise_rv,
+    }
+    if noise_rv is not None:
+        kwargs["noise_distribution"] = _require(model, "model", "noise_distribution")
+        kwargs["noise_scale_base"] = _as_float(_require(model, "model", "noise_scale_base"), "noise_scale_base")
+        kwargs["noise_scale_slope"] = _as_float(_require(model, "model", "noise_scale_slope"), "noise_scale_slope")
+    sddn_on = _as_flag(_require(model, "model", "sddn"), "sddn")
+    kwargs["sddn_enabled"] = sddn_on
+    if sddn_on:
+        kwargs["sddn_s"] = _as_int(_require(model, "model", "sddn_s"), "sddn_s")
+        kwargs["sddn_b0"] = _as_float(_require(model, "model", "sddn_b0"), "sddn_b0")
+        kwargs["sddn_rho"] = _as_int(_require(model, "model", "sddn_rho"), "sddn_rho")
+        kwargs["sddn_q"] = _as_float(_require(model, "model", "sddn_q"), "sddn_q")
+
+    kwargs["alpha_grid"] = config_module._alpha_grid(_require(experiment, "experiment", "alpha_grid"), "alpha_grid")
+    kwargs["n_trials"] = _as_int(_require(experiment, "experiment", "trials"), "trials")
+    if "seed" in experiment:
+        kwargs["master_seed"] = _as_int(experiment["seed"], "seed")
+    else:
+        kwargs["master_seed"] = None  # resolved by seed precedence later
+    if "c" in experiment:
+        kwargs["c"] = _as_float(experiment["c"], "c")
+    if "r_grid" in experiment:
+        kwargs["r_grid"] = _int_list(experiment["r_grid"], "r_grid")
+    if "n_grid" in experiment:
+        kwargs["n_grid"] = _int_list(experiment["n_grid"], "n_grid")
+    if "epsilon_rule" in experiment:
+        rule = experiment["epsilon_rule"]
+        if rule == "floor":
+            kwargs["epsilon_rule"] = "floor_factor_1_5"
+        elif rule.startswith("fixed:"):
+            kwargs["epsilon_rule"] = "fixed"
+            kwargs["epsilon_value"] = _as_float(rule.split(":", 1)[1], "epsilon_rule")
+        else:
+            raise ConfigError(f"epsilon_rule must be 'floor' or 'fixed:<value>', got {rule!r}")
+
+    if refine:
+        kwargs["refine_q0"] = _as_float(_require(refine, "refine", "q0"), "q0")
+        kwargs["refine_stages"] = _as_int(_require(refine, "refine", "stages"), "stages")
+        kwargs["refine_alpha_constant"] = _as_float(
+            _require(refine, "refine", "alpha_constant"), "alpha_constant"
+        )
+
+    config_seed = kwargs.pop("master_seed")
+    cfg = config_module.ExperimentConfig(master_seed=config_seed if config_seed is not None else 0, **kwargs)
+    return cfg, config_seed
+
+
+_FULL = MINIMAL + """c = 2.0
+epsilon_rule = fixed:0.05
+r_grid = 3
+n_grid = 40
+
+[refine]
+q0 = 0.06
+stages = 4
+alpha_constant = 16
+"""
+_MALFORMED = ("", "x", "0", "-1", "2.5", "nan", "inf", "1,,2", "logspace:5:2:3", "fixed:", "none", "off")
+
+
+def _differential_cases():
+    bases = [
+        _FULL,
+        _FULL.replace("noise_rv = r", "noise_rv = none"),
+        _FULL.replace("sddn = on", "sddn = off"),
+        _FULL.replace("noise_rv = r", "noise_rv = 7").replace("epsilon_rule = fixed:0.05", "epsilon_rule = floor"),
+    ]
+    texts = [resolve_config_path(name)[0] for name in PRESETS] + [MINIMAL] + bases
+    for base in bases:
+        lines = base.splitlines()
+        for i, line in enumerate(lines):
+            if not line.strip():
+                continue
+            texts.append("\n".join(lines[:i] + lines[i + 1:]))
+            if "=" in line:
+                key = line.split("=", 1)[0].strip()
+                texts += ["\n".join(lines[:i] + [f"{key} = {bad}"] + lines[i + 1:]) for bad in _MALFORMED]
+    # Two faults at once: the first one in reading order must be the one reported.
+    lines = _FULL.splitlines()
+    keyed = [i for i, line in enumerate(lines) if "=" in line]
+    for i in keyed:
+        texts += ["\n".join(line for k, line in enumerate(lines) if k not in (i, j)) for j in keyed if j > i]
+        texts += ["\n".join(f"{line.split('=')[0]}= x" if k in (i, j) else line for k, line in enumerate(lines))
+                  for j in keyed if j > i]
+    texts += [MINIMAL + "\n[refine]\n", MINIMAL + "\n[refine]\nq0 = 0.06\n",
+              MINIMAL + "\n[refine]\nstages = 4\nalpha_constant = 16\n",
+              MINIMAL + "epsilon_rule = floor\n", MINIMAL + "epsilon_rule = fixed:0.05\n",
+              MINIMAL + "q0 = 1\n", MINIMAL.replace("[experiment]", "[refine]"),
+              MINIMAL.split("[experiment]")[0], "[experiment]" + MINIMAL.split("[experiment]")[1]]
+    return texts
+
+
+def _outcome(parse, text):
+    try:
+        cfg, seed = parse(text)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return repr(cfg), seed
+
+
+def test_config_table_matches_reference_parser():
+    texts = _differential_cases()
+    outcomes = [_outcome(parse_config_text, text) for text in texts]
+    mismatches = [
+        (text, got, want)
+        for text, got in zip(texts, outcomes)
+        if got != (want := _outcome(_reference_parse_config_text, text))
+    ]
+    assert not mismatches, mismatches[:3]
+    parsed = sum(isinstance(got[0], str) for got in outcomes)
+    assert parsed >= 50 and len(texts) - parsed >= 500  # both paths well covered
 
 
 # --- CLI behavior ---------------------------------------------------------------
@@ -290,6 +485,12 @@ def test_cli_bad_workers_exit_one(tmp_path):
         (MINIMAL + "c = inf\n", {}),
         (no_seed, {"NOISYPCA_SEED": "-2"}),
         (no_seed, {"NOISYPCA_SEED": "abc"}),
+        # Grid entries and an integer noise_rv must be >= 1; a fixed epsilon
+        # must be finite and > 0.
+        (MINIMAL + "r_grid = 0\n", {}),
+        (MINIMAL.replace("noise_rv = r", "noise_rv = 0"), {}),
+        (MINIMAL.replace("noise_rv = r", "noise_rv = -1"), {}),
+        (MINIMAL + "epsilon_rule = fixed:nan\n", {}),
     ):
         proc = _run_cli(["bound", "--config", write_cfg(tmp_path, text)], str(tmp_path), **env)
         assert proc.returncode == 1, proc.stderr

@@ -502,3 +502,9 @@ def test_experiment_config_validation():
             small_cfg(c=c)
     with pytest.raises(ValidationError):
         small_cfg(master_seed=-1)
+    for bad in (dict(r_grid=(0,)), dict(n_grid=(2, -3)), dict(noise_rv=0), dict(noise_rv=-1),
+                dict(epsilon_rule="fixed", epsilon_value=float("nan")),
+                dict(epsilon_rule="fixed", epsilon_value=0.0),
+                dict(epsilon_rule="fixed", epsilon_value=float("inf"))):
+        with pytest.raises(ValidationError):
+            small_cfg(**bad)
