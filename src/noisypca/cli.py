@@ -166,9 +166,15 @@ def _dispatch(args):
         result = getattr(exp, function)(cfg, **kwargs)
         result.write(args.out)
     wall = time.time() - start
+    # Trials run at one BLAS thread; `bound` and `refine` at the caller's count.
+    threads = exp.blas_threads()
+    if threads is None:
+        threads = "unpinned"
+    elif runs_trials:
+        threads = 1
     sys.stderr.write(
         f"# rows={len(result.rows)} trials={cfg.n_trials} seed={cfg.master_seed} "
-        f"workers={args.workers} wall={wall:.2f}s\n"
+        f"workers={args.workers} blas_threads={threads} wall={wall:.2f}s\n"
     )
     return 0
 

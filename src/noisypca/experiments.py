@@ -20,17 +20,23 @@ missing_data_experiment PCA on columns with erased blocks vs. the
 
 Every experiment that runs trials runs them through one runner,
 `_run_trials`, which applies the experiment's measure to each (grid cell,
-trial). Each (grid point, trial) owns an independent RNG substream and
-aggregation is order-independent, so for a fixed BLAS thread count the
-CSV bytes are a pure function of (config, master_seed): identical across
-reruns and for any worker count. Across BLAS thread counts the last few
-ulps of a float can move; values agree to rel 1e-12.
+trial). Each (grid point, trial) owns an independent RNG substream,
+aggregation is order-independent, and every trial runs at one BLAS thread
+in whichever process runs it, so the CSV bytes are a pure function of
+(config, master_seed): identical across reruns, for any worker count and
+for any OPENBLAS_NUM_THREADS, as long as numpy's bundled OpenBLAS is found.
+The model realization and the bounds run at the caller's thread count, and
+so does `refinement_loop`, whose late-stage errors are thread-count
+sensitive.
 """
 
+import ctypes
+import functools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 from statistics import median
 
 import numpy as np
@@ -153,7 +159,10 @@ class ExperimentConfig:
             return r
         if self.noise_rv == "n":
             return n
-        return int(self.noise_rv)
+        r_v = int(self.noise_rv)
+        if r_v > n:
+            raise ValidationError(f"noise_rv={r_v} exceeds n={n}")
+        return r_v
 
 
 def with_overrides(cfg, seed=None, c=None, trials=None):
@@ -353,6 +362,37 @@ def _adversarial_measure(cfg, model, alpha, trial):
 
 
 # ---------------------------------------------------------------------------
+# BLAS threads: trials run in parallel through processes, one thread each
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _openblas():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    try:
+        lib = ctypes.CDLL(str(next(libs.glob("libscipy_openblas64_*.so"))))
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (StopIteration, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+def blas_threads():
+    """The BLAS thread count in effect, or None when it cannot be read or set."""
+    lib = _openblas()
+    return None if lib is None else lib[0]()
+
+
+def _set_blas_threads(count):
+    """Set the BLAS thread count; a no-op when the library is not found."""
+    lib = _openblas()
+    if lib is not None:
+        lib[1](count)
+
+
+# ---------------------------------------------------------------------------
 # Trial runner (deterministic for any worker count)
 # ---------------------------------------------------------------------------
 
@@ -368,7 +408,9 @@ def _run_trials(cfg, cells, measure, workers=1):
     realized once by the caller. Returns one list per cell, in trial order.
     With workers > 1 every (cell, trial-chunk) task of the run goes through
     one process pool; each trial draws only from its own substreams, so the
-    results do not depend on the worker count.
+    results do not depend on the worker count. Every trial runs at one BLAS
+    thread, so they do not depend on the caller's thread count either; the
+    caller's count is restored on return.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -376,11 +418,18 @@ def _run_trials(cfg, cells, measure, workers=1):
     size = -(-cfg.n_trials // workers)
     chunks = [trials[i : i + size] for i in range(0, cfg.n_trials, size)]
     tasks = [(measure, cfg, model, alpha, chunk) for model, alpha in cells for chunk in chunks]
-    if workers == 1:
-        parts = list(map(_run_chunk, tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_chunk, tasks))
+    previous = blas_threads()
+    _set_blas_threads(1)
+    try:
+        if workers == 1:
+            parts = list(map(_run_chunk, tasks))
+        else:
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
+            ) as pool:
+                parts = list(pool.map(_run_chunk, tasks))
+    finally:
+        _set_blas_threads(previous)
     return [
         [result for part in parts[i : i + len(chunks)] for result in part]
         for i in range(0, len(parts), len(chunks))

@@ -134,6 +134,18 @@ def subspace_error(phat, p):
     return float(np.linalg.norm(residual, 2))
 
 
+def _eigh_descending(s):
+    """(eigenvalues, eigenvectors) of a symmetric matrix, descending.
+
+    Raises NotSymmetric if max |S - S'| exceeds 1e-10 times max |S|.
+    """
+    smax = np.max(np.abs(s)) if s.size else 0.0
+    if np.max(np.abs(s - s.T)) > 1e-10 * smax:
+        raise NotSymmetric("input fails symmetry tolerance")
+    w, v = np.linalg.eigh(s)
+    return w[::-1], v[:, ::-1]
+
+
 def symmetric_eig(s):
     """Eigendecomposition of a symmetric matrix, eigenvalues sorted descending.
 
@@ -141,12 +153,8 @@ def symmetric_eig(s):
     unconstrained. Raises NotSymmetric if max |S - S'| exceeds 1e-10 times
     max |S|.
     """
-    s = np.asarray(s, dtype=float)
-    smax = np.max(np.abs(s)) if s.size else 0.0
-    if np.max(np.abs(s - s.T)) > 1e-10 * smax:
-        raise NotSymmetric("input fails symmetry tolerance")
-    w, v = np.linalg.eigh(s)
-    return SymmetricEig(w[::-1], BasisMatrix(v[:, ::-1]))
+    w, v = _eigh_descending(np.asarray(s, dtype=float))
+    return SymmetricEig(w, BasisMatrix(v))
 
 
 def top_r_eigvecs(s, r):
@@ -159,8 +167,8 @@ def top_r_eigvecs(s, r):
     n = s.shape[0]
     if not 1 <= r <= n:
         raise InvalidRank(f"need 1 <= r <= n, got r={r}, n={n}")
-    eig = symmetric_eig(s)
-    return BasisMatrix(eig.eigenvectors.entries[:, :r])
+    # Only the r returned columns are checked for orthonormality.
+    return BasisMatrix(_eigh_descending(s)[1][:, :r])
 
 
 def orthogonal_complement(p):

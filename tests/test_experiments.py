@@ -15,6 +15,7 @@ from noisypca.errors import (
     ValidationError,
 )
 from noisypca.estimator import DataBatch, estimate_rank_eigengap, estimate_rank_threshold, pca_estimate, sample_covariance
+import noisypca.experiments as experiments
 from noisypca.experiments import (
     ExperimentConfig,
     GridResult,
@@ -484,6 +485,31 @@ def test_phase_transition_worker_count_invariant():
     assert serial == parallel
 
 
+def _blas_threads_measure(cfg, model, alpha, trial):
+    return experiments.blas_threads()
+
+
+def _failing_measure(cfg, model, alpha, trial):
+    raise InvalidExample("measure failed")
+
+
+def test_run_trials_runs_at_one_blas_thread_and_restores_the_count():
+    previous = experiments.blas_threads()
+    if previous is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found")
+    cfg, cells = small_cfg(n_trials=3), [(None, 100)]
+    experiments._set_blas_threads(2)
+    try:
+        for workers in (1, 2):
+            assert experiments._run_trials(cfg, cells, _blas_threads_measure, workers) == [[1, 1, 1]]
+            assert experiments.blas_threads() == 2
+        with pytest.raises(InvalidExample):
+            experiments._run_trials(cfg, cells, _failing_measure)
+        assert experiments.blas_threads() == 2
+    finally:
+        experiments._set_blas_threads(previous)
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValidationError):
         small_cfg(alpha_grid=())
@@ -502,6 +528,11 @@ def test_experiment_config_validation():
             small_cfg(c=c)
     with pytest.raises(ValidationError):
         small_cfg(master_seed=-1)
+    # An integer noise_rv is checked against each grid n as the model is drawn.
+    with pytest.raises(ValidationError, match="noise_rv=50 exceeds n=40"):
+        realize_model(small_cfg(noise_rv=50))
+    with pytest.raises(ValidationError, match="noise_rv=50 exceeds n=45"):
+        phase_transition(small_cfg(noise_rv=50, n_grid=(60, 45)))
     for bad in (dict(r_grid=(0,)), dict(n_grid=(2, -3)), dict(noise_rv=0), dict(noise_rv=-1),
                 dict(epsilon_rule="fixed", epsilon_value=float("nan")),
                 dict(epsilon_rule="fixed", epsilon_value=0.0),
