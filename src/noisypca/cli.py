@@ -166,11 +166,12 @@ def _dispatch(args):
         result = getattr(exp, function)(cfg, **kwargs)
         result.write(args.out)
     wall = time.time() - start
-    # Trials run at one BLAS thread; `bound` and `refine` at the caller's count.
+    # Trials and refinement stages run at one BLAS thread; `bound` at the
+    # caller's count.
     threads = exp.blas_threads()
     if threads is None:
         threads = "unpinned"
-    elif runs_trials:
+    elif function is not None:
         threads = 1
     sys.stderr.write(
         f"# rows={len(result.rows)} trials={cfg.n_trials} seed={cfg.master_seed} "

@@ -25,11 +25,12 @@ aggregation is order-independent, and every trial runs at one BLAS thread
 in whichever process runs it, so the CSV bytes are a pure function of
 (config, master_seed): identical across reruns, for any worker count and
 for any OPENBLAS_NUM_THREADS, as long as numpy's bundled OpenBLAS is found.
-The model realization and the bounds run at the caller's thread count, and
-so does `refinement_loop`, whose late-stage errors are thread-count
-sensitive.
+`refinement_loop` runs whole at one BLAS thread too, so the same holds for
+it. The model realization and the bounds of the other experiments run at
+the caller's thread count.
 """
 
+import contextlib
 import ctypes
 import functools
 import math
@@ -311,21 +312,31 @@ def _se_measure(cfg, model, alpha, trial):
 
 
 def _deviation_measure(cfg, model, alpha, trial):
-    """The five batch deviation norms (aa, lw, ww, lv, vv) of one trial."""
-    y, l_cols, a_cols, v_cols, w_cols, moments = _draw(cfg, model, alpha, trial, moments=True)
+    """The five batch deviation norms (aa, lw, ww, lv, vv) of one trial.
+
+    With l = P a and v = B c, where P and B have orthonormal columns, each
+    deviation that P or B brackets has the norm of its coefficient form,
+    since ||P X|| = ||X||:
+    lw = ||a w'/alpha - Lambda P' mean_m'||        (r x n),
+    lv = ||a c'/alpha||                            (r x r_v),
+    vv = ||c c'/alpha - diag(sigma^2)||            (r_v x r_v),
+    with c = B'v (c = v when B is None). aa is r x r and ww is n x n.
+    """
+    y, _, a_cols, v_cols, w_cols, moments = _draw(cfg, model, alpha, trial, moments=True)
     _pca_se(y, model)  # not reported, but every trial's estimate is checked
     lambdas = model.signal.lambdas
-    pe = model.signal.P.entries
     dev_aa = np.linalg.norm(a_cols @ a_cols.T / alpha - np.diag(lambdas), 2)
     dev_lw = dev_ww = 0.0
     if w_cols is not None:
-        sigma_l = (pe * lambdas) @ pe.T
-        dev_lw = np.linalg.norm(l_cols @ w_cols.T / alpha - sigma_l @ moments.mean_m.T, 2)
+        pm = model.signal.P.entries.T @ moments.mean_m.T
+        dev_lw = np.linalg.norm(a_cols @ w_cols.T / alpha - lambdas[:, None] * pm, 2)
         dev_ww = np.linalg.norm(w_cols @ w_cols.T / alpha - moments.mean_mlm, 2)
     dev_lv = dev_vv = 0.0
     if v_cols is not None:
-        dev_lv = np.linalg.norm(l_cols @ v_cols.T / alpha, 2)
-        dev_vv = np.linalg.norm(v_cols @ v_cols.T / alpha - model.noise.covariance(), 2)
+        noise = model.noise
+        c_cols = v_cols if noise.B is None else noise.B.entries.T @ v_cols
+        dev_lv = np.linalg.norm(a_cols @ c_cols.T / alpha, 2)
+        dev_vv = np.linalg.norm(c_cols @ c_cols.T / alpha - np.diag(noise.sigma2), 2)
     return (float(dev_aa), float(dev_lw), float(dev_ww), float(dev_lv), float(dev_vv))
 
 
@@ -392,6 +403,17 @@ def _set_blas_threads(count):
         lib[1](count)
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body at one BLAS thread, then restore the caller's count."""
+    previous = blas_threads()
+    _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        _set_blas_threads(previous)
+
+
 # ---------------------------------------------------------------------------
 # Trial runner (deterministic for any worker count)
 # ---------------------------------------------------------------------------
@@ -418,9 +440,7 @@ def _run_trials(cfg, cells, measure, workers=1):
     size = -(-cfg.n_trials // workers)
     chunks = [trials[i : i + size] for i in range(0, cfg.n_trials, size)]
     tasks = [(measure, cfg, model, alpha, chunk) for model, alpha in cells for chunk in chunks]
-    previous = blas_threads()
-    _set_blas_threads(1)
-    try:
+    with _one_blas_thread():
         if workers == 1:
             parts = list(map(_run_chunk, tasks))
         else:
@@ -428,8 +448,6 @@ def _run_trials(cfg, cells, measure, workers=1):
                 max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
             ) as pool:
                 parts = list(pool.map(_run_chunk, tasks))
-    finally:
-        _set_blas_threads(previous)
     return [
         [result for part in parts[i : i + len(chunks)] for result in part]
         for i in range(0, len(parts), len(chunks))
@@ -608,6 +626,7 @@ def _tilted_basis(p, target_se, rng):
     return BasisMatrix(entries)
 
 
+@_one_blas_thread()
 def refinement_loop(cfg, trial=0):
     """Staged subspace refinement under projection-induced sparse noise.
 
@@ -616,6 +635,10 @@ def refinement_loop(cfg, trial=0):
     stage builds error vectors e_t = I_T B_T^{-1} I_T' (I - Phat Phat') l_t
     on a fresh batch, re-estimates the subspace from l_t + e_t, and should
     contract the error by 0.3 per stage: se_k <= 0.25 * q0 * 0.3^(k-1).
+
+    The whole loop, model realization included, runs at one BLAS thread:
+    the late-stage errors are tiny, and their last digits move with the
+    thread count.
 
     Returns a GridResult with columns (stage, se, stage_bound).
     """

@@ -309,17 +309,18 @@ def sample_sddn_batch(model, p, supports, a_cols, rng, lambdas=None, moments=Fal
         ml = np.einsum("tsr,rt->ts", g, a_cols[:, lo:hi])
         w[sup.T, cols[lo:hi][None, :]] = (scale[:, None] * ml).T
         if moments:
-            # Frames of one dwell block share their support rows, so sum
-            # per block and scatter only the block sums.
-            starts = np.flatnonzero(np.r_[True, np.any(sup[1:] != sup[:-1], axis=1)])
-            block_sup = sup[starts]
-            m *= scale[:, None, None]
-            np.add.at(mean_m, block_sup.ravel(),
-                      np.add.reduceat(m, starts, axis=0).reshape(-1, n))
-            h = scale[:, None, None] * g
-            k = np.einsum("tsr,r,tur->tsu", h, lambdas, h)
-            np.add.at(mean_mlm, (block_sup[:, :, None], block_sup[:, None, :]),
-                      np.add.reduceat(k, starts, axis=0))
+            # Frames of one dwell block [a, b) share their support rows T, so
+            # each block adds one BLAS product per aggregate: sum_t scale_t
+            # M_{s,t} into rows T, and sum_t h_t Lambda h_t' = x x' into
+            # (T, T), with h_t = scale_t M_{s,t} P and the block's h_t
+            # Lambda^(1/2) side by side as the columns of x.
+            h = (scale[:, None, None] * g * np.sqrt(lambdas)).transpose(1, 0, 2).copy()
+            edges = np.flatnonzero(np.r_[True, np.any(sup[1:] != sup[:-1], axis=1), True])
+            for a, b in zip(edges[:-1], edges[1:]):
+                rows = sup[a]
+                mean_m[rows] += (scale[a:b] @ m[a:b].reshape(b - a, s * n)).reshape(s, n)
+                x = h[:, a:b].reshape(s, -1)
+                mean_mlm[np.ix_(rows, rows)] += x @ x.T
     if moments:
         mean_m /= alpha
         mean_mlm /= alpha

@@ -525,20 +525,25 @@ def test_cli_worker_count_does_not_change_bytes(tmp_path):
 
 
 def test_cli_blas_thread_count_does_not_change_bytes(tmp_path):
-    # Trials run at one BLAS thread whatever the caller's count, so the bytes
-    # do not depend on OPENBLAS_NUM_THREADS (the alpha = 1000 row of this
-    # case moved in the last digits when trials ran at the caller's count).
-    preset, command, experiment, _ = golden_cases["bound-tightness-fig1a"]
-    path = write_cfg(tmp_path, case_config_text(preset, experiment))
-    outputs = []
-    for threads in ("1", "2"):
-        out = str(tmp_path / f"threads{threads}.csv")
-        proc = _run_cli([command, "--config", path, "--out", out], str(tmp_path),
-                        OPENBLAS_NUM_THREADS=threads)
-        assert proc.returncode == 0, proc.stderr
-        assert b" blas_threads=1 " in proc.stderr
-        outputs.append(_read_csv_bytes(out, 2))
-    assert outputs[0] == outputs[1]
+    # Trials and refinement stages run at one BLAS thread whatever the
+    # caller's count, so the bytes do not depend on OPENBLAS_NUM_THREADS.
+    # Each case moved in the last digits at the caller's count: the
+    # alpha = 1000 row of bound-tightness, and refine from stage 2 on (rel
+    # 1e-6 at stage 4); concentration sums its moments with per-block BLAS
+    # products.
+    for name in ("bound-tightness-fig1a", "concentration", "refine"):
+        preset, command, experiment, _ = golden_cases[name]
+        path = write_cfg(tmp_path, case_config_text(preset, experiment), f"{name}.cfg")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{name}-threads{threads}.csv"
+            proc = _run_cli([command, "--config", path, "--out", str(out)], str(tmp_path),
+                            OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            assert b" blas_threads=1 " in proc.stderr, name
+            outputs.append(out.read_bytes())
+        assert outputs[0].count(b"\n") > 1, name
+        assert outputs[0] == outputs[1], name
 
 
 def test_cli_runs_unpinned_without_the_blas_library(tmp_path, capsys, monkeypatch):

@@ -236,6 +236,61 @@ def test_concentration_check_zero_component_terms():
     assert by_term2["vv"] == 0.0
 
 
+def _reference_deviation_measure(cfg, model, alpha, trial):
+    """The five deviation norms as n x n products over the alpha columns."""
+    y, l_cols, a_cols, v_cols, w_cols, moments = _draw(cfg, model, alpha, trial, moments=True)
+    _pca_se(y, model)
+    lambdas = model.signal.lambdas
+    pe = model.signal.P.entries
+    dev_aa = np.linalg.norm(a_cols @ a_cols.T / alpha - np.diag(lambdas), 2)
+    dev_lw = dev_ww = 0.0
+    if w_cols is not None:
+        sigma_l = (pe * lambdas) @ pe.T
+        dev_lw = np.linalg.norm(l_cols @ w_cols.T / alpha - sigma_l @ moments.mean_m.T, 2)
+        dev_ww = np.linalg.norm(w_cols @ w_cols.T / alpha - moments.mean_mlm, 2)
+    dev_lv = dev_vv = 0.0
+    if v_cols is not None:
+        dev_lv = np.linalg.norm(l_cols @ v_cols.T / alpha, 2)
+        dev_vv = np.linalg.norm(v_cols @ v_cols.T / alpha - model.noise.covariance(), 2)
+    return (float(dev_aa), float(dev_lw), float(dev_ww), float(dev_lv), float(dev_vv))
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    s=st.integers(1, 3),
+    blocks=st.integers(3, 15),
+    r_frac=st.floats(0.0, 1.0),
+    lambdas=st.lists(st.floats(1.0, 20.0), min_size=4, max_size=4),
+    noise=st.sampled_from([None, "r", "n", "int"]),
+    rv_frac=st.floats(0.0, 1.0),
+    sddn=st.booleans(),
+    q=st.floats(0.01, 0.9),
+    alpha_ratio=st.floats(0.05, 3.0),
+    gaussian=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_deviation_measure_matches_full_dimension_reference(
+    s, blocks, r_frac, lambdas, noise, rv_frac, sddn, q, alpha_ratio, gaussian, seed
+):
+    # The norms taken on signal and noise coefficients equal the n x n ones.
+    # n = s * blocks with b0 = 1/blocks keeps every support schedule valid.
+    n = s * blocks
+    r = 1 + int(r_frac * (min(n, 4) - 1))
+    noise_rv = 1 + int(rv_frac * (n - 2)) if noise == "int" else noise
+    distribution = "gaussian" if gaussian else "bounded_uniform"
+    cfg = small_cfg(
+        n=n, r=r, signal_lambdas=tuple(sorted(lambdas[:r], reverse=True)),
+        signal_distribution=distribution, noise_distribution=distribution,
+        noise_rv=noise_rv, noise_scale_base=0.6, noise_scale_slope=0.5,
+        sddn_enabled=sddn, sddn_s=s, sddn_b0=1.0 / blocks, sddn_q=q, master_seed=seed,
+    )
+    model = realize_model(cfg)
+    alpha = max(1, int(alpha_ratio * n))
+    got = experiments._deviation_measure(cfg, model, alpha, 0)
+    want = _reference_deviation_measure(cfg, model, alpha, 0)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_concentration_check_medians_decay():
     cfg = small_cfg(alpha_grid=(200, 800, 3200), n_trials=9)
     res = concentration_check(cfg)
