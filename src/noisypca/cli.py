@@ -166,8 +166,7 @@ def _dispatch(args):
         result = getattr(exp, function)(cfg, **kwargs)
         result.write(args.out)
     wall = time.time() - start
-    # Trials and refinement stages run at one BLAS thread; `bound` at the
-    # caller's count.
+    # Every command but `bound` runs at one BLAS thread.
     threads = exp.blas_threads()
     if threads is None:
         threads = "unpinned"

@@ -314,13 +314,10 @@ def _se_measure(cfg, model, alpha, trial):
 def _deviation_measure(cfg, model, alpha, trial):
     """The five batch deviation norms (aa, lw, ww, lv, vv) of one trial.
 
-    With l = P a and v = B c, where P and B have orthonormal columns, each
-    deviation that P or B brackets has the norm of its coefficient form,
-    since ||P X|| = ||X||:
-    lw = ||a w'/alpha - Lambda P' mean_m'||        (r x n),
-    lv = ||a c'/alpha||                            (r x r_v),
-    vv = ||c c'/alpha - diag(sigma^2)||            (r_v x r_v),
-    with c = B'v (c = v when B is None). aa is r x r and ww is n x n.
+    l = P a and v = B c with orthonormal P and B, and ||P X|| = ||X||, so lw,
+    lv and vv are the norms of a w'/alpha - Lambda P' mean_m' (r x n),
+    a c'/alpha (r x r_v) and c c'/alpha - diag(sigma^2) (r_v x r_v), with
+    c = B'v (c = v when B is None).
     """
     y, _, a_cols, v_cols, w_cols, moments = _draw(cfg, model, alpha, trial, moments=True)
     _pca_se(y, model)  # not reported, but every trial's estimate is checked
@@ -636,9 +633,8 @@ def refinement_loop(cfg, trial=0):
     on a fresh batch, re-estimates the subspace from l_t + e_t, and should
     contract the error by 0.3 per stage: se_k <= 0.25 * q0 * 0.3^(k-1).
 
-    The whole loop, model realization included, runs at one BLAS thread:
-    the late-stage errors are tiny, and their last digits move with the
-    thread count.
+    It runs at one BLAS thread: the late-stage errors are tiny, and their
+    last digits move with the thread count.
 
     Returns a GridResult with columns (stage, se, stage_bound).
     """

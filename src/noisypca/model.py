@@ -311,9 +311,8 @@ def sample_sddn_batch(model, p, supports, a_cols, rng, lambdas=None, moments=Fal
         if moments:
             # Frames of one dwell block [a, b) share their support rows T, so
             # each block adds one BLAS product per aggregate: sum_t scale_t
-            # M_{s,t} into rows T, and sum_t h_t Lambda h_t' = x x' into
-            # (T, T), with h_t = scale_t M_{s,t} P and the block's h_t
-            # Lambda^(1/2) side by side as the columns of x.
+            # M_{s,t} into rows T, and x x' into (T, T), where x holds the
+            # block's h_t = scale_t M_{s,t} P Lambda^(1/2) side by side.
             h = (scale[:, None, None] * g * np.sqrt(lambdas)).transpose(1, 0, 2).copy()
             edges = np.flatnonzero(np.r_[True, np.any(sup[1:] != sup[:-1], axis=1), True])
             for a, b in zip(edges[:-1], edges[1:]):
