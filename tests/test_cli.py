@@ -527,10 +527,9 @@ def test_cli_worker_count_does_not_change_bytes(tmp_path):
 def test_cli_blas_thread_count_does_not_change_bytes(tmp_path):
     # Trials and refinement stages run at one BLAS thread whatever the
     # caller's count, so the bytes do not depend on OPENBLAS_NUM_THREADS.
-    # Each case moved in the last digits at the caller's count: the
-    # alpha = 1000 row of bound-tightness, and refine from stage 2 on (rel
-    # 1e-6 at stage 4); concentration sums its moments with per-block BLAS
-    # products.
+    # At the caller's count the alpha = 1000 row of bound-tightness moved in
+    # the last digits, and refine from stage 2 on (rel 1e-6 at stage 4); the
+    # concentration case guards the per-block BLAS products of its moments.
     for name in ("bound-tightness-fig1a", "concentration", "refine"):
         preset, command, experiment, _ = golden_cases[name]
         path = write_cfg(tmp_path, case_config_text(preset, experiment), f"{name}.cfg")
