@@ -415,39 +415,39 @@ def _one_blas_thread():
 # Trial runner (deterministic for any worker count)
 # ---------------------------------------------------------------------------
 
-def _run_chunk(task):
-    measure, cfg, model, alpha, trials = task
-    return [measure(cfg, model, alpha, t) for t in trials]
-
-
 def _run_trials(cfg, cells, measure, workers=1):
     """measure(cfg, model, alpha, trial) for every trial of every grid cell.
 
     cells is the experiment's whole grid as (model, alpha) pairs, each model
     realized once by the caller. Returns one list per cell, in trial order.
-    With workers > 1 every (cell, trial-chunk) task of the run goes through
-    one process pool; each trial draws only from its own substreams, so the
-    results do not depend on the worker count. Every trial runs at one BLAS
-    thread, so they do not depend on the caller's thread count either; the
-    caller's count is restored on return.
+    With workers > 1 every trial of the run goes through one process pool,
+    which hands them out in chunks of ceil(n_trials / workers) trials; a
+    chunk may span two cells. Each trial draws only from its own substreams,
+    so the results do not depend on the worker count. Every trial runs at
+    one BLAS thread, so they do not depend on the caller's thread count
+    either; the caller's count is restored on return.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    trials = range(cfg.n_trials)
-    size = -(-cfg.n_trials // workers)
-    chunks = [trials[i : i + size] for i in range(0, cfg.n_trials, size)]
-    tasks = [(measure, cfg, model, alpha, chunk) for model, alpha in cells for chunk in chunks]
+    n = cfg.n_trials
+    columns = zip(*[(cfg, model, alpha, t) for model, alpha in cells for t in range(n)])
     with _one_blas_thread():
         if workers == 1:
-            parts = list(map(_run_chunk, tasks))
+            results = list(map(measure, *columns))
         else:
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
             ) as pool:
-                parts = list(pool.map(_run_chunk, tasks))
+                results = list(pool.map(measure, *columns, chunksize=-(-n // workers)))
+    return [results[i : i + n] for i in range(0, len(results), n)]
+
+
+def _alpha_sweep(cfg, model, measure, workers):
+    """(bound inputs, trial results) at each alpha of cfg's grid for one model."""
+    cells = [(model, alpha) for alpha in cfg.alpha_grid]
     return [
-        [result for part in parts[i : i + len(chunks)] for result in part]
-        for i in range(0, len(parts), len(chunks))
+        (bound_inputs(cfg, model, alpha, support_occupancy(model, alpha)), results)
+        for alpha, results in zip(cfg.alpha_grid, _run_trials(cfg, cells, measure, workers))
     ]
 
 
@@ -497,12 +497,10 @@ class GridResult:
 
 def bound_tightness(cfg, workers=1):
     """Mean/max subspace error and the c-calibrated bound per alpha."""
-    model = realize_model(cfg)
-    cells = [(model, alpha) for alpha in cfg.alpha_grid]
-    rows = []
-    for (_, alpha), ses in zip(cells, _run_trials(cfg, cells, _se_measure, workers)):
-        report = general_bound(bound_inputs(cfg, model, alpha, support_occupancy(model, alpha)))
-        rows.append((alpha, float(np.mean(ses)), float(np.max(ses)), report.se_bound))
+    rows = [
+        (inputs.alpha, float(np.mean(ses)), float(np.max(ses)), general_bound(inputs).se_bound)
+        for inputs, ses in _alpha_sweep(cfg, realize_model(cfg), _se_measure, workers)
+    ]
     return GridResult(("alpha", "mean_se", "max_se", "bound"), rows)
 
 
@@ -538,27 +536,22 @@ def phase_transition(cfg, workers=1):
 
 def concentration_check(cfg, workers=1):
     """Median of each batch deviation norm against its concentration bound."""
-    model = realize_model(cfg)
-    cells = [(model, alpha) for alpha in cfg.alpha_grid]
     rows = []
-    for (_, alpha), norms in zip(cells, _run_trials(cfg, cells, _deviation_measure, workers)):
-        limits = concentration_bounds(bound_inputs(cfg, model, alpha, support_occupancy(model, alpha)))
+    for inputs, norms in _alpha_sweep(cfg, realize_model(cfg), _deviation_measure, workers):
+        limits = concentration_bounds(inputs)
         for idx, term in enumerate(DEVIATION_TERMS):
             med = median(t[idx] for t in norms)
-            rows.append((alpha, term, float(med), limits[term]))
+            rows.append((inputs.alpha, term, float(med), limits[term]))
     return GridResult(("alpha", "term_name", "empirical_median", "lemma_bound"), rows)
 
 
 def rank_estimation(cfg, workers=1):
     """Fraction of trials in which each rank estimator recovers the true r."""
-    model = realize_model(cfg)
-    cells = [(model, alpha) for alpha in cfg.alpha_grid]
     rows = []
-    for (_, alpha), ranks in zip(cells, _run_trials(cfg, cells, _rank_measure, workers)):
-        delta = rank_delta(bound_inputs(cfg, model, alpha, support_occupancy(model, alpha)))
-        p_thr = np.mean([thr == model.r for thr, _ in ranks])
-        p_gap = np.mean([gap == model.r for _, gap in ranks])
-        rows.append((alpha, delta, float(p_thr), float(p_gap)))
+    for inputs, ranks in _alpha_sweep(cfg, realize_model(cfg), _rank_measure, workers):
+        p_thr = np.mean([thr == inputs.r for thr, _ in ranks])
+        p_gap = np.mean([gap == inputs.r for _, gap in ranks])
+        rows.append((inputs.alpha, rank_delta(inputs), float(p_thr), float(p_gap)))
     return GridResult(("alpha", "delta", "p_threshold", "p_gap"), rows)
 
 
@@ -691,10 +684,8 @@ def missing_data_experiment(cfg, workers=1):
     model = realize_model(cfg)
     mu = incoherence(model.signal.P)
     q = missing_q(mu, model.r, cfg.sddn_s, model.n)
-    cells = [(model, alpha) for alpha in cfg.alpha_grid]
-    rows = []
-    for (_, alpha), ses in zip(cells, _run_trials(cfg, cells, _missing_measure, workers)):
-        inputs = replace(bound_inputs(cfg, model, alpha, support_occupancy(model, alpha)), q=q)
-        report = sddn_bound(inputs)
-        rows.append((alpha, float(np.mean(ses)), float(np.max(ses)), report.se_bound))
+    rows = [
+        (inputs.alpha, float(np.mean(ses)), float(np.max(ses)), sddn_bound(replace(inputs, q=q)).se_bound)
+        for inputs, ses in _alpha_sweep(cfg, model, _missing_measure, workers)
+    ]
     return GridResult(("alpha", "mean_se", "max_se", "bound"), rows)

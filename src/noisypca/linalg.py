@@ -18,7 +18,6 @@ from .errors import (
 
 # Tolerances at double-precision comfort margin.
 ORTHONORMALITY_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-8
 RANK_TOL = 1e-12
 
 

@@ -57,8 +57,8 @@ class SignalModel:
         object.__setattr__(self, "lambdas", lam)
         if lam.ndim != 1 or lam.size != self.P.r:
             raise ValidationError("lambdas must be a length-r sequence")
-        if np.any(lam <= 0) or np.any(np.diff(lam) > 0):
-            raise ValidationError("lambdas must be positive and non-increasing")
+        if not np.all((lam > 0) & (lam < np.inf)) or np.any(np.diff(lam) > 0):
+            raise ValidationError("lambdas must be finite, positive and non-increasing")
         if self.distribution not in SIGNAL_DISTRIBUTIONS:
             raise ValidationError(f"unknown signal distribution {self.distribution!r}")
 
@@ -118,8 +118,8 @@ class UncorrNoiseModel:
     def __post_init__(self):
         scales = np.asarray(self.scales, dtype=float)
         object.__setattr__(self, "scales", scales)
-        if scales.ndim != 1 or np.any(scales < 0):
-            raise ValidationError("scales must be a 1-d non-negative sequence")
+        if scales.ndim != 1 or not np.all((scales >= 0) & (scales < np.inf)):
+            raise ValidationError("scales must be a 1-d finite non-negative sequence")
         if self.B is None:
             if scales.size != self.n:
                 raise ValidationError("full-dimension noise needs n scales")

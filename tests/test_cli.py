@@ -480,22 +480,29 @@ def test_cli_bad_workers_exit_one(tmp_path):
         _assert_usage_error(_run_cli(args, str(tmp_path)))
     # The same values from a config file or NOISYPCA_SEED are config errors.
     no_seed = MINIMAL.replace("seed = 11\n", "")
-    for text, env, message in (
-        (MINIMAL.replace("seed = 11", "seed = -1"), {}, b"error:"),
-        (MINIMAL + "c = nan\n", {}, b"error:"),
-        (MINIMAL + "c = inf\n", {}, b"error:"),
-        (no_seed, {"NOISYPCA_SEED": "-2"}, b"error:"),
-        (no_seed, {"NOISYPCA_SEED": "abc"}, b"error:"),
+    for command, text, env, message in (
+        ("bound", MINIMAL.replace("seed = 11", "seed = -1"), {}, b"error:"),
+        ("bound", MINIMAL + "c = nan\n", {}, b"error:"),
+        ("bound", MINIMAL + "c = inf\n", {}, b"error:"),
+        ("bound", no_seed, {"NOISYPCA_SEED": "-2"}, b"error:"),
+        ("bound", no_seed, {"NOISYPCA_SEED": "abc"}, b"error:"),
         # Grid entries and an integer noise_rv must be >= 1; a fixed epsilon
         # must be finite and > 0.
-        (MINIMAL + "r_grid = 0\n", {}, b"error:"),
-        (MINIMAL.replace("noise_rv = r", "noise_rv = 0"), {}, b"error:"),
-        (MINIMAL.replace("noise_rv = r", "noise_rv = -1"), {}, b"error:"),
-        (MINIMAL + "epsilon_rule = fixed:nan\n", {}, b"error:"),
+        ("bound", MINIMAL + "r_grid = 0\n", {}, b"error:"),
+        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = 0"), {}, b"error:"),
+        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = -1"), {}, b"error:"),
+        ("bound", MINIMAL + "epsilon_rule = fixed:nan\n", {}, b"error:"),
         # An integer noise_rv above n is reported under its own name.
-        (MINIMAL.replace("noise_rv = r", "noise_rv = 50"), {}, b"error: noise_rv=50 exceeds n=40"),
+        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = 50"), {}, b"error: noise_rv=50 exceeds n=40"),
+        # Signal variances must be finite and > 0, noise amplitudes finite
+        # and >= 0, also where the model is drawn for trials.
+        ("bound", MINIMAL.replace("lambdas = 12", "lambdas = nan"), {}, b"error: lambdas must be"),
+        ("bound", MINIMAL.replace("lambdas = 12", "lambdas = inf"), {}, b"error: lambdas must be"),
+        ("bound", MINIMAL.replace("base = 1.1", "base = nan"), {}, b"error: scales must be"),
+        ("bound", MINIMAL.replace("base = 1.1", "base = inf"), {}, b"error: scales must be"),
+        ("bound-tightness", MINIMAL.replace("lambdas = 12", "lambdas = nan"), {}, b"error: lambdas must be"),
     ):
-        proc = _run_cli(["bound", "--config", write_cfg(tmp_path, text)], str(tmp_path), **env)
+        proc = _run_cli([command, "--config", write_cfg(tmp_path, text)], str(tmp_path), **env)
         assert proc.returncode == 1, proc.stderr
         assert message in proc.stderr
         assert b"Traceback" not in proc.stderr

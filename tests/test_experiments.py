@@ -548,7 +548,17 @@ def _failing_measure(cfg, model, alpha, trial):
     raise InvalidExample("measure failed")
 
 
+def _cell_measure(cfg, model, alpha, trial):
+    return alpha, trial
+
+
 def test_run_trials_runs_at_one_blas_thread_and_restores_the_count():
+    # One list per cell in trial order, also when a pool chunk (2 trials at
+    # 2 workers) spans two cells.
+    cells = [(None, alpha) for alpha in (100, 200, 300)]
+    for workers in (1, 2, 4):
+        got = experiments._run_trials(small_cfg(n_trials=3), cells, _cell_measure, workers)
+        assert got == [[(alpha, t) for t in range(3)] for _, alpha in cells]
     previous = experiments.blas_threads()
     if previous is None:
         pytest.skip("numpy's bundled OpenBLAS is not found")

@@ -107,6 +107,17 @@ def test_signal_model_validation(basis100):
         SignalModel(basis100, np.full(5, -1.0))
     with pytest.raises(ValidationError):
         SignalModel(basis100, np.full(5, 1.0), "cauchy")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            SignalModel(basis100, np.array([bad, 1.0, 1.0, 1.0, 1.0]))
+
+
+def test_uncorr_noise_model_validation():
+    with pytest.raises(ValidationError):
+        UncorrNoiseModel(n=3, scales=np.array([1.0, -1.0, 1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            UncorrNoiseModel(n=3, scales=np.array([1.0, bad, 1.0]))
 
 
 # --- uncorrelated noise ------------------------------------------------------
