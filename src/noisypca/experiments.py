@@ -248,15 +248,14 @@ def support_occupancy(model, alpha):
 def _draw(cfg, model, alpha, trial, moments=False):
     """Columns y = l + v + w of one trial, each part from its own substream.
 
-    Returns (y, l, a, v, w, sddn_moments); v, w and the moments are None
-    where the model has no such part.
+    Returns (y, a, v, w, sddn_moments), with l = P a; v, w and the moments
+    are None where the model has no such part.
     """
     n, r = model.n, model.r
     seed = cfg.master_seed
-    l_cols, a_cols = sample_signal(
+    y, a_cols = sample_signal(  # y holds l until v and w are added in place
         model.signal, substream(seed, STREAM_SIGNAL, n, r, alpha, trial), alpha
     )
-    y = l_cols.copy()
     v_cols = None
     if model.noise is not None:
         v_cols = sample_uncorr_noise(
@@ -275,7 +274,7 @@ def _draw(cfg, model, alpha, trial, moments=False):
             moments=moments,
         )
         y += w_cols
-    return y, l_cols, a_cols, v_cols, w_cols, sddn_moments
+    return y, a_cols, v_cols, w_cols, sddn_moments
 
 
 def _checked_se(se):
@@ -319,7 +318,7 @@ def _deviation_measure(cfg, model, alpha, trial):
     a c'/alpha (r x r_v) and c c'/alpha - diag(sigma^2) (r_v x r_v), with
     c = B'v (c = v when B is None).
     """
-    y, _, a_cols, v_cols, w_cols, moments = _draw(cfg, model, alpha, trial, moments=True)
+    y, a_cols, v_cols, w_cols, moments = _draw(cfg, model, alpha, trial, moments=True)
     _pca_se(y, model)  # not reported, but every trial's estimate is checked
     lambdas = model.signal.lambdas
     dev_aa = np.linalg.norm(a_cols @ a_cols.T / alpha - np.diag(lambdas), 2)

@@ -245,8 +245,10 @@ class SddnMoments:
     mean_mlm: np.ndarray
 
 
-# Frames drawn per batch of dependency matrices. The chunking fixes the
-# shapes of the rng draws, so changing it changes every sampled stream.
+# Most frames of dependency matrices drawn at once. A dwell block longer
+# than this is drawn, and has its moment sums taken, in pieces cut at this
+# grid. The sampled stream does not depend on it: standard_normal gives the
+# same numbers split as unsplit.
 _SDDN_CHUNK = 20000
 
 
@@ -291,12 +293,15 @@ def sample_sddn_batch(model, p, supports, a_cols, rng, lambdas=None, moments=Fal
     w = np.zeros((n, alpha))
     mean_m = np.zeros((n, n)) if moments else None
     mean_mlm = np.zeros((n, n)) if moments else None
-    cols = np.arange(alpha)
-    for lo in range(0, alpha, _SDDN_CHUNK):
-        hi = min(lo + _SDDN_CHUNK, alpha)
+    # Each piece [lo, hi) is a dwell block (frames sharing support rows),
+    # cut at the _SDDN_CHUNK grid, so no draw is larger than one block.
+    moves = np.flatnonzero(np.any(supports[1:] != supports[:-1], axis=1)) + 1
+    edges = np.unique(np.r_[moves, np.arange(0, alpha, _SDDN_CHUNK), alpha])
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        rows = supports[lo]
         m = rng.standard_normal((hi - lo, s, n))
         np.abs(m, out=m)
-        g = m @ pe  # (chunk, s, r)
+        g = m @ pe  # (piece, s, r)
         norms = _spectral_norms(g)
         # ||M_{s,t} P|| = 0 has probability zero; resample defensively.
         while np.any(norms == 0):
@@ -305,21 +310,16 @@ def sample_sddn_batch(model, p, supports, a_cols, rng, lambdas=None, moments=Fal
             g[bad] = m[bad] @ pe
             norms[bad] = _spectral_norms(g[bad])
         scale = model.q / norms
-        sup = supports[lo:hi]
         ml = np.einsum("tsr,rt->ts", g, a_cols[:, lo:hi])
-        w[sup.T, cols[lo:hi][None, :]] = (scale[:, None] * ml).T
+        w[rows, lo:hi] = (scale[:, None] * ml).T
         if moments:
-            # Frames of one dwell block [a, b) share their support rows T, so
-            # each block adds one BLAS product per aggregate: sum_t scale_t
-            # M_{s,t} into rows T, and x x' into (T, T), where x holds the
-            # block's h_t = scale_t M_{s,t} P Lambda^(1/2) side by side.
-            h = (scale[:, None, None] * g * np.sqrt(lambdas)).transpose(1, 0, 2).copy()
-            edges = np.flatnonzero(np.r_[True, np.any(sup[1:] != sup[:-1], axis=1), True])
-            for a, b in zip(edges[:-1], edges[1:]):
-                rows = sup[a]
-                mean_m[rows] += (scale[a:b] @ m[a:b].reshape(b - a, s * n)).reshape(s, n)
-                x = h[:, a:b].reshape(s, -1)
-                mean_mlm[np.ix_(rows, rows)] += x @ x.T
+            # One BLAS product per aggregate: sum_t scale_t M_{s,t} into rows
+            # T, and x x' into (T, T), where x holds the piece's h_t =
+            # scale_t M_{s,t} P Lambda^(1/2) side by side.
+            mean_m[rows] += (scale @ m.reshape(hi - lo, s * n)).reshape(s, n)
+            h = scale[:, None, None] * g * np.sqrt(lambdas)
+            x = h.transpose(1, 0, 2).reshape(s, -1)
+            mean_mlm[np.ix_(rows, rows)] += x @ x.T
     if moments:
         mean_m /= alpha
         mean_mlm /= alpha

@@ -238,10 +238,11 @@ def test_concentration_check_zero_component_terms():
 
 def _reference_deviation_measure(cfg, model, alpha, trial):
     """The five deviation norms as n x n products over the alpha columns."""
-    y, l_cols, a_cols, v_cols, w_cols, moments = _draw(cfg, model, alpha, trial, moments=True)
+    y, a_cols, v_cols, w_cols, moments = _draw(cfg, model, alpha, trial, moments=True)
     _pca_se(y, model)
     lambdas = model.signal.lambdas
     pe = model.signal.P.entries
+    l_cols = pe @ a_cols
     dev_aa = np.linalg.norm(a_cols @ a_cols.T / alpha - np.diag(lambdas), 2)
     dev_lw = dev_ww = 0.0
     if w_cols is not None:

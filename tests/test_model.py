@@ -350,6 +350,7 @@ def assert_rel_close(actual, expected, rel=1e-12):
         (13, 4, 4, 4, 50, None),  # s = r
         (13, 2, 5, 4, 50, None),  # s > r: r x r Gram matrices
         (13, 3, 5, 4, 50, 7),  # dwell blocks straddle chunk boundaries
+        (13, 3, 5, 20, 50, 7),  # the chunk grid cuts each dwell block
         (9, 3, 2, 1, 30, 4),  # one frame per block
     ],
 )
@@ -377,19 +378,45 @@ def test_sddn_matches_reference(monkeypatch, n, r, s, dwell, alpha, chunk, momen
         assert mom is None and mom_ref is None
 
 
-class _ZeroFirstFrame:
-    """Generator stub whose first batch has frame 1 all zero."""
+class _RecordingRng:
+    """Generator stub that records its standard_normal draws.
 
-    def __init__(self, seed):
+    With zero_frame set, the draw holding that frame has it zeroed; the
+    redraw that follows comes after that frame, so it is never zeroed.
+    """
+
+    def __init__(self, seed, zero_frame=None):
         self.rng = np.random.default_rng(seed)
+        self.zero_frame = zero_frame
         self.draws = []
 
     def standard_normal(self, shape):
         z = self.rng.standard_normal(shape)
-        if not self.draws:
-            z[1] = 0.0
-        self.draws.append(z)
+        drawn = sum(d.shape[0] for d in self.draws)
+        if self.zero_frame is not None and drawn <= self.zero_frame < drawn + shape[0]:
+            z[self.zero_frame - drawn] = 0.0
+        self.draws.append(z.copy())  # the sampler takes |z| in place
         return z
+
+
+@pytest.mark.parametrize("dwell,chunk", [(6, None), (20, 7), (7, 7)])
+def test_sddn_draws_one_piece_at_a_time(monkeypatch, dwell, chunk):
+    # Peak memory is one piece of min(dwell, _SDDN_CHUNK) frames, not alpha,
+    # and the pieces together are the stream of one (alpha, s, n) draw.
+    if chunk is not None:
+        monkeypatch.setattr(model_module, "_SDDN_CHUNK", chunk)
+    n, r, s, alpha = 13, 3, 5, 50
+    sig = SignalModel(make_random_basis(n, r, np.random.default_rng(1)), np.full(r, 12.0))
+    supports = _moving_block(n, s, dwell, alpha)
+    _, a = sample_signal(sig, np.random.default_rng(2), alpha)
+    rng = _RecordingRng(3)
+    sample_sddn_batch(SddnModel(s=s, b0=0.5, q=0.3), sig.P, supports, a, rng,
+                      lambdas=sig.lambdas, moments=True)
+    piece = min(dwell, model_module._SDDN_CHUNK)
+    assert max(z.shape[0] for z in rng.draws) == piece
+    assert all(z.shape[1:] == (s, n) for z in rng.draws)
+    whole = np.random.default_rng(3).standard_normal((alpha, s, n))
+    np.testing.assert_array_equal(np.concatenate(rng.draws), whole)
 
 
 @pytest.mark.parametrize("zero_top_eig", [0.0, -1e-18])
@@ -409,14 +436,18 @@ def test_sddn_zero_norm_frame_is_redrawn(monkeypatch, zero_top_eig):
     model = SddnModel(s=s, b0=0.5, q=0.2)
     supports = np.array([[0, 1, 2], [5, 6, 7], [10, 11, 12]])
     _, a = sample_signal(sig, np.random.default_rng(2), alpha)
-    rng = _ZeroFirstFrame(3)
+    rng = _RecordingRng(3, zero_frame=1)
     w, mom = sample_sddn_batch(model, sig.P, supports, a, rng, lambdas=sig.lambdas, moments=True)
-    assert [z.shape for z in rng.draws] == [(alpha, s, n), (1, s, n)]
+    # One draw per frame (each frame is its own block); frame 1's redraw
+    # comes before frame 2's draw.
+    assert [z.shape for z in rng.draws] == [(1, s, n)] * 4
+    assert np.all(rng.draws[1] == 0.0)
     assert np.all(np.isfinite(w))
     pe = sig.P.entries
-    redrawn = np.abs(rng.draws[1][0]) @ pe
-    expected = model.q * redrawn @ a[:, 1] / np.linalg.norm(redrawn, 2)
-    np.testing.assert_allclose(w[supports[1], 1], expected, rtol=1e-12)
+    for t, draw in [(0, 0), (1, 2), (2, 3)]:
+        g = np.abs(rng.draws[draw][0]) @ pe
+        expected = model.q * g @ a[:, t] / np.linalg.norm(g, 2)
+        np.testing.assert_allclose(w[supports[t], t], expected, rtol=1e-12)
     # Disjoint supports: each frame's scaled M_{s,t} sits in its own rows.
     for t in range(alpha):
         scaled = alpha * mom.mean_m[supports[t]]
