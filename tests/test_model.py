@@ -412,9 +412,12 @@ def test_sddn_draws_one_piece_at_a_time(monkeypatch, dwell, chunk):
     rng = _RecordingRng(3)
     sample_sddn_batch(SddnModel(s=s, b0=0.5, q=0.3), sig.P, supports, a, rng,
                       lambdas=sig.lambdas, moments=True)
-    piece = min(dwell, model_module._SDDN_CHUNK)
-    assert max(z.shape[0] for z in rng.draws) == piece
-    assert all(z.shape[1:] == (s, n) for z in rng.draws)
+    chunk = model_module._SDDN_CHUNK
+    sizes = [z.shape[0] for z in rng.draws]
+    assert max(sizes) == min(dwell, chunk)
+    for lo, hi in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
+        # Each draw lies inside one dwell block and one chunk.
+        assert lo // dwell == (hi - 1) // dwell and lo // chunk == (hi - 1) // chunk
     whole = np.random.default_rng(3).standard_normal((alpha, s, n))
     np.testing.assert_array_equal(np.concatenate(rng.draws), whole)
 
