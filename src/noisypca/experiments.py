@@ -555,7 +555,7 @@ def rank_estimation(cfg, workers=1):
 
 
 # Samples accumulated per block of the covariance. The chunking fixes the
-# shapes of the rng draws, so changing it changes every sampled stream.
+# shapes of the rng draws, so changing it changes the adversarial stream.
 _ADVERSARIAL_CHUNK = 100000
 
 
@@ -564,8 +564,8 @@ def adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussian"):
 
     Returns (se, deviation) where deviation = ||D - E[D]||_2 / lam^-.
     When the deviation is small the top-r sample eigenspace locks onto the
-    complement direction and se approaches one. Requires
-    lambda_{r-1} >= 1.1 lambda^-.
+    complement direction and se approaches one. Requires r < n and
+    lambda_{r-1} >= 1.1 lambda^-; n enters only through the basis draw.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     lam_minus = lambdas[-1]
@@ -573,24 +573,24 @@ def adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussian"):
         raise InvalidExample(
             f"need lambda_(r-1) >= 1.1 lambda^-: {lambdas[r - 2]} < {1.1 * lam_minus}"
         )
-    p = make_random_basis(n, r, rng)
-    u = orthogonal_complement(p).entries[:, :1]
-    signal = SignalModel(p, lambdas, distribution)
+    # The n x r basis is drawn only to keep the stream of the n-dimensional
+    # trial, and its complement only to raise NoComplement when r == n:
+    # se and the deviation do not depend on P or u.
+    orthogonal_complement(make_random_basis(n, r, rng))
+    coords = np.eye(r + 1)
+    signal = SignalModel(BasisMatrix(coords[:, :r]), lambdas, distribution)
     variance = 1.2 * lam_minus
     amp = np.sqrt(3.0 * variance) if distribution == "bounded_uniform" else np.sqrt(variance)
-    noise = UncorrNoiseModel(n=n, scales=np.array([amp]), distribution=distribution, B=BasisMatrix(u))
-    d = np.zeros((n, n))
-    done = 0
-    while done < alpha:
-        count = min(_ADVERSARIAL_CHUNK, alpha - done)
+    noise = UncorrNoiseModel(r + 1, [amp], distribution, BasisMatrix(coords[:, r]))
+    d = np.zeros((r + 1, r + 1))
+    for start in range(0, alpha, _ADVERSARIAL_CHUNK):
+        count = min(_ADVERSARIAL_CHUNK, alpha - start)
         l_cols, _ = sample_signal(signal, rng, count)
         y = l_cols + sample_uncorr_noise(noise, rng, count)
         d += y @ y.T
-        done += count
     d = (d + d.T) / (2.0 * alpha)
-    expected = (p.entries * lambdas) @ p.entries.T + noise.covariance()
-    se = subspace_error(top_r_eigvecs(d, r), p)
-    deviation = float(np.linalg.norm(d - expected, 2) / lam_minus)
+    se = subspace_error(top_r_eigvecs(d, r), signal.P)
+    deviation = float(np.linalg.norm(d - np.diag(np.append(lambdas, noise.sigma2)), 2) / lam_minus)
     return float(se), deviation
 
 

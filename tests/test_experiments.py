@@ -12,6 +12,7 @@ from noisypca.errors import (
     CorollaryInapplicable,
     InfeasibleModel,
     InvalidExample,
+    NoComplement,
     ValidationError,
 )
 from noisypca.estimator import DataBatch, estimate_rank_eigengap, estimate_rank_threshold, pca_estimate, sample_covariance
@@ -34,8 +35,17 @@ from noisypca.experiments import (
     success_epsilon,
     support_occupancy,
 )
-from noisypca.linalg import orthogonal_complement, orthonormalize, subspace_error, top_r_eigvecs
-from noisypca.model import make_random_basis, sample_sddn_batch, substream, support_sequence
+from noisypca.linalg import BasisMatrix, orthogonal_complement, orthonormalize, subspace_error, top_r_eigvecs
+from noisypca.model import (
+    SignalModel,
+    UncorrNoiseModel,
+    make_random_basis,
+    sample_sddn_batch,
+    sample_signal,
+    sample_uncorr_noise,
+    substream,
+    support_sequence,
+)
 
 
 def small_cfg(**overrides):
@@ -372,9 +382,63 @@ def test_adversarial_weak_noise_keeps_signal_space():
 
 
 def test_adversarial_sigma_rejects_bad_profile():
-    rng = np.random.default_rng(2)
-    with pytest.raises(InvalidExample):
-        adversarial_sigma(30, 5, 1000, [14.0, 13.0, 13.0, 13.0, 12.0], rng)
+    for n, r, lambdas, error in (
+        (30, 5, [14.0, 13.0, 13.0, 13.0, 12.0], InvalidExample),
+        # The basis spans R^n, so there is no complement direction u.
+        (3, 3, [14.0, 13.5, 12.0], NoComplement),
+        (30, 1, [-12.0], ValidationError),
+        (30, 2, [14.0, -12.0], ValidationError),
+        (30, 3, [14.0, 20.0, 12.0], ValidationError),
+    ):
+        with pytest.raises(error):
+            adversarial_sigma(n, r, 1000, lambdas, np.random.default_rng(2))
+
+
+def _reference_adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussian"):
+    """The adversarial trial on n-dimensional columns y = P a + u c."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    lam_minus = lambdas[-1]
+    p = make_random_basis(n, r, rng)
+    u = orthogonal_complement(p).entries[:, :1]
+    signal = SignalModel(p, lambdas, distribution)
+    variance = 1.2 * lam_minus
+    amp = np.sqrt(3.0 * variance) if distribution == "bounded_uniform" else np.sqrt(variance)
+    noise = UncorrNoiseModel(n=n, scales=np.array([amp]), distribution=distribution, B=BasisMatrix(u))
+    d = np.zeros((n, n))
+    done = 0
+    while done < alpha:
+        count = min(experiments._ADVERSARIAL_CHUNK, alpha - done)
+        l_cols, _ = sample_signal(signal, rng, count)
+        y = l_cols + sample_uncorr_noise(noise, rng, count)
+        d += y @ y.T
+        done += count
+    d = (d + d.T) / (2.0 * alpha)
+    expected = (p.entries * lambdas) @ p.entries.T + noise.covariance()
+    se = subspace_error(top_r_eigvecs(d, r), p)
+    deviation = float(np.linalg.norm(d - expected, 2) / lam_minus)
+    return float(se), deviation
+
+
+@pytest.mark.parametrize(
+    "n, r, alpha, lambdas, distribution",
+    [
+        (30, 1, 5000, [12.0], "gaussian"),
+        (30, 1, 5000, [12.0], "bounded_uniform"),
+        (30, 3, 20_000, [14.0, 13.5, 12.0], "gaussian"),
+        (40, 4, 20_000, [14.0, 13.5, 13.5, 12.0], "bounded_uniform"),
+        # Two chunks: the second holds one column.
+        (6, 2, experiments._ADVERSARIAL_CHUNK + 1, [14.0, 12.0], "gaussian"),
+        (6, 3, experiments._ADVERSARIAL_CHUNK + 1, [14.0, 13.5, 12.0], "bounded_uniform"),
+    ],
+)
+def test_adversarial_sigma_matches_reference(n, r, alpha, lambdas, distribution):
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    se, dev = adversarial_sigma(n, r, alpha, lambdas, rng, distribution)
+    ref_se, ref_dev = _reference_adversarial_sigma(n, r, alpha, lambdas, ref_rng, distribution)
+    assert se == pytest.approx(ref_se, rel=1e-12)
+    assert dev == pytest.approx(ref_dev, rel=1e-12)
+    # Same draws in the same order: both generators end in the same state.
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_adversarial_sigma_small_run():
