@@ -14,7 +14,9 @@ After a deliberate behaviour change, re-pin with
 It prints one line per case: `same bytes`, `within rel 1e-12` (the pinned
 bytes are kept) or `wrote <path>`, for a case whose fresh CSV fails that
 comparison or has no file yet. On a clean tree every case reads `same
-bytes`, so a byte-identity claim is checked by this one command.
+bytes`, so a byte-identity claim is checked by this one command. A case
+within rel 1e-12 keeps its pinned bytes, so to re-pin it for byte identity,
+delete its file under tests/golden/ first and run the command again.
 """
 
 import math
