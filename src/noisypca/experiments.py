@@ -596,6 +596,8 @@ def adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussian"):
 
 def adversarial_experiment(cfg, workers=1):
     """Per-trial (se, deviation) rows for the adversarial covariance."""
+    if len(cfg.alpha_grid) != 1:
+        raise ValidationError(f"adversarial takes one alpha, got alpha_grid={cfg.alpha_grid}")
     # One cell and no shared model: every trial draws its own basis.
     (results,) = _run_trials(cfg, [(None, cfg.alpha_grid[0])], _adversarial_measure, workers)
     rows = [(trial, se, dev) for trial, (se, dev) in enumerate(results)]

@@ -501,6 +501,11 @@ def test_cli_bad_workers_exit_one(tmp_path):
         ("bound", MINIMAL.replace("base = 1.1", "base = nan"), {}, b"error: scales must be"),
         ("bound", MINIMAL.replace("base = 1.1", "base = inf"), {}, b"error: scales must be"),
         ("bound-tightness", MINIMAL.replace("lambdas = 12", "lambdas = nan"), {}, b"error: lambdas must be"),
+        # The CSV has no alpha column, so a second alpha would be dropped unseen.
+        (
+            "adversarial", case_config_text("adversarial", ("alpha_grid = 1000,2000", "trials = 1")), {},
+            b"error: adversarial takes one alpha",
+        ),
     ):
         proc = _run_cli([command, "--config", write_cfg(tmp_path, text)], str(tmp_path), **env)
         assert proc.returncode == 1, proc.stderr
