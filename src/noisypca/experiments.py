@@ -34,6 +34,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -52,9 +53,16 @@ from .bounds import (
     sddn_required_alpha,
     success_floor,
 )
-from .errors import InfeasibleModel, InvalidExample, SupportDegenerate, ValidationError
+from .errors import InfeasibleModel, InvalidExample, RankDeficient, SupportDegenerate, ValidationError
 from .estimator import DataBatch, estimate_rank_eigengap, estimate_rank_threshold, pca_estimate, sample_covariance
-from .linalg import BasisMatrix, incoherence, orthogonal_complement, subspace_error, top_r_eigvecs
+from .linalg import (
+    BasisMatrix,
+    incoherence,
+    orthogonal_complement,
+    orthonormalize,
+    subspace_error,
+    top_r_eigvecs,
+)
 from .model import (
     STREAM_AUX,
     STREAM_MODEL,
@@ -245,11 +253,49 @@ def support_occupancy(model, alpha):
 # (cfg, model, alpha, trial) that reduces one trial to what is reported
 # ---------------------------------------------------------------------------
 
-def _draw(cfg, model, alpha, trial, moments=False):
+def _schedule(model, alpha):
+    """The support schedule of a trial at alpha, or None without SDDN."""
+    return None if model.sddn is None else support_sequence(model.n, model.sddn, alpha)
+
+
+def _range_frame(model, supports):
+    """Orthonormal n x k frame F whose span holds every column of a trial, or None.
+
+    A column is P a + B c + I_T M l, with the SDDN term (or, for missing
+    data, the erased entries) on support rows T. So every column lies in
+    span{e_i : i in U} + span(A), with U the distinct support rows and
+    A = [P B] (P without noise), and F = [E_U | orth(A_U)], where A_U is A
+    with rows U zeroed. Returns None where F gains nothing or does not
+    exist: full-dimensional noise (B is None), k >= n, or a rank-deficient
+    A_U.
+    """
+    noise = model.noise
+    if noise is not None and noise.B is None:
+        return None
+    n = model.n
+    rows = [] if supports is None else np.flatnonzero(np.bincount(supports.ravel(), minlength=n))
+    bases = [model.signal.P.entries] + ([] if noise is None else [noise.B.entries])
+    k = len(rows) + sum(b.shape[1] for b in bases)
+    if k >= n:
+        return None
+    a_u = np.hstack(bases)
+    a_u[rows] = 0.0
+    try:
+        rest = orthonormalize(a_u).entries
+    except RankDeficient:
+        return None
+    frame = np.zeros((n, k))
+    frame[rows, np.arange(len(rows))] = 1.0
+    frame[:, len(rows):] = rest
+    return frame
+
+
+def _draw(cfg, model, alpha, trial, supports, moments=False):
     """Columns y = l + v + w of one trial, each part from its own substream.
 
-    Returns (y, a, v, w, sddn_moments), with l = P a; v, w and the moments
-    are None where the model has no such part.
+    supports is the trial's schedule (`_schedule`). Returns (y, a, v, w,
+    sddn_moments), with l = P a; v, w and the moments are None where the
+    model has no such part.
     """
     n, r = model.n, model.r
     seed = cfg.master_seed
@@ -267,7 +313,7 @@ def _draw(cfg, model, alpha, trial, moments=False):
         w_cols, sddn_moments = sample_sddn_batch(
             model.sddn,
             model.signal.P,
-            support_sequence(n, model.sddn, alpha),
+            supports,
             a_cols,
             substream(seed, STREAM_SDDN, n, r, alpha, trial),
             lambdas=model.signal.lambdas,
@@ -284,30 +330,40 @@ def _checked_se(se):
     return se
 
 
-def _pca_se(y, model):
+def _pca_se(y, model, frame=None):
     """(se of the top-r PCA estimate from the columns y, the Gram matrix used).
 
-    The smaller Gram matrix is decomposed. With r <= alpha < n that is the
-    alpha x alpha matrix y'y/alpha, which has the nonzero spectrum of the
-    sample covariance yy'/alpha: its top-r eigenvectors V give y v_i =
-    sigma_i u_i, so the columns of yV scaled to unit norm are the estimate.
-    Otherwise it is the n x n sample covariance.
+    With a frame F from `_range_frame` of k < alpha columns, the work is
+    done on the coordinates z = F'y, whose k x k covariance has the nonzero
+    spectrum of yy'/alpha; its top-r eigenvectors u map back as F u.
+    Otherwise z = y. Then the smaller Gram matrix of z is decomposed. With
+    r <= alpha < k that is the alpha x alpha matrix z'z/alpha, which has
+    the nonzero spectrum of zz'/alpha: its top-r eigenvectors V give
+    z v_i = sigma_i u_i, so the columns of zV scaled to unit norm are the
+    estimate. Otherwise it is the k x k sample covariance of z.
     """
-    n, alpha = y.shape
-    if model.r <= alpha < n:
-        gram = y.T @ y / alpha
+    alpha = y.shape[1]
+    if frame is not None and frame.shape[1] >= alpha:
+        frame = None
+    z = y if frame is None else frame.T @ y
+    if model.r <= alpha < z.shape[0]:
+        gram = z.T @ z / alpha
         gram = (gram + gram.T) / 2.0
-        u = y @ top_r_eigvecs(gram, model.r).entries
-        basis = BasisMatrix(u / np.linalg.norm(u, axis=0))
+        u = z @ top_r_eigvecs(gram, model.r).entries
+        u /= np.linalg.norm(u, axis=0)
     else:
-        gram = sample_covariance(DataBatch(y))
-        basis = top_r_eigvecs(gram, model.r)
-    return _checked_se(subspace_error(basis, model.signal.P)), gram
+        gram = sample_covariance(DataBatch(z))
+        u = top_r_eigvecs(gram, model.r).entries
+    if frame is not None:
+        u = frame @ u
+    return _checked_se(subspace_error(BasisMatrix(u), model.signal.P)), gram
 
 
 def _se_measure(cfg, model, alpha, trial):
     """Subspace error of one trial (bound tightness, phase transition)."""
-    return _pca_se(_draw(cfg, model, alpha, trial)[0], model)[0]
+    supports = _schedule(model, alpha)
+    y = _draw(cfg, model, alpha, trial, supports)[0]
+    return _pca_se(y, model, _range_frame(model, supports))[0]
 
 
 def _deviation_measure(cfg, model, alpha, trial):
@@ -318,8 +374,10 @@ def _deviation_measure(cfg, model, alpha, trial):
     a c'/alpha (r x r_v) and c c'/alpha - diag(sigma^2) (r_v x r_v), with
     c = B'v (c = v when B is None).
     """
-    y, a_cols, v_cols, w_cols, moments = _draw(cfg, model, alpha, trial, moments=True)
-    _pca_se(y, model)  # not reported, but every trial's estimate is checked
+    supports = _schedule(model, alpha)
+    y, a_cols, v_cols, w_cols, moments = _draw(cfg, model, alpha, trial, supports, moments=True)
+    # Not reported, but every trial's estimate is checked.
+    _pca_se(y, model, _range_frame(model, supports))
     lambdas = model.signal.lambdas
     dev_aa = np.linalg.norm(a_cols @ a_cols.T / alpha - np.diag(lambdas), 2)
     dev_lw = dev_ww = 0.0
@@ -339,10 +397,13 @@ def _deviation_measure(cfg, model, alpha, trial):
 def _rank_measure(cfg, model, alpha, trial):
     """(threshold, eigengap) rank estimates of one trial.
 
-    An alpha x alpha Gram matrix lacks the n - alpha zero eigenvalues of the
-    sample covariance; they are appended.
+    The k x k Gram matrix that `_pca_se` decomposes (k = alpha, the frame
+    size or n) lacks the n - k zero eigenvalues of the sample covariance;
+    n - k zeros are padded on.
     """
-    _, gram = _pca_se(_draw(cfg, model, alpha, trial)[0], model)
+    supports = _schedule(model, alpha)
+    y = _draw(cfg, model, alpha, trial, supports)[0]
+    _, gram = _pca_se(y, model, _range_frame(model, supports))
     w = np.linalg.eigvalsh(gram)[::-1]
     w = np.concatenate([w, np.zeros(model.n - len(w))])
     return estimate_rank_threshold(w, model.signal.lambda_minus), estimate_rank_eigengap(w)
@@ -355,8 +416,8 @@ def _missing_measure(cfg, model, alpha, trial):
         substream(cfg.master_seed, STREAM_SIGNAL, model.n, model.r, alpha, trial),
         alpha,
     )
-    y = apply_missing_batch(l_cols, support_sequence(model.n, model.sddn, alpha))
-    return _pca_se(y, model)[0]
+    supports = _schedule(model, alpha)
+    return _pca_se(apply_missing_batch(l_cols, supports), model, _range_frame(model, supports))[0]
 
 
 def _adversarial_measure(cfg, model, alpha, trial):
@@ -414,30 +475,40 @@ def _one_blas_thread():
 # Trial runner (deterministic for any worker count)
 # ---------------------------------------------------------------------------
 
+def _usable_cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_trials(cfg, cells, measure, workers=1):
     """measure(cfg, model, alpha, trial) for every trial of every grid cell.
 
     cells is the experiment's whole grid as (model, alpha) pairs, each model
     realized once by the caller. Returns one list per cell, in trial order.
-    With workers > 1 every trial of the run goes through one process pool,
-    which hands them out in chunks of ceil(n_trials / workers) trials; a
-    chunk may span two cells. Each trial draws only from its own substreams,
-    so the results do not depend on the worker count. Every trial runs at
-    one BLAS thread, so they do not depend on the caller's thread count
-    either; the caller's count is restored on return.
+    The trials run in a process pool of min(workers, trials of the run,
+    usable CPUs) processes, or in the calling process when that is 1: a
+    pool starts all its processes at the first task, so more would only
+    idle. The pool hands the trials out in chunks of ceil(n_trials / pool
+    size); a chunk may span two cells. Each trial draws only from its own
+    substreams, so the results do not depend on the worker count. Every
+    trial runs at one BLAS thread, so they do not depend on the caller's
+    thread count either; the caller's count is restored on return.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     n = cfg.n_trials
-    columns = zip(*[(cfg, model, alpha, t) for model, alpha in cells for t in range(n)])
+    tasks = [(cfg, model, alpha, t) for model, alpha in cells for t in range(n)]
+    size = min(workers, len(tasks), _usable_cpus())
     with _one_blas_thread():
-        if workers == 1:
-            results = list(map(measure, *columns))
+        if size <= 1:
+            results = list(map(measure, *zip(*tasks)))
         else:
             with ProcessPoolExecutor(
-                max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
+                max_workers=size, initializer=_set_blas_threads, initargs=(1,)
             ) as pool:
-                results = list(pool.map(measure, *columns, chunksize=-(-n // workers)))
+                results = list(pool.map(measure, *zip(*tasks), chunksize=-(-n // size)))
     return [results[i : i + n] for i in range(0, len(results), n)]
 
 

@@ -22,7 +22,9 @@ from noisypca.experiments import (
     GridResult,
     _draw,
     _pca_se,
+    _range_frame,
     _rank_measure,
+    _schedule,
     adversarial_experiment,
     adversarial_sigma,
     bound_tightness,
@@ -39,6 +41,7 @@ from noisypca.linalg import BasisMatrix, orthogonal_complement, orthonormalize, 
 from noisypca.model import (
     SignalModel,
     UncorrNoiseModel,
+    apply_missing_batch,
     make_random_basis,
     sample_sddn_batch,
     sample_signal,
@@ -119,15 +122,118 @@ def test_pca_se_fewer_columns_than_rank_falls_back(n, r_frac, alpha_frac, seed):
     assert se <= 1e-10
 
 
-@pytest.mark.parametrize("alpha", [3, 12, 40, 90])
-def test_rank_measure_matches_full_covariance(alpha):
+@pytest.mark.parametrize(
+    "n, alpha", [(40, 3), (40, 12), (40, 40), (40, 90), (400, 30), (400, 100), (400, 600)]
+)
+def test_rank_measure_matches_full_covariance(n, alpha):
     # alpha < n pads the Gram spectrum with zeros; alpha >= n uses D itself.
-    cfg = small_cfg(alpha_grid=(alpha,))
+    # At n = 400 the range frame has k = 46 columns, so alpha = 100 and 600
+    # take it and pad the k x k spectrum with n - k zeros.
+    cfg = small_cfg(n=n, alpha_grid=(alpha,))
     model = realize_model(cfg)
+    supports = _schedule(model, alpha)
+    frame = _range_frame(model, supports)
+    assert (frame is not None and frame.shape[1] < alpha) == (n == 400 and alpha > 46)
     for trial in range(3):
-        w = np.linalg.eigvalsh(sample_covariance(DataBatch(_draw(cfg, model, alpha, trial)[0])))[::-1]
+        y = _draw(cfg, model, alpha, trial, supports)[0]
+        w = np.linalg.eigvalsh(sample_covariance(DataBatch(y)))[::-1]
         expected = (estimate_rank_threshold(w, model.signal.lambda_minus), estimate_rank_eigengap(w))
         assert _rank_measure(cfg, model, alpha, trial) == expected
+
+
+# --- estimate in an orthonormal frame of the exact range ----------------------
+
+FRAME_CASES = ("sddn with B", "sddn, no noise", "missing data", "no sddn")
+
+
+def _frame_trial(case, trial=0):
+    """(cfg, model, columns, frame) of one trial of a model whose frame has k < alpha < n."""
+    cfg, alpha, missing = {
+        "sddn with B": (small_cfg(n=400), 600, False),
+        "sddn, no noise": (small_cfg(n=400, noise_rv=None), 600, False),
+        "missing data": (missing_cfg(n=400), 600, True),
+        "no sddn": (small_cfg(n=400, sddn_enabled=False), 200, False),
+    }[case]
+    model = realize_model(cfg)
+    supports = _schedule(model, alpha)
+    if missing:
+        rng = substream(cfg.master_seed, experiments.STREAM_SIGNAL, model.n, model.r, alpha, trial)
+        y = apply_missing_batch(sample_signal(model.signal, rng, alpha)[0], supports)
+    else:
+        y = _draw(cfg, model, alpha, trial, supports)[0]
+    return cfg, model, y, _range_frame(model, supports)
+
+
+@pytest.mark.parametrize("case", FRAME_CASES)
+def test_range_frame_holds_every_column(case):
+    _, _, y, frame = _frame_trial(case)
+    assert frame is not None and frame.shape[1] < y.shape[1]
+    assert np.max(np.abs(frame.T @ frame - np.eye(frame.shape[1]))) <= 1e-10
+    assert np.linalg.norm(y - frame @ (frame.T @ y)) <= 1e-12 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("case", FRAME_CASES)
+def test_pca_se_in_frame_matches_full_dimension(case):
+    _, model, y, frame = _frame_trial(case)
+    se_frame, d_frame = _pca_se(y, model, frame)
+    se_full, d_full = _pca_se(y, model)
+    k = frame.shape[1]
+    assert d_frame.shape == (k, k)
+    assert se_frame == pytest.approx(se_full, rel=1e-12, abs=0.0)
+    # The k x k spectrum padded with n - k zeros is that of the n x n D.
+    padded = np.concatenate([np.linalg.eigvalsh(d_frame)[::-1], np.zeros(model.n - k)])
+    d = sample_covariance(DataBatch(y))
+    assert np.max(np.abs(padded - np.linalg.eigvalsh(d)[::-1])) <= 1e-10 * np.linalg.norm(d, 2)
+
+
+def test_range_frame_none_cases_keep_gram_shapes():
+    # Full-dimensional noise (B is None): no frame; alpha < n keeps the
+    # alpha x alpha Gram matrix and alpha >= n the n x n covariance.
+    cfg = small_cfg(n=400, noise_rv="n")
+    model = realize_model(cfg)
+    for alpha, shape in ((200, (200, 200)), (600, (400, 400))):
+        supports = _schedule(model, alpha)
+        assert _range_frame(model, supports) is None
+        y = _draw(cfg, model, alpha, 0, supports)[0]
+        assert _pca_se(y, model, None)[1].shape == shape
+    # k >= n: the support rows cover all 40 coordinates.
+    cfg = small_cfg(alpha_grid=(900,))
+    model = realize_model(cfg)
+    assert _range_frame(model, _schedule(model, 900)) is None
+    # alpha <= k: the frame exists but the alpha x alpha Gram matrix is smaller.
+    cfg = small_cfg(n=400)
+    model = realize_model(cfg)
+    for alpha in (30, 36):
+        supports = _schedule(model, alpha)
+        frame = _range_frame(model, supports)
+        assert frame is not None and frame.shape[1] >= alpha
+        y = _draw(cfg, model, alpha, 0, supports)[0]
+        se, gram = _pca_se(y, model, frame)
+        assert gram.shape == (alpha, alpha)
+        assert se == _pca_se(y, model)[0]
+
+
+def test_range_frame_rank_deficient_is_none():
+    # P lies on the support rows, so A with those rows zeroed is 0.
+    n, r = 20, 3
+    p = BasisMatrix(np.eye(n)[:, :r])
+    model = SimpleNamespace(n=n, noise=None, signal=SimpleNamespace(P=p))
+    supports = np.array([[0, 1, 2, 3]] * 10)
+    assert _range_frame(model, supports) is None
+
+
+@pytest.mark.parametrize("measure", ["_se_measure", "_deviation_measure", "_rank_measure", "_missing_measure"])
+def test_one_support_schedule_per_trial(measure, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return support_sequence(*args)
+
+    monkeypatch.setattr(experiments, "support_sequence", counted)
+    cfg = missing_cfg(n=400, alpha_grid=(600,)) if measure == "_missing_measure" else small_cfg(n=400)
+    getattr(experiments, measure)(cfg, realize_model(cfg), 600, 0)
+    assert len(calls) == 1
 
 
 # --- trials ------------------------------------------------------------------
@@ -248,7 +354,8 @@ def test_concentration_check_zero_component_terms():
 
 def _reference_deviation_measure(cfg, model, alpha, trial):
     """The five deviation norms as n x n products over the alpha columns."""
-    y, a_cols, v_cols, w_cols, moments = _draw(cfg, model, alpha, trial, moments=True)
+    supports = _schedule(model, alpha)
+    y, a_cols, v_cols, w_cols, moments = _draw(cfg, model, alpha, trial, supports, moments=True)
     _pca_se(y, model)
     lambdas = model.signal.lambdas
     pe = model.signal.P.entries
@@ -638,6 +745,48 @@ def test_run_trials_runs_at_one_blas_thread_and_restores_the_count():
         assert experiments.blas_threads() == 2
     finally:
         experiments._set_blas_threads(previous)
+
+
+class _RecordingPool:
+    """Stand-in for ProcessPoolExecutor that records its size and starts no process."""
+
+    sizes = []
+
+    def __init__(self, max_workers, initializer=None, initargs=()):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize(
+    "workers, trials, cells, cpus, size",
+    [
+        (64, 2, 1, 8, 2),  # capped by the run's 2 trials
+        (64, 3, 3, 8, 8),  # capped by the usable CPUs
+        (3, 4, 2, 8, 3),  # the requested count
+        (4, 3, 1, 1, None),  # one usable CPU: runs in the calling process
+        (64, 1, 1, 8, None),  # one trial: runs in the calling process
+    ],
+)
+def test_run_trials_caps_the_pool(workers, trials, cells, cpus, size, monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+    cells = [(None, 100 * (i + 1)) for i in range(cells)]
+    got = experiments._run_trials(small_cfg(n_trials=trials), cells, _cell_measure, workers)
+    assert got == [[(alpha, t) for t in range(trials)] for _, alpha in cells]
+    assert _RecordingPool.sizes == ([] if size is None else [size])
+
+
+def test_usable_cpus_is_positive():
+    assert experiments._usable_cpus() >= 1
 
 
 def test_experiment_config_validation():
