@@ -267,7 +267,8 @@ def _range_frame(model, supports):
     A = [P B] (P without noise), and F = [E_U | orth(A_U)], where A_U is A
     with rows U zeroed. Returns None where F gains nothing or does not
     exist: full-dimensional noise (B is None), k >= n, or a rank-deficient
-    A_U.
+    A_U. k >= n is checked first, from a bincount alone; A_U would then
+    have fewer nonzero rows than columns anyway.
     """
     noise = model.noise
     if noise is not None and noise.B is None:

@@ -123,7 +123,9 @@ def test_pca_se_fewer_columns_than_rank_falls_back(n, r_frac, alpha_frac, seed):
 
 
 @pytest.mark.parametrize(
-    "n, alpha", [(40, 3), (40, 12), (40, 40), (40, 90), (400, 30), (400, 100), (400, 600)]
+    "n, alpha",
+    [pytest.param(40, alpha, id=str(alpha)) for alpha in (3, 12, 40, 90)]
+    + [pytest.param(400, alpha, id=f"n400-{alpha}") for alpha in (30, 100, 600)],
 )
 def test_rank_measure_matches_full_covariance(n, alpha):
     # alpha < n pads the Gram spectrum with zeros; alpha >= n uses D itself.
@@ -186,7 +188,7 @@ def test_pca_se_in_frame_matches_full_dimension(case):
     assert np.max(np.abs(padded - np.linalg.eigvalsh(d)[::-1])) <= 1e-10 * np.linalg.norm(d, 2)
 
 
-def test_range_frame_none_cases_keep_gram_shapes():
+def test_range_frame_none_cases_keep_gram_shapes(monkeypatch):
     # Full-dimensional noise (B is None): no frame; alpha < n keeps the
     # alpha x alpha Gram matrix and alpha >= n the n x n covariance.
     cfg = small_cfg(n=400, noise_rv="n")
@@ -196,10 +198,13 @@ def test_range_frame_none_cases_keep_gram_shapes():
         assert _range_frame(model, supports) is None
         y = _draw(cfg, model, alpha, 0, supports)[0]
         assert _pca_se(y, model, None)[1].shape == shape
-    # k >= n: the support rows cover all 40 coordinates.
+    # k >= n: the support rows cover all 40 coordinates, and the size check
+    # alone says so.
     cfg = small_cfg(alpha_grid=(900,))
     model = realize_model(cfg)
-    assert _range_frame(model, _schedule(model, 900)) is None
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "orthonormalize", None)
+        assert _range_frame(model, _schedule(model, 900)) is None
     # alpha <= k: the frame exists but the alpha x alpha Gram matrix is smaller.
     cfg = small_cfg(n=400)
     model = realize_model(cfg)
