@@ -149,7 +149,7 @@ FRAME_CASES = ("sddn with B", "sddn, no noise", "missing data", "no sddn")
 
 
 def _frame_trial(case, trial=0):
-    """(cfg, model, columns, frame) of one trial of a model whose frame has k < alpha < n."""
+    """(model, columns, frame) of one trial of a model whose frame has k < alpha < n."""
     cfg, alpha, missing = {
         "sddn with B": (small_cfg(n=400), 600, False),
         "sddn, no noise": (small_cfg(n=400, noise_rv=None), 600, False),
@@ -163,12 +163,12 @@ def _frame_trial(case, trial=0):
         y = apply_missing_batch(sample_signal(model.signal, rng, alpha)[0], supports)
     else:
         y = _draw(cfg, model, alpha, trial, supports)[0]
-    return cfg, model, y, _range_frame(model, supports)
+    return model, y, _range_frame(model, supports)
 
 
 @pytest.mark.parametrize("case", FRAME_CASES)
 def test_range_frame_holds_every_column(case):
-    _, _, y, frame = _frame_trial(case)
+    _, y, frame = _frame_trial(case)
     assert frame is not None and frame.shape[1] < y.shape[1]
     assert np.max(np.abs(frame.T @ frame - np.eye(frame.shape[1]))) <= 1e-10
     assert np.linalg.norm(y - frame @ (frame.T @ y)) <= 1e-12 * np.linalg.norm(y)
@@ -176,7 +176,7 @@ def test_range_frame_holds_every_column(case):
 
 @pytest.mark.parametrize("case", FRAME_CASES)
 def test_pca_se_in_frame_matches_full_dimension(case):
-    _, model, y, frame = _frame_trial(case)
+    model, y, frame = _frame_trial(case)
     se_frame, d_frame = _pca_se(y, model, frame)
     se_full, d_full = _pca_se(y, model)
     k = frame.shape[1]
