@@ -258,17 +258,18 @@ def _schedule(model, alpha):
     return None if model.sddn is None else support_sequence(model.n, model.sddn, alpha)
 
 
-def _range_frame(model, supports):
-    """Orthonormal n x k frame F whose span holds every column of a trial, or None.
+def _range_frame(model, supports, alpha):
+    """Orthonormal frame F = [E_U | rest] whose span holds every column of a trial, or None.
 
     A column is P a + B c + I_T M l, with the SDDN term (or, for missing
     data, the erased entries) on support rows T. So every column lies in
     span{e_i : i in U} + span(A), with U the distinct support rows and
     A = [P B] (P without noise), and F = [E_U | orth(A_U)], where A_U is A
-    with rows U zeroed. Returns None where F gains nothing or does not
-    exist: full-dimensional noise (B is None), k >= n, or a rank-deficient
-    A_U. k >= n is checked first, from a bincount alone; A_U would then
-    have fewer nonzero rows than columns anyway.
+    with rows U zeroed. Returns (U, orth(A_U)), or None where F gains
+    nothing or does not exist: full-dimensional noise (B is None),
+    k >= min(n, alpha), or a rank-deficient A_U. The size is checked first,
+    from a bincount alone; at k >= n, A_U would have fewer nonzero rows
+    than columns anyway.
     """
     noise = model.noise
     if noise is not None and noise.B is None:
@@ -276,19 +277,14 @@ def _range_frame(model, supports):
     n = model.n
     rows = [] if supports is None else np.flatnonzero(np.bincount(supports.ravel(), minlength=n))
     bases = [model.signal.P.entries] + ([] if noise is None else [noise.B.entries])
-    k = len(rows) + sum(b.shape[1] for b in bases)
-    if k >= n:
+    if len(rows) + sum(b.shape[1] for b in bases) >= min(n, alpha):
         return None
     a_u = np.hstack(bases)
     a_u[rows] = 0.0
     try:
-        rest = orthonormalize(a_u).entries
+        return rows, orthonormalize(a_u).entries
     except RankDeficient:
         return None
-    frame = np.zeros((n, k))
-    frame[rows, np.arange(len(rows))] = 1.0
-    frame[:, len(rows):] = rest
-    return frame
 
 
 def _draw(cfg, model, alpha, trial, supports, moments=False):
@@ -334,19 +330,18 @@ def _checked_se(se):
 def _pca_se(y, model, frame=None):
     """(se of the top-r PCA estimate from the columns y, the Gram matrix used).
 
-    With a frame F from `_range_frame` of k < alpha columns, the work is
-    done on the coordinates z = F'y, whose k x k covariance has the nonzero
-    spectrum of yy'/alpha; its top-r eigenvectors u map back as F u.
-    Otherwise z = y. Then the smaller Gram matrix of z is decomposed. With
-    r <= alpha < k that is the alpha x alpha matrix z'z/alpha, which has
-    the nonzero spectrum of zz'/alpha: its top-r eigenvectors V give
-    z v_i = sigma_i u_i, so the columns of zV scaled to unit norm are the
-    estimate. Otherwise it is the k x k sample covariance of z.
+    With a frame (U, rest) from `_range_frame`, the work is done on the k
+    coordinates z = F'y, y[U] stacked on rest'y, whose k x k covariance
+    has the nonzero spectrum of yy'/alpha; its top-r eigenvectors u map
+    back as F u. Otherwise z = y. Then the smaller Gram matrix of z is
+    decomposed. With r <= alpha < k that is the alpha x alpha matrix
+    z'z/alpha, which has the nonzero spectrum of zz'/alpha: its top-r
+    eigenvectors V give z v_i = sigma_i u_i, so the columns of zV scaled
+    to unit norm are the estimate. Otherwise it is the k x k sample
+    covariance of z.
     """
     alpha = y.shape[1]
-    if frame is not None and frame.shape[1] >= alpha:
-        frame = None
-    z = y if frame is None else frame.T @ y
+    z = y if frame is None else np.vstack([y[frame[0]], frame[1].T @ y])
     if model.r <= alpha < z.shape[0]:
         gram = z.T @ z / alpha
         gram = (gram + gram.T) / 2.0
@@ -356,7 +351,10 @@ def _pca_se(y, model, frame=None):
         gram = sample_covariance(DataBatch(z))
         u = top_r_eigvecs(gram, model.r).entries
     if frame is not None:
-        u = frame @ u
+        rows, rest = frame
+        coords = u[: len(rows)]
+        u = rest @ u[len(rows):]
+        u[rows] = coords  # rest is zero on the rows U
     return _checked_se(subspace_error(BasisMatrix(u), model.signal.P)), gram
 
 
@@ -364,7 +362,7 @@ def _se_measure(cfg, model, alpha, trial):
     """Subspace error of one trial (bound tightness, phase transition)."""
     supports = _schedule(model, alpha)
     y = _draw(cfg, model, alpha, trial, supports)[0]
-    return _pca_se(y, model, _range_frame(model, supports))[0]
+    return _pca_se(y, model, _range_frame(model, supports, alpha))[0]
 
 
 def _deviation_measure(cfg, model, alpha, trial):
@@ -378,7 +376,7 @@ def _deviation_measure(cfg, model, alpha, trial):
     supports = _schedule(model, alpha)
     y, a_cols, v_cols, w_cols, moments = _draw(cfg, model, alpha, trial, supports, moments=True)
     # Not reported, but every trial's estimate is checked.
-    _pca_se(y, model, _range_frame(model, supports))
+    _pca_se(y, model, _range_frame(model, supports, alpha))
     lambdas = model.signal.lambdas
     dev_aa = np.linalg.norm(a_cols @ a_cols.T / alpha - np.diag(lambdas), 2)
     dev_lw = dev_ww = 0.0
@@ -404,7 +402,7 @@ def _rank_measure(cfg, model, alpha, trial):
     """
     supports = _schedule(model, alpha)
     y = _draw(cfg, model, alpha, trial, supports)[0]
-    _, gram = _pca_se(y, model, _range_frame(model, supports))
+    _, gram = _pca_se(y, model, _range_frame(model, supports, alpha))
     w = np.linalg.eigvalsh(gram)[::-1]
     w = np.concatenate([w, np.zeros(model.n - len(w))])
     return estimate_rank_threshold(w, model.signal.lambda_minus), estimate_rank_eigengap(w)
@@ -418,7 +416,8 @@ def _missing_measure(cfg, model, alpha, trial):
         alpha,
     )
     supports = _schedule(model, alpha)
-    return _pca_se(apply_missing_batch(l_cols, supports), model, _range_frame(model, supports))[0]
+    y = apply_missing_batch(l_cols, supports)
+    return _pca_se(y, model, _range_frame(model, supports, alpha))[0]
 
 
 def _adversarial_measure(cfg, model, alpha, trial):

@@ -134,8 +134,7 @@ def test_rank_measure_matches_full_covariance(n, alpha):
     cfg = small_cfg(n=n, alpha_grid=(alpha,))
     model = realize_model(cfg)
     supports = _schedule(model, alpha)
-    frame = _range_frame(model, supports)
-    assert (frame is not None and frame.shape[1] < alpha) == (n == 400 and alpha > 46)
+    assert (_range_frame(model, supports, alpha) is not None) == (n == 400 and alpha > 46)
     for trial in range(3):
         y = _draw(cfg, model, alpha, trial, supports)[0]
         w = np.linalg.eigvalsh(sample_covariance(DataBatch(y)))[::-1]
@@ -163,15 +162,23 @@ def _frame_trial(case, trial=0):
         y = apply_missing_batch(sample_signal(model.signal, rng, alpha)[0], supports)
     else:
         y = _draw(cfg, model, alpha, trial, supports)[0]
-    return model, y, _range_frame(model, supports)
+    return model, y, _range_frame(model, supports, alpha)
+
+
+def _dense_frame(n, frame):
+    """The n x k matrix F = [E_U | rest] of a frame (U, rest)."""
+    rows, rest = frame
+    return np.hstack([np.eye(n)[:, rows], rest])
 
 
 @pytest.mark.parametrize("case", FRAME_CASES)
 def test_range_frame_holds_every_column(case):
-    _, y, frame = _frame_trial(case)
-    assert frame is not None and frame.shape[1] < y.shape[1]
-    assert np.max(np.abs(frame.T @ frame - np.eye(frame.shape[1]))) <= 1e-10
-    assert np.linalg.norm(y - frame @ (frame.T @ y)) <= 1e-12 * np.linalg.norm(y)
+    model, y, frame = _frame_trial(case)
+    assert frame is not None
+    f = _dense_frame(model.n, frame)
+    assert f.shape[1] < y.shape[1]
+    assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) <= 1e-10
+    assert np.linalg.norm(y - f @ (f.T @ y)) <= 1e-12 * np.linalg.norm(y)
 
 
 @pytest.mark.parametrize("case", FRAME_CASES)
@@ -179,7 +186,7 @@ def test_pca_se_in_frame_matches_full_dimension(case):
     model, y, frame = _frame_trial(case)
     se_frame, d_frame = _pca_se(y, model, frame)
     se_full, d_full = _pca_se(y, model)
-    k = frame.shape[1]
+    k = len(frame[0]) + frame[1].shape[1]
     assert d_frame.shape == (k, k)
     assert se_frame == pytest.approx(se_full, rel=1e-12, abs=0.0)
     # The k x k spectrum padded with n - k zeros is that of the n x n D.
@@ -195,7 +202,7 @@ def test_range_frame_none_cases_keep_gram_shapes(monkeypatch):
     model = realize_model(cfg)
     for alpha, shape in ((200, (200, 200)), (600, (400, 400))):
         supports = _schedule(model, alpha)
-        assert _range_frame(model, supports) is None
+        assert _range_frame(model, supports, alpha) is None
         y = _draw(cfg, model, alpha, 0, supports)[0]
         assert _pca_se(y, model, None)[1].shape == shape
     # k >= n: the support rows cover all 40 coordinates, and the size check
@@ -204,18 +211,18 @@ def test_range_frame_none_cases_keep_gram_shapes(monkeypatch):
     model = realize_model(cfg)
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "orthonormalize", None)
-        assert _range_frame(model, _schedule(model, 900)) is None
-    # alpha <= k: the frame exists but the alpha x alpha Gram matrix is smaller.
+        assert _range_frame(model, _schedule(model, 900), 900) is None
+    # alpha <= k < n: the alpha x alpha Gram matrix is no larger than the
+    # k x k one, so no frame is built, and the size check alone says so.
     cfg = small_cfg(n=400)
     model = realize_model(cfg)
     for alpha in (30, 36):
         supports = _schedule(model, alpha)
-        frame = _range_frame(model, supports)
-        assert frame is not None and frame.shape[1] >= alpha
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "orthonormalize", None)
+            assert _range_frame(model, supports, alpha) is None
         y = _draw(cfg, model, alpha, 0, supports)[0]
-        se, gram = _pca_se(y, model, frame)
-        assert gram.shape == (alpha, alpha)
-        assert se == _pca_se(y, model)[0]
+        assert _pca_se(y, model, None)[1].shape == (alpha, alpha)
 
 
 def test_range_frame_rank_deficient_is_none():
@@ -224,7 +231,7 @@ def test_range_frame_rank_deficient_is_none():
     p = BasisMatrix(np.eye(n)[:, :r])
     model = SimpleNamespace(n=n, noise=None, signal=SimpleNamespace(P=p))
     supports = np.array([[0, 1, 2, 3]] * 10)
-    assert _range_frame(model, supports) is None
+    assert _range_frame(model, supports, 10) is None
 
 
 @pytest.mark.parametrize("measure", ["_se_measure", "_deviation_measure", "_rank_measure", "_missing_measure"])
