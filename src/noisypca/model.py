@@ -178,7 +178,9 @@ class SddnModel:
     (wrapping modulo n): a 1-d object moving every so often. q in [0, 1)
     is the exact noise-to-signal amplitude enforced per frame; b0 is the
     target per-row occupancy fraction. M_{s,t} is s x n with iid |N(0,1)|
-    entries.
+    entries, drawn once per dwell block: the frames sharing T_t share
+    M_{s,t}. The model asks only that M_t be unknown and time-varying with
+    ||M_{s,t}P|| <= q, so this stays inside it.
     """
 
     s: int
@@ -235,8 +237,8 @@ class SddnMoments:
     """Realized-dependency aggregates needed for concentration checks.
 
     mean_m is (1/alpha) sum_t M_t and mean_mlm is (1/alpha) sum_t
-    M_t P Lambda P' M_t', where M_t = I_{T_t} M_{1,t} is the scaled
-    per-frame dependency matrix. Expectations over the signal give
+    M_t P Lambda P' M_t', where M_t = I_{T_t} M_{s,t} is the scaled
+    dependency matrix of frame t. Expectations over the signal give
     E[(1/alpha) sum l_t w_t'] = P Lambda P' mean_m' and
     E[(1/alpha) sum w_t w_t'] = mean_mlm.
     """
@@ -245,38 +247,20 @@ class SddnMoments:
     mean_mlm: np.ndarray
 
 
-# Most frames of dependency matrices drawn at once. A dwell block longer
-# than this is drawn, and has its moment sums taken, in pieces cut at this
-# grid. The sampled stream does not depend on it: standard_normal gives the
-# same numbers split as unsplit.
-_SDDN_CHUNK = 20000
-
-
-def _spectral_norms(g):
-    """||g_t||_2 of each (s, r) slice, from the smaller of g g' and g'g.
-
-    The top eigenvalue of a PSD Gram matrix can round to a tiny negative
-    number when g_t is (nearly) zero; it is clamped so the norm reads 0.
-    """
-    gt = g.transpose(0, 2, 1)
-    gram = g @ gt if g.shape[1] <= g.shape[2] else gt @ g
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-
-
 def sample_sddn_batch(model, p, supports, a_cols, rng, lambdas=None, moments=False):
-    """Vectorized SDDN noise for a whole batch.
+    """SDDN noise for a whole batch, one dependency matrix per dwell block.
 
     Parameters
     ----------
     model : SddnModel
     p : BasisMatrix
-        True signal basis entering the per-frame normalization.
+        True signal basis entering the normalization.
     supports : (alpha, s) int ndarray
     a_cols : (r, alpha) ndarray
         Signal coefficients: the signal columns are l = P a, so
-        M_t l_t = (M_t P) a_t.
+        M l_t = (M P) a_t.
     rng : numpy Generator
-        Drives the per-frame |N(0,1)| dependency matrices.
+        Drives the per-block |N(0,1)| dependency matrices.
     lambdas : optional signal variances, required when moments=True.
     moments : bool
         Also accumulate the SddnMoments aggregates.
@@ -287,39 +271,29 @@ def sample_sddn_batch(model, p, supports, a_cols, rng, lambdas=None, moments=Fal
     """
     pe = p.entries
     n, alpha = pe.shape[0], a_cols.shape[1]
-    s = model.s
     if moments and lambdas is None:
         raise ValueError("moments=True needs the signal variances")
     w = np.zeros((n, alpha))
     mean_m = np.zeros((n, n)) if moments else None
     mean_mlm = np.zeros((n, n)) if moments else None
-    # Each piece [lo, hi) is a dwell block (frames sharing support rows),
-    # cut at the _SDDN_CHUNK grid, so no draw is larger than one block.
+    # Each block [lo, hi) is a dwell block: the frames sharing support rows.
     moves = np.flatnonzero(np.any(supports[1:] != supports[:-1], axis=1)) + 1
-    edges = np.unique(np.r_[moves, np.arange(0, alpha, _SDDN_CHUNK), alpha])
+    edges = np.r_[0, moves, alpha]
     for lo, hi in zip(edges[:-1], edges[1:]):
         rows = supports[lo]
-        m = rng.standard_normal((hi - lo, s, n))
-        np.abs(m, out=m)
-        g = m @ pe  # (piece, s, r)
-        norms = _spectral_norms(g)
-        # ||M_{s,t} P|| = 0 has probability zero; resample defensively.
-        while np.any(norms == 0):
-            bad = np.nonzero(norms == 0)[0]
-            m[bad] = np.abs(rng.standard_normal((bad.size, s, n)))
-            g[bad] = m[bad] @ pe
-            norms[bad] = _spectral_norms(g[bad])
-        scale = model.q / norms
-        ml = np.einsum("tsr,rt->ts", g, a_cols[:, lo:hi])
-        w[rows, lo:hi] = (scale[:, None] * ml).T
+        norm = 0.0
+        while norm == 0.0:  # ||M P|| = 0 has probability zero; redraw defensively.
+            m = np.abs(rng.standard_normal((model.s, n)))
+            g = m @ pe
+            norm = np.linalg.norm(g, 2)
+        scale = model.q / norm
+        w[rows, lo:hi] = (scale * g) @ a_cols[:, lo:hi]
         if moments:
-            # One BLAS product per aggregate: sum_t scale_t M_{s,t} into rows
-            # T, and x x' into (T, T), where x holds the piece's h_t =
-            # scale_t M_{s,t} P Lambda^(1/2) side by side.
-            mean_m[rows] += (scale @ m.reshape(hi - lo, s * n)).reshape(s, n)
-            h = scale[:, None, None] * g * np.sqrt(lambdas)
-            x = h.transpose(1, 0, 2).reshape(s, -1)
-            mean_mlm[np.ix_(rows, rows)] += x @ x.T
+            # Every frame of the block adds scale M to rows T and h h' to
+            # (T, T), with h = scale M P Lambda^(1/2).
+            mean_m[rows] += (hi - lo) * scale * m
+            h = scale * g * np.sqrt(lambdas)
+            mean_mlm[np.ix_(rows, rows)] += (hi - lo) * (h @ h.T)
     if moments:
         mean_m /= alpha
         mean_mlm /= alpha

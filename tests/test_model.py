@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import noisypca.model as model_module
 from noisypca.errors import InvalidRank, InvalidSupport, ValidationError
 from noisypca.linalg import BasisMatrix, orthogonal_complement, incoherence
 from noisypca.model import (
@@ -289,42 +288,31 @@ def test_sddn_norm_product_bound(basis100):
     assert np.all(np.linalg.norm(w, axis=0) <= model.q * np.linalg.norm(l, axis=0) + 1e-12)
 
 
-def _reference_sddn_batch(model, p, supports, l_cols, rng, lambdas=None,
-                          moments=False, chunk=20000):
-    """The sampler as first written, kept as the reference for the same draws.
+def _reference_sddn_batch(model, p, supports, l_cols, rng, lambdas=None, moments=False):
+    """An independent sampler of the same draws, kept as the reference.
 
-    It normalizes by a batched SVD, forms M_t l_t over all n coordinates
-    and scatters the moments frame by frame with np.add.at.
+    It walks the frames one at a time, draws M when the support moves,
+    normalizes by an SVD, forms M l_t over all n coordinates and scatters
+    the moments frame by frame with np.add.at.
     """
     n, alpha = l_cols.shape
-    s = model.s
     pe = p.entries
     w = np.zeros((n, alpha))
     mean_m = np.zeros((n, n)) if moments else None
     mean_mlm = np.zeros((n, n)) if moments else None
-    cols = np.arange(alpha)
-    for lo in range(0, alpha, chunk):
-        hi = min(lo + chunk, alpha)
-        m = np.abs(rng.standard_normal((hi - lo, s, n)))
-        g = m @ pe
-        norms = np.linalg.svd(g, compute_uv=False)[:, 0]
-        while np.any(norms == 0):
-            bad = np.nonzero(norms == 0)[0]
-            m[bad] = np.abs(rng.standard_normal((bad.size, s, n)))
-            g[bad] = m[bad] @ pe
-            norms[bad] = np.linalg.svd(g[bad], compute_uv=False)[:, 0]
-        scale = model.q / norms
-        sup = supports[lo:hi]
-        ml = np.einsum("tsn,nt->ts", m, l_cols[:, lo:hi])
-        w[sup.T, cols[lo:hi][None, :]] = (scale[:, None] * ml).T
+    for t in range(alpha):
+        sup = supports[t]
+        if t == 0 or np.any(sup != supports[t - 1]):
+            norm = 0.0
+            while norm == 0.0:
+                m = np.abs(rng.standard_normal((model.s, n)))
+                norm = np.linalg.svd(m @ pe, compute_uv=False)[0]
+            scaled = model.q / norm * m
+        w[sup, t] = scaled @ l_cols[:, t]
         if moments:
-            scaled_rows = (scale[:, None, None] * m).reshape(-1, n)
-            np.add.at(mean_m, sup.reshape(-1), scaled_rows)
-            h = scale[:, None, None] * g
-            k = np.einsum("tsr,r,tur->tsu", h, lambdas, h)
-            rows = np.broadcast_to(sup[:, :, None], (hi - lo, s, s))
-            cols2 = np.broadcast_to(sup[:, None, :], (hi - lo, s, s))
-            np.add.at(mean_mlm, (rows.ravel(), cols2.ravel()), k.ravel())
+            np.add.at(mean_m, sup, scaled)
+            h = scaled @ pe
+            np.add.at(mean_mlm, (sup[:, None], sup[None, :]), (h * lambdas) @ h.T)
     if moments:
         return w, SddnMoments(mean_m=mean_m / alpha, mean_mlm=mean_mlm / alpha)
     return w, None
@@ -344,19 +332,17 @@ def assert_rel_close(actual, expected, rel=1e-12):
 
 @pytest.mark.parametrize("moments", [False, True])
 @pytest.mark.parametrize(
-    "n,r,s,dwell,alpha,chunk",
+    "n,r,s,dwell,alpha",
     [
-        (13, 6, 3, 4, 50, None),  # s < r: s x s Gram matrices
-        (13, 4, 4, 4, 50, None),  # s = r
-        (13, 2, 5, 4, 50, None),  # s > r: r x r Gram matrices
-        (13, 3, 5, 4, 50, 7),  # dwell blocks straddle chunk boundaries
-        (13, 3, 5, 20, 50, 7),  # the chunk grid cuts each dwell block
-        (9, 3, 2, 1, 30, 4),  # one frame per block
+        (13, 6, 3, 4, 50),  # s < r
+        (13, 4, 4, 4, 50),  # s = r
+        (13, 2, 5, 4, 50),  # s > r
+        (13, 3, 5, 4, 50),
+        (13, 3, 5, 20, 50),  # long blocks, the last one cut short by alpha
+        (9, 3, 2, 1, 30),  # one frame per block
     ],
 )
-def test_sddn_matches_reference(monkeypatch, n, r, s, dwell, alpha, chunk, moments):
-    if chunk is not None:
-        monkeypatch.setattr(model_module, "_SDDN_CHUNK", chunk)
+def test_sddn_matches_reference(n, r, s, dwell, alpha, moments):
     sig = SignalModel(make_random_basis(n, r, np.random.default_rng(n + r)), np.linspace(12.0, 8.0, r))
     model = SddnModel(s=s, b0=0.5, q=0.3)
     supports = _moving_block(n, s, dwell, alpha)
@@ -365,8 +351,7 @@ def test_sddn_matches_reference(monkeypatch, n, r, s, dwell, alpha, chunk, momen
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
     w, mom = sample_sddn_batch(model, sig.P, supports, a, rng, lambdas=sig.lambdas, moments=moments)
     w_ref, mom_ref = _reference_sddn_batch(
-        model, sig.P, supports, l, ref_rng, lambdas=sig.lambdas, moments=moments,
-        chunk=chunk or model_module._SDDN_CHUNK,
+        model, sig.P, supports, l, ref_rng, lambdas=sig.lambdas, moments=moments
     )
     # Same draws: both generators end in the same state.
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -381,30 +366,26 @@ def test_sddn_matches_reference(monkeypatch, n, r, s, dwell, alpha, chunk, momen
 class _RecordingRng:
     """Generator stub that records its standard_normal draws.
 
-    With zero_frame set, the draw holding that frame has it zeroed; the
-    redraw that follows comes after that frame, so it is never zeroed.
+    With zero_draw set, that draw (counted from 0) is returned zeroed.
     """
 
-    def __init__(self, seed, zero_frame=None):
+    def __init__(self, seed, zero_draw=None):
         self.rng = np.random.default_rng(seed)
-        self.zero_frame = zero_frame
+        self.zero_draw = zero_draw
         self.draws = []
 
     def standard_normal(self, shape):
         z = self.rng.standard_normal(shape)
-        drawn = sum(d.shape[0] for d in self.draws)
-        if self.zero_frame is not None and drawn <= self.zero_frame < drawn + shape[0]:
-            z[self.zero_frame - drawn] = 0.0
-        self.draws.append(z.copy())  # the sampler takes |z| in place
+        if len(self.draws) == self.zero_draw:
+            z[...] = 0.0
+        self.draws.append(z.copy())
         return z
 
 
-@pytest.mark.parametrize("dwell,chunk", [(6, None), (20, 7), (7, 7)])
-def test_sddn_draws_one_piece_at_a_time(monkeypatch, dwell, chunk):
-    # Peak memory is one piece of min(dwell, _SDDN_CHUNK) frames, not alpha,
-    # and the pieces together are the stream of one (alpha, s, n) draw.
-    if chunk is not None:
-        monkeypatch.setattr(model_module, "_SDDN_CHUNK", chunk)
+@pytest.mark.parametrize("dwell", [6, 20, 7])
+def test_sddn_draws_one_piece_at_a_time(dwell):
+    # One (s, n) draw per dwell block, in block order: together they are
+    # the stream of consecutive (s, n) draws.
     n, r, s, alpha = 13, 3, 5, 50
     sig = SignalModel(make_random_basis(n, r, np.random.default_rng(1)), np.full(r, 12.0))
     supports = _moving_block(n, s, dwell, alpha)
@@ -412,48 +393,67 @@ def test_sddn_draws_one_piece_at_a_time(monkeypatch, dwell, chunk):
     rng = _RecordingRng(3)
     sample_sddn_batch(SddnModel(s=s, b0=0.5, q=0.3), sig.P, supports, a, rng,
                       lambdas=sig.lambdas, moments=True)
-    chunk = model_module._SDDN_CHUNK
-    sizes = [z.shape[0] for z in rng.draws]
-    assert max(sizes) == min(dwell, chunk)
-    for lo, hi in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
-        # Each draw lies inside one dwell block and one chunk.
-        assert lo // dwell == (hi - 1) // dwell and lo // chunk == (hi - 1) // chunk
-    whole = np.random.default_rng(3).standard_normal((alpha, s, n))
-    np.testing.assert_array_equal(np.concatenate(rng.draws), whole)
+    assert len(rng.draws) == -(-alpha // dwell)
+    stream = np.random.default_rng(3)
+    for z in rng.draws:
+        np.testing.assert_array_equal(z, stream.standard_normal((s, n)))
 
 
-@pytest.mark.parametrize("zero_top_eig", [0.0, -1e-18])
-def test_sddn_zero_norm_frame_is_redrawn(monkeypatch, zero_top_eig):
-    # zero_top_eig stands in for the value eigvalsh rounds a zero Gram
-    # matrix's top eigenvalue to; a negative one must still read as norm 0.
-    eigvalsh = np.linalg.eigvalsh
+@pytest.mark.parametrize("dwell", [1, 6])
+def test_sddn_one_dependency_matrix_per_dwell_block(dwell):
+    n, r, s, alpha = 13, 3, 5, 50
+    sig = SignalModel(make_random_basis(n, r, np.random.default_rng(1)), np.linspace(12.0, 8.0, r))
+    model = SddnModel(s=s, b0=0.5, q=0.3)
+    supports = _moving_block(n, s, dwell, alpha)
+    assert np.any(supports[:, 0] > n - s)  # some blocks wrap
+    _, a = sample_signal(sig, np.random.default_rng(2), alpha)
+    rng = _RecordingRng(3)
+    w, mom = sample_sddn_batch(model, sig.P, supports, a, rng, lambdas=sig.lambdas, moments=True)
+    starts = np.arange(0, alpha, dwell)
+    assert [z.shape for z in rng.draws] == [(s, n)] * len(starts)
+    pe = sig.P.entries
+    mean_m, mean_mlm = np.zeros((n, n)), np.zeros((n, n))
+    for z, lo in zip(rng.draws, starts):
+        hi, rows = min(lo + dwell, alpha), supports[lo]
+        block = w[rows, lo:hi]
+        assert np.linalg.matrix_rank(block) <= min(s, r)
+        if hi - lo >= r:
+            # The block is G a[:, lo:hi] for one s x r matrix G = scale M P.
+            g = np.linalg.lstsq(a[:, lo:hi].T, block.T, rcond=None)[0].T
+            assert_rel_close(g @ a[:, lo:hi], block)
+            assert np.linalg.norm(g, 2) == pytest.approx(model.q, rel=1e-12)
+        scaled = model.q * np.abs(z) / np.linalg.norm(np.abs(z) @ pe, 2)
+        for t in range(lo, hi):  # brute force, frame by frame
+            m_t = np.zeros((n, n))
+            m_t[rows] = scaled
+            assert_rel_close(w[:, t], m_t @ pe @ a[:, t])
+            mean_m += m_t
+            mean_mlm += m_t @ pe @ np.diag(sig.lambdas) @ pe.T @ m_t.T
+    assert_rel_close(mom.mean_m, mean_m / alpha)
+    assert_rel_close(mom.mean_mlm, mean_mlm / alpha)
 
-    def rounding_eigvalsh(x):
-        e = eigvalsh(x)
-        e[np.all(x == 0, axis=(-2, -1)), -1] = zero_top_eig
-        return e
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", rounding_eigvalsh)
-    n, r, s, alpha = 20, 4, 3, 3
+def test_sddn_zero_norm_block_is_redrawn():
+    # An all-zero draw gives M P = 0, whose norm is exactly 0, so the block
+    # is redrawn before the next block's draw.
+    n, r, s, alpha = 20, 4, 3, 4
     sig = SignalModel(make_random_basis(n, r, np.random.default_rng(1)), np.full(r, 12.0))
     model = SddnModel(s=s, b0=0.5, q=0.2)
-    supports = np.array([[0, 1, 2], [5, 6, 7], [10, 11, 12]])
+    supports = np.array([[0, 1, 2], [5, 6, 7], [5, 6, 7], [10, 11, 12]])
     _, a = sample_signal(sig, np.random.default_rng(2), alpha)
-    rng = _RecordingRng(3, zero_frame=1)
+    rng = _RecordingRng(3, zero_draw=1)
     w, mom = sample_sddn_batch(model, sig.P, supports, a, rng, lambdas=sig.lambdas, moments=True)
-    # One draw per frame (each frame is its own block); frame 1's redraw
-    # comes before frame 2's draw.
-    assert [z.shape for z in rng.draws] == [(1, s, n)] * 4
+    assert [z.shape for z in rng.draws] == [(s, n)] * 4
     assert np.all(rng.draws[1] == 0.0)
     assert np.all(np.isfinite(w))
     pe = sig.P.entries
-    for t, draw in [(0, 0), (1, 2), (2, 3)]:
-        g = np.abs(rng.draws[draw][0]) @ pe
+    for t, draw in [(0, 0), (1, 2), (2, 2), (3, 3)]:
+        g = np.abs(rng.draws[draw]) @ pe
         expected = model.q * g @ a[:, t] / np.linalg.norm(g, 2)
         np.testing.assert_allclose(w[supports[t], t], expected, rtol=1e-12)
-    # Disjoint supports: each frame's scaled M_{s,t} sits in its own rows.
-    for t in range(alpha):
-        scaled = alpha * mom.mean_m[supports[t]]
+    # Disjoint supports: each block's scaled M_{s,t} sits in its own rows.
+    for lo, frames in [(0, 1), (1, 2), (3, 1)]:
+        scaled = alpha / frames * mom.mean_m[supports[lo]]
         assert np.linalg.norm(scaled @ pe, 2) == pytest.approx(model.q, rel=1e-12)
 
 
