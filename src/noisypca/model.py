@@ -282,7 +282,7 @@ def sample_sddn_batch(model, p, supports, a_cols, rng, lambdas=None, moments=Fal
     for lo, hi in zip(edges[:-1], edges[1:]):
         rows = supports[lo]
         norm = 0.0
-        while norm == 0.0:  # ||M P|| = 0 has probability zero; redraw defensively.
+        while norm <= 0.0:  # ||M P|| = 0 has probability zero; redraw defensively.
             m = np.abs(rng.standard_normal((model.s, n)))
             g = m @ pe
             norm = np.linalg.norm(g, 2)

@@ -433,9 +433,18 @@ def test_sddn_one_dependency_matrix_per_dwell_block(dwell):
     assert_rel_close(mom.mean_mlm, mean_mlm / alpha)
 
 
-def test_sddn_zero_norm_block_is_redrawn():
-    # An all-zero draw gives M P = 0, whose norm is exactly 0, so the block
-    # is redrawn before the next block's draw.
+@pytest.mark.parametrize("zero_norm", [0.0, -1e-18])
+def test_sddn_zero_norm_frame_is_redrawn(monkeypatch, zero_norm):
+    # An all-zero draw gives M P = 0, so the block is redrawn before the
+    # next block's draw. zero_norm stands in for the value a norm routine
+    # may round the zero matrix's norm to; a negative one must still read
+    # as norm 0.
+    norm = np.linalg.norm
+
+    def rounding_norm(x, *args, **kwargs):
+        return zero_norm if not np.any(x) else norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", rounding_norm)
     n, r, s, alpha = 20, 4, 3, 4
     sig = SignalModel(make_random_basis(n, r, np.random.default_rng(1)), np.full(r, 12.0))
     model = SddnModel(s=s, b0=0.5, q=0.2)
