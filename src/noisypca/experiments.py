@@ -54,7 +54,7 @@ from .bounds import (
     success_floor,
 )
 from .errors import InfeasibleModel, InvalidExample, RankDeficient, SupportDegenerate, ValidationError
-from .estimator import DataBatch, estimate_rank_eigengap, estimate_rank_threshold, pca_estimate, sample_covariance
+from .estimator import DataBatch, estimate_rank_eigengap, estimate_rank_threshold, pca_estimate
 from .linalg import (
     BasisMatrix,
     incoherence,
@@ -72,14 +72,16 @@ from .model import (
     SddnModel,
     SignalModel,
     UncorrNoiseModel,
-    apply_missing_batch,
     derived_spectra,
     make_random_basis,
+    missing_blocks,
+    noise_coefficients,
     profile_scales,
     row_occupancy,
     sample_sddn_batch,
     sample_signal,
     sample_uncorr_noise,
+    signal_coefficients,
     substream,
     support_sequence,
 )
@@ -152,6 +154,15 @@ class ExperimentConfig:
             raise ValidationError(f"noise_rv must be >= 1, got {self.noise_rv}")
         if self.epsilon_rule == "fixed" and not 0 < self.epsilon_value < math.inf:
             raise ValidationError(f"fixed epsilon must be finite and positive, got {self.epsilon_value}")
+        # q0 / 1.2 is the sine of the starting estimate's largest angle.
+        if self.refine_q0 is not None and not 0 <= self.refine_q0 <= 1.2:
+            raise ValidationError(f"refine q0 must lie in [0, 1.2], got {self.refine_q0}")
+        if self.refine_stages is not None and self.refine_stages < 1:
+            raise ValidationError(f"refine stages must be >= 1, got {self.refine_stages}")
+        if self.refine_alpha_constant is not None and not 0 < self.refine_alpha_constant < math.inf:
+            raise ValidationError(
+                f"refine alpha_constant must be finite and positive, got {self.refine_alpha_constant}"
+            )
 
     def lambdas_for(self, r):
         lam = self.signal_lambdas
@@ -258,66 +269,91 @@ def _schedule(model, alpha):
     return None if model.sddn is None else support_sequence(model.n, model.sddn, alpha)
 
 
-def _range_frame(model, supports, alpha):
+def _basis(model):
+    """C = [P B]: P alone without noise and [P I] for full-dimensional noise.
+
+    Off the SDDN rows a column is y = C x with x = [a; c].
+    """
+    noise = model.noise
+    if noise is None:
+        return model.signal.P.entries
+    return np.hstack([model.signal.P.entries, np.eye(model.n) if noise.B is None else noise.B.entries])
+
+
+def _range_frame(model, supports):
     """Orthonormal frame F = [E_U | rest] whose span holds every column of a trial, or None.
 
-    A column is P a + B c + I_T M l, with the SDDN term (or, for missing
+    A column is P a + B c + I_T G a, with the SDDN term (or, for missing
     data, the erased entries) on support rows T. So every column lies in
-    span{e_i : i in U} + span(A), with U the distinct support rows and
-    A = [P B] (P without noise), and F = [E_U | orth(A_U)], where A_U is A
-    with rows U zeroed. Returns (U, orth(A_U)), or None where F gains
-    nothing or does not exist: full-dimensional noise (B is None),
-    k >= min(n, alpha), or a rank-deficient A_U. The size is checked first,
-    from a bincount alone; at k >= n, A_U would have fewer nonzero rows
-    than columns anyway.
+    span{e_i : i in U} + span(C), with U the distinct support rows and
+    C = [P B] (`_basis`), and F = [E_U | orth(C_U)], where C_U is C with
+    rows U zeroed. Returns (U, orth(C_U)), or None where F gains nothing or
+    does not exist: full-dimensional noise (B is None), k >= n, or a
+    rank-deficient C_U. The size is checked before C_U is orthonormalized.
     """
     noise = model.noise
     if noise is not None and noise.B is None:
         return None
     n = model.n
     rows = [] if supports is None else np.flatnonzero(np.bincount(supports.ravel(), minlength=n))
-    bases = [model.signal.P.entries] + ([] if noise is None else [noise.B.entries])
-    if len(rows) + sum(b.shape[1] for b in bases) >= min(n, alpha):
+    c_u = np.array(_basis(model))
+    if len(rows) + c_u.shape[1] >= n:
         return None
-    a_u = np.hstack(bases)
-    a_u[rows] = 0.0
+    c_u[rows] = 0.0
     try:
-        return rows, orthonormalize(a_u).entries
+        return rows, orthonormalize(c_u).entries
     except RankDeficient:
         return None
 
 
-def _draw(cfg, model, alpha, trial, supports, moments=False):
-    """Columns y = l + v + w of one trial, each part from its own substream.
+def _draw(cfg, model, alpha, trial, supports):
+    """Coefficients x = [a; c] and SDDN blocks of one trial, each from its own substream.
 
-    supports is the trial's schedule (`_schedule`). Returns (y, a, v, w,
-    sddn_moments), with l = P a; v, w and the moments are None where the
-    model has no such part.
+    supports is the trial's schedule (`_schedule`). The columns are
+    y = C x plus the block terms (`_covariance`), with l = P a and
+    v = B c; x has no c rows without noise, and blocks is [] without SDDN.
     """
     n, r = model.n, model.r
     seed = cfg.master_seed
-    y, a_cols = sample_signal(  # y holds l until v and w are added in place
-        model.signal, substream(seed, STREAM_SIGNAL, n, r, alpha, trial), alpha
-    )
-    v_cols = None
+    x = signal_coefficients(model.signal, substream(seed, STREAM_SIGNAL, n, r, alpha, trial), alpha)
     if model.noise is not None:
-        v_cols = sample_uncorr_noise(
-            model.noise, substream(seed, STREAM_NOISE, n, r, alpha, trial), alpha
-        )
-        y += v_cols
-    w_cols = sddn_moments = None
+        c = noise_coefficients(model.noise, substream(seed, STREAM_NOISE, n, r, alpha, trial), alpha)
+        x = np.vstack([x, c])
+    blocks = []
     if model.sddn is not None:
-        w_cols, sddn_moments = sample_sddn_batch(
-            model.sddn,
-            model.signal.P,
-            supports,
-            a_cols,
-            substream(seed, STREAM_SDDN, n, r, alpha, trial),
-            lambdas=model.signal.lambdas,
-            moments=moments,
+        blocks = sample_sddn_batch(
+            model.sddn, model.signal.P, supports, substream(seed, STREAM_SDDN, n, r, alpha, trial)
         )
-        y += w_cols
-    return y, a_cols, v_cols, w_cols, sddn_moments
+    return x, blocks
+
+
+def _covariance(c, x, blocks, frame=None):
+    """Sample covariance D of the columns y = C x + block terms, without forming them.
+
+    In a block (lo, hi, T, G) column t is y_t = C x_t + I_T G a_t, with a_t
+    the first r = G.shape[1] rows of x_t. So, with K = x x', K_a = a x'
+    over the block and K_aa its first r columns,
+
+        alpha D = C K C' + sum_blk (R + R' + I_T G K_aa G' I_T'),  R = I_T G K_a C',
+
+    formed as H C' + C H' + W with H = C K / 2 + sum_blk I_T G K_a (so the
+    B-part of C is multiplied once, not per block) and W the (T, T) sums.
+    With a frame (U, rest) from `_range_frame`, D is F'DF: C becomes
+    F'C = [C[U]; rest'C] and T its positions in U (rest is zero on U).
+    """
+    if frame is not None:
+        rows, rest = frame
+        c = np.vstack([c[rows], rest.T @ c])
+    h = c @ (x @ x.T) / 2.0
+    w = np.zeros((c.shape[0], c.shape[0]))
+    for lo, hi, t_rows, g in blocks:
+        if frame is not None:
+            t_rows = np.searchsorted(frame[0], t_rows)
+        gk = g @ (x[: g.shape[1], lo:hi] @ x[:, lo:hi].T)
+        h[t_rows] += gk
+        w[np.ix_(t_rows, t_rows)] += gk[:, : g.shape[1]] @ g.T
+    d = h @ c.T + w / 2.0
+    return (d + d.T) / x.shape[1]
 
 
 def _checked_se(se):
@@ -327,97 +363,93 @@ def _checked_se(se):
     return se
 
 
-def _pca_se(y, model, frame=None):
-    """(se of the top-r PCA estimate from the columns y, the Gram matrix used).
+def _pca_se(d, model, frame=None):
+    """se of the top-r PCA estimate from the sample covariance D.
 
-    With a frame (U, rest) from `_range_frame`, the work is done on the k
-    coordinates z = F'y, y[U] stacked on rest'y, whose k x k covariance
-    has the nonzero spectrum of yy'/alpha; its top-r eigenvectors u map
-    back as F u. Otherwise z = y. Then the smaller Gram matrix of z is
-    decomposed. With r <= alpha < k that is the alpha x alpha matrix
-    z'z/alpha, which has the nonzero spectrum of zz'/alpha: its top-r
-    eigenvectors V give z v_i = sigma_i u_i, so the columns of zV scaled
-    to unit norm are the estimate. Otherwise it is the k x k sample
-    covariance of z.
+    With a frame (U, rest) from `_range_frame`, D is the k x k covariance
+    in frame coordinates (`_covariance`), which has the nonzero spectrum of
+    the n x n one; its top-r eigenvectors u map back as F u.
     """
-    alpha = y.shape[1]
-    z = y if frame is None else np.vstack([y[frame[0]], frame[1].T @ y])
-    if model.r <= alpha < z.shape[0]:
-        gram = z.T @ z / alpha
-        gram = (gram + gram.T) / 2.0
-        u = z @ top_r_eigvecs(gram, model.r).entries
-        u /= np.linalg.norm(u, axis=0)
-    else:
-        gram = sample_covariance(DataBatch(z))
-        u = top_r_eigvecs(gram, model.r).entries
+    u = top_r_eigvecs(d, model.r).entries
     if frame is not None:
         rows, rest = frame
         coords = u[: len(rows)]
         u = rest @ u[len(rows):]
         u[rows] = coords  # rest is zero on the rows U
-    return _checked_se(subspace_error(BasisMatrix(u), model.signal.P)), gram
+    return _checked_se(subspace_error(BasisMatrix(u), model.signal.P))
+
+
+def _trial(cfg, model, alpha, trial):
+    """(D, frame, x, blocks) of one trial, D in the frame's coordinates."""
+    supports = _schedule(model, alpha)
+    x, blocks = _draw(cfg, model, alpha, trial, supports)
+    frame = _range_frame(model, supports)
+    return _covariance(_basis(model), x, blocks, frame), frame, x, blocks
 
 
 def _se_measure(cfg, model, alpha, trial):
     """Subspace error of one trial (bound tightness, phase transition)."""
-    supports = _schedule(model, alpha)
-    y = _draw(cfg, model, alpha, trial, supports)[0]
-    return _pca_se(y, model, _range_frame(model, supports, alpha))[0]
+    d, frame = _trial(cfg, model, alpha, trial)[:2]
+    return _pca_se(d, model, frame)
 
 
 def _deviation_measure(cfg, model, alpha, trial):
     """The five batch deviation norms (aa, lw, ww, lv, vv) of one trial.
 
-    l = P a and v = B c with orthonormal P and B, and ||P X|| = ||X||, so lw,
-    lv and vv are the norms of a w'/alpha - Lambda P' mean_m' (r x n),
-    a c'/alpha (r x r_v) and c c'/alpha - diag(sigma^2) (r_v x r_v), with
-    c = B'v (c = v when B is None).
+    l = P a and v = B c with orthonormal P and B, and ||P X|| = ||X||, so aa,
+    lv and vv are the norms of the blocks of x x'/alpha less their
+    expectations. A block (lo, hi, T, G) adds w = I_T G a, so alpha times
+    a w'/alpha - Lambda P' mean_m' (r x n) adds (K_aa - (hi - lo) Lambda) G'
+    on columns T, and alpha times w w'/alpha - mean_mlm adds G times that
+    on (T, T).
     """
-    supports = _schedule(model, alpha)
-    y, a_cols, v_cols, w_cols, moments = _draw(cfg, model, alpha, trial, supports, moments=True)
+    d, frame, x, blocks = _trial(cfg, model, alpha, trial)
     # Not reported, but every trial's estimate is checked.
-    _pca_se(y, model, _range_frame(model, supports, alpha))
-    lambdas = model.signal.lambdas
-    dev_aa = np.linalg.norm(a_cols @ a_cols.T / alpha - np.diag(lambdas), 2)
+    _pca_se(d, model, frame)
+    r, lambdas = model.r, model.signal.lambdas
+    k = x @ x.T / alpha
+    dev_aa = np.linalg.norm(k[:r, :r] - np.diag(lambdas), 2)
     dev_lw = dev_ww = 0.0
-    if w_cols is not None:
-        pm = model.signal.P.entries.T @ moments.mean_m.T
-        dev_lw = np.linalg.norm(a_cols @ w_cols.T / alpha - lambdas[:, None] * pm, 2)
-        dev_ww = np.linalg.norm(w_cols @ w_cols.T / alpha - moments.mean_mlm, 2)
+    if blocks:
+        lw, ww = np.zeros((r, model.n)), np.zeros((model.n, model.n))
+        for lo, hi, rows, g in blocks:
+            a = x[:r, lo:hi]
+            e = (a @ a.T - (hi - lo) * np.diag(lambdas)) @ g.T
+            lw[:, rows] += e
+            ww[np.ix_(rows, rows)] += g @ e
+        dev_lw = np.linalg.norm(lw / alpha, 2)
+        dev_ww = np.linalg.norm(ww / alpha, 2)
     dev_lv = dev_vv = 0.0
-    if v_cols is not None:
-        noise = model.noise
-        c_cols = v_cols if noise.B is None else noise.B.entries.T @ v_cols
-        dev_lv = np.linalg.norm(a_cols @ c_cols.T / alpha, 2)
-        dev_vv = np.linalg.norm(c_cols @ c_cols.T / alpha - np.diag(noise.sigma2), 2)
+    if model.noise is not None:
+        dev_lv = np.linalg.norm(k[:r, r:], 2)
+        dev_vv = np.linalg.norm(k[r:, r:] - np.diag(model.noise.sigma2), 2)
     return (float(dev_aa), float(dev_lw), float(dev_ww), float(dev_lv), float(dev_vv))
 
 
 def _rank_measure(cfg, model, alpha, trial):
     """(threshold, eigengap) rank estimates of one trial.
 
-    The k x k Gram matrix that `_pca_se` decomposes (k = alpha, the frame
-    size or n) lacks the n - k zero eigenvalues of the sample covariance;
-    n - k zeros are padded on.
+    The k x k covariance that `_pca_se` decomposes (k the frame size or n)
+    lacks the n - k zero eigenvalues of the n x n one; they are padded on.
     """
-    supports = _schedule(model, alpha)
-    y = _draw(cfg, model, alpha, trial, supports)[0]
-    _, gram = _pca_se(y, model, _range_frame(model, supports, alpha))
-    w = np.linalg.eigvalsh(gram)[::-1]
+    d, frame = _trial(cfg, model, alpha, trial)[:2]
+    _pca_se(d, model, frame)
+    w = np.linalg.eigvalsh(d)[::-1]
     w = np.concatenate([w, np.zeros(model.n - len(w))])
     return estimate_rank_threshold(w, model.signal.lambda_minus), estimate_rank_eigengap(w)
 
 
 def _missing_measure(cfg, model, alpha, trial):
     """Subspace error of one trial with the support entries erased."""
-    l_cols, _ = sample_signal(
+    a = signal_coefficients(
         model.signal,
         substream(cfg.master_seed, STREAM_SIGNAL, model.n, model.r, alpha, trial),
         alpha,
     )
     supports = _schedule(model, alpha)
-    y = apply_missing_batch(l_cols, supports)
-    return _pca_se(y, model, _range_frame(model, supports, alpha))[0]
+    frame = _range_frame(model, supports)
+    d = _covariance(model.signal.P.entries, a, missing_blocks(model.signal.P, supports), frame)
+    return _pca_se(d, model, frame)
 
 
 def _adversarial_measure(cfg, model, alpha, trial):

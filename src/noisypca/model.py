@@ -4,8 +4,11 @@ Observation columns are y_t = l_t + w_t + v_t where l_t = P a_t is the
 signal (zero-mean coefficients with diagonal covariance Lambda), v_t is
 uncorrelated possibly non-isotropic noise with covariance Sigma_v, and
 w_t = M_t l_t is sparse data-dependent noise supported on a moving index
-block T_t. Model descriptions are immutable; sampling takes an explicit
-numpy Generator so there is no hidden global state.
+block T_t. The trials draw coefficients (a_t, and c_t with v_t = B c_t)
+and the per-block SDDN factors G = M_t P, never the n x alpha columns;
+missing data is the same form with G = -P_T. Model descriptions are
+immutable; sampling takes an explicit numpy Generator so there is no
+hidden global state.
 """
 
 from dataclasses import dataclass
@@ -89,14 +92,18 @@ class SignalModel:
         return 3.0 if self.distribution == "bounded_uniform" else 1.0
 
 
-def sample_signal(model, rng, count=1):
-    """Draw (l, a) with l = P a; columns are independent draws."""
+def signal_coefficients(model, rng, count=1):
+    """Draw the (r, count) signal coefficients a; columns are independent draws."""
     lam = model.lambdas
     if model.distribution == "bounded_uniform":
         half = np.sqrt(3.0 * lam)
-        a = rng.uniform(-1.0, 1.0, size=(model.r, count)) * half[:, None]
-    else:
-        a = rng.standard_normal((model.r, count)) * np.sqrt(lam)[:, None]
+        return rng.uniform(-1.0, 1.0, size=(model.r, count)) * half[:, None]
+    return rng.standard_normal((model.r, count)) * np.sqrt(lam)[:, None]
+
+
+def sample_signal(model, rng, count=1):
+    """Draw (l, a) with l = P a; columns are independent draws."""
+    a = signal_coefficients(model, rng, count)
     return model.P.entries @ a, a
 
 
@@ -151,12 +158,16 @@ class UncorrNoiseModel:
         return float(np.max(self.sigma2)) if self.scales.size else 0.0
 
 
+def noise_coefficients(model, rng, count=1):
+    """Draw the (r_v, count) noise coefficients c, v = B c (v = c when B is None)."""
+    if model.distribution == "bounded_uniform":
+        return rng.uniform(-1.0, 1.0, size=(model.r_v, count)) * model.scales[:, None]
+    return rng.standard_normal((model.r_v, count)) * model.scales[:, None]
+
+
 def sample_uncorr_noise(model, rng, count=1):
     """Draw v = B c; independent of any signal stream by construction."""
-    if model.distribution == "bounded_uniform":
-        c = rng.uniform(-1.0, 1.0, size=(model.r_v, count)) * model.scales[:, None]
-    else:
-        c = rng.standard_normal((model.r_v, count)) * model.scales[:, None]
+    c = noise_coefficients(model, rng, count)
     return c if model.B is None else model.B.entries @ c
 
 
@@ -232,81 +243,35 @@ def row_occupancy(supports, n):
     return float(np.max(counts) / alpha)
 
 
-@dataclass
-class SddnMoments:
-    """Realized-dependency aggregates needed for concentration checks.
-
-    mean_m is (1/alpha) sum_t M_t and mean_mlm is (1/alpha) sum_t
-    M_t P Lambda P' M_t', where M_t = I_{T_t} M_{s,t} is the scaled
-    dependency matrix of frame t. Expectations over the signal give
-    E[(1/alpha) sum l_t w_t'] = P Lambda P' mean_m' and
-    E[(1/alpha) sum w_t w_t'] = mean_mlm.
-    """
-
-    mean_m: np.ndarray
-    mean_mlm: np.ndarray
+def dwell_blocks(supports):
+    """[(lo, hi, rows)] for the runs of frames [lo, hi) that share support rows."""
+    moves = np.flatnonzero(np.any(supports[1:] != supports[:-1], axis=1)) + 1
+    edges = np.r_[0, moves, len(supports)]
+    return [(lo, hi, supports[lo]) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def sample_sddn_batch(model, p, supports, a_cols, rng, lambdas=None, moments=False):
-    """SDDN noise for a whole batch, one dependency matrix per dwell block.
+def sample_sddn_batch(model, p, supports, rng):
+    """SDDN factors for a whole batch, one dependency matrix per dwell block.
 
-    Parameters
-    ----------
-    model : SddnModel
-    p : BasisMatrix
-        True signal basis entering the normalization.
-    supports : (alpha, s) int ndarray
-    a_cols : (r, alpha) ndarray
-        Signal coefficients: the signal columns are l = P a, so
-        M l_t = (M P) a_t.
-    rng : numpy Generator
-        Drives the per-block |N(0,1)| dependency matrices.
-    lambdas : optional signal variances, required when moments=True.
-    moments : bool
-        Also accumulate the SddnMoments aggregates.
-
-    Returns
-    -------
-    (w_cols, moments_or_None)
+    Each dwell block [lo, hi) with support rows T draws one s x n matrix M of
+    |N(0,1)| entries from rng and returns (lo, hi, T, G) with the s x r factor
+    G = q M P / ||M P||, so that w_t = I_T G a_t for the frames of the block
+    (w_t = M_t l_t with l_t = P a_t and ||G|| = q).
     """
     pe = p.entries
-    n, alpha = pe.shape[0], a_cols.shape[1]
-    if moments and lambdas is None:
-        raise ValueError("moments=True needs the signal variances")
-    w = np.zeros((n, alpha))
-    mean_m = np.zeros((n, n)) if moments else None
-    mean_mlm = np.zeros((n, n)) if moments else None
-    # Each block [lo, hi) is a dwell block: the frames sharing support rows.
-    moves = np.flatnonzero(np.any(supports[1:] != supports[:-1], axis=1)) + 1
-    edges = np.r_[0, moves, alpha]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        rows = supports[lo]
+    blocks = []
+    for lo, hi, rows in dwell_blocks(supports):
         norm = 0.0
         while norm <= 0.0:  # ||M P|| = 0 has probability zero; redraw defensively.
-            m = np.abs(rng.standard_normal((model.s, n)))
-            g = m @ pe
+            g = np.abs(rng.standard_normal((model.s, pe.shape[0]))) @ pe
             norm = np.linalg.norm(g, 2)
-        scale = model.q / norm
-        w[rows, lo:hi] = (scale * g) @ a_cols[:, lo:hi]
-        if moments:
-            # Every frame of the block adds scale M to rows T and h h' to
-            # (T, T), with h = scale M P Lambda^(1/2).
-            mean_m[rows] += (hi - lo) * scale * m
-            h = scale * g * np.sqrt(lambdas)
-            mean_mlm[np.ix_(rows, rows)] += (hi - lo) * (h @ h.T)
-    if moments:
-        mean_m /= alpha
-        mean_mlm /= alpha
-        return w, SddnMoments(mean_m=mean_m, mean_mlm=mean_mlm)
-    return w, None
+        blocks.append((lo, hi, rows, (model.q / norm) * g))
+    return blocks
 
 
-def apply_missing_batch(l_cols, supports):
-    """Column-wise missing-data masking for a whole batch."""
-    y = np.array(l_cols, dtype=float, copy=True)
-    alpha = y.shape[1]
-    y[supports.T, np.arange(alpha)[None, :]] = 0.0
-    return y
+def missing_blocks(p, supports):
+    """Missing data as SDDN blocks: G = -P_T erases the support rows of P a."""
+    return [(lo, hi, rows, -p.entries[rows]) for lo, hi, rows in dwell_blocks(supports)]
 
 
 @dataclass(frozen=True)

@@ -480,6 +480,7 @@ def test_cli_bad_workers_exit_one(tmp_path):
         _assert_usage_error(_run_cli(args, str(tmp_path)))
     # The same values from a config file or NOISYPCA_SEED are config errors.
     no_seed = MINIMAL.replace("seed = 11\n", "")
+    refine = case_config_text("refine", ("alpha_grid = 1000", "trials = 1"))
     for command, text, env, message in (
         ("bound", MINIMAL.replace("seed = 11", "seed = -1"), {}, b"error:"),
         ("bound", MINIMAL + "c = nan\n", {}, b"error:"),
@@ -506,6 +507,16 @@ def test_cli_bad_workers_exit_one(tmp_path):
             "adversarial", case_config_text("adversarial", ("alpha_grid = 1000,2000", "trials = 1")), {},
             b"error: adversarial takes one alpha",
         ),
+        # [refine]: q0 / 1.2 is a sine, so q0 lies in [0, 1.2]; stages >= 1;
+        # alpha_constant finite and > 0.
+        ("refine", refine.replace("q0 = 0.06", "q0 = 2"), {}, b"error: refine q0"),
+        ("refine", refine.replace("q0 = 0.06", "q0 = nan"), {}, b"error: refine q0"),
+        ("refine", refine.replace("q0 = 0.06", "q0 = -0.5"), {}, b"error: refine q0"),
+        ("refine", refine.replace("stages = 4", "stages = 0"), {}, b"error: refine stages"),
+        ("refine", refine.replace("alpha_constant = 16", "alpha_constant = -1"), {},
+         b"error: refine alpha_constant"),
+        ("refine", refine.replace("alpha_constant = 16", "alpha_constant = inf"), {},
+         b"error: refine alpha_constant"),
     ):
         proc = _run_cli([command, "--config", write_cfg(tmp_path, text)], str(tmp_path), **env)
         assert proc.returncode == 1, proc.stderr

@@ -1,5 +1,6 @@
 """Experiment-engine tests: determinism, parallel equivalence, small runs."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,11 +21,14 @@ import noisypca.experiments as experiments
 from noisypca.experiments import (
     ExperimentConfig,
     GridResult,
+    _basis,
+    _covariance,
     _draw,
     _pca_se,
     _range_frame,
     _rank_measure,
     _schedule,
+    _trial,
     adversarial_experiment,
     adversarial_sigma,
     bound_tightness,
@@ -39,16 +43,21 @@ from noisypca.experiments import (
 )
 from noisypca.linalg import BasisMatrix, orthogonal_complement, orthonormalize, subspace_error, top_r_eigvecs
 from noisypca.model import (
+    STREAM_NOISE,
+    STREAM_SDDN,
+    STREAM_SIGNAL,
     SignalModel,
     UncorrNoiseModel,
-    apply_missing_batch,
     make_random_basis,
+    missing_blocks,
     sample_sddn_batch,
     sample_signal,
     sample_uncorr_noise,
+    signal_coefficients,
     substream,
     support_sequence,
 )
+from test_model import _reference_sddn_batch
 
 
 def small_cfg(**overrides):
@@ -79,7 +88,43 @@ def _reference_model(r, p):
     return SimpleNamespace(r=r, signal=SimpleNamespace(P=p))
 
 
-# --- subspace estimate from the smaller Gram matrix ---------------------------
+def _reference_columns(cfg, model, alpha, trial, supports, missing=False):
+    """(y, a, v, w, sddn moments) of one trial as explicit n x alpha columns.
+
+    The column form is the oracle of the moment form: the same substreams
+    drawn through `sample_signal`, `sample_uncorr_noise` and the reference
+    SDDN sampler, or for missing data l with its support rows erased.
+    v, w and the moments are None where the trial has no such part.
+    """
+    n, r, seed = model.n, model.r, cfg.master_seed
+    l, a = sample_signal(model.signal, substream(seed, STREAM_SIGNAL, n, r, alpha, trial), alpha)
+    y = l.copy()
+    if missing:
+        y[supports.T, np.arange(alpha)[None, :]] = 0.0
+        return y, a, None, None, None
+    v = w = moments = None
+    if model.noise is not None:
+        v = sample_uncorr_noise(model.noise, substream(seed, STREAM_NOISE, n, r, alpha, trial), alpha)
+        y += v
+    if model.sddn is not None:
+        w, moments = _reference_sddn_batch(
+            model.sddn, model.signal.P, supports, l, substream(seed, STREAM_SDDN, n, r, alpha, trial),
+            lambdas=model.signal.lambdas, moments=True,
+        )
+        y += w
+    return y, a, v, w, moments
+
+
+def _moment_parts(cfg, model, alpha, trial, supports, missing=False):
+    """(C, x, blocks) of one trial, as `_covariance` takes them."""
+    if missing:
+        rng = substream(cfg.master_seed, STREAM_SIGNAL, model.n, model.r, alpha, trial)
+        a = signal_coefficients(model.signal, rng, alpha)
+        return model.signal.P.entries, a, missing_blocks(model.signal.P, supports)
+    return (_basis(model), *_draw(cfg, model, alpha, trial, supports))
+
+
+# --- subspace estimate from the sample covariance ------------------------------
 
 @settings(derandomize=True, deadline=None)
 @given(
@@ -89,7 +134,9 @@ def _reference_model(r, p):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_pca_se_gram_path_matches_pca_estimate(n, r_frac, alpha_frac, seed):
-    # r <= alpha < n: the alpha x alpha Gram matrix gives the n x n estimate.
+    # r <= alpha < n: the n x n covariance gives the estimate of the
+    # alpha x alpha Gram matrix y'y/alpha, whose top-r eigenvectors V map
+    # back as the columns of yV scaled to unit norm.
     r = 1 + int(r_frac * (n - 2))
     alpha = r + int(alpha_frac * (n - 1 - r))
     rng = np.random.default_rng(seed)
@@ -97,9 +144,10 @@ def test_pca_se_gram_path_matches_pca_estimate(n, r_frac, alpha_frac, seed):
     left = make_random_basis(n, r, rng).entries
     right = make_random_basis(alpha, r, rng).entries
     y = (left * rng.uniform(1.0, 10.0, r)) @ right.T + 1e-3 * rng.standard_normal((n, alpha))
-    reference = pca_estimate(DataBatch(y), r)
-    se, gram = _pca_se(y, _reference_model(r, reference))
-    assert gram.shape == (alpha, alpha)
+    u = y @ top_r_eigvecs(y.T @ y / alpha, r).entries
+    reference = BasisMatrix(u / np.linalg.norm(u, axis=0))
+    assert subspace_error(reference, pca_estimate(DataBatch(y), r)) <= 1e-10
+    se = _pca_se(sample_covariance(DataBatch(y)), _reference_model(r, reference))
     assert se <= 1e-10
 
 
@@ -116,9 +164,7 @@ def test_pca_se_fewer_columns_than_rank_falls_back(n, r_frac, alpha_frac, seed):
     r = 2 + int(r_frac * (n - 2))
     alpha = 1 + int(alpha_frac * (r - 2))
     y = np.random.default_rng(seed).standard_normal((n, alpha))
-    se, gram = _pca_se(y, _reference_model(r, orthonormalize(y)))
-    assert gram.shape == (n, n)
-    assert np.array_equal(gram, sample_covariance(DataBatch(y)))
+    se = _pca_se(sample_covariance(DataBatch(y)), _reference_model(r, orthonormalize(y)))
     assert se <= 1e-10
 
 
@@ -128,15 +174,16 @@ def test_pca_se_fewer_columns_than_rank_falls_back(n, r_frac, alpha_frac, seed):
     + [pytest.param(400, alpha, id=f"n400-{alpha}") for alpha in (30, 100, 600)],
 )
 def test_rank_measure_matches_full_covariance(n, alpha):
-    # alpha < n pads the Gram spectrum with zeros; alpha >= n uses D itself.
-    # At n = 400 the range frame has k = 46 columns, so alpha = 100 and 600
-    # take it and pad the k x k spectrum with n - k zeros.
+    # The spectrum of D in frame coordinates is padded with n - k zeros.
+    # The frame (k = |U| + 6) is used wherever k < n: at n = 40 for
+    # alpha = 3 and 12 (k = 12 and 30), at n = 400 for every alpha (k = 36
+    # and 46). n = 40 at alpha = 40 and 90 decomposes D itself.
     cfg = small_cfg(n=n, alpha_grid=(alpha,))
     model = realize_model(cfg)
     supports = _schedule(model, alpha)
-    assert (_range_frame(model, supports, alpha) is not None) == (n == 400 and alpha > 46)
+    assert (_range_frame(model, supports) is not None) == (n == 400 or alpha < 40)
     for trial in range(3):
-        y = _draw(cfg, model, alpha, trial, supports)[0]
+        y = _reference_columns(cfg, model, alpha, trial, supports)[0]
         w = np.linalg.eigvalsh(sample_covariance(DataBatch(y)))[::-1]
         expected = (estimate_rank_threshold(w, model.signal.lambda_minus), estimate_rank_eigengap(w))
         assert _rank_measure(cfg, model, alpha, trial) == expected
@@ -148,7 +195,7 @@ FRAME_CASES = ("sddn with B", "sddn, no noise", "missing data", "no sddn")
 
 
 def _frame_trial(case, trial=0):
-    """(model, columns, frame) of one trial of a model whose frame has k < alpha < n."""
+    """(model, columns, frame, D in frame coordinates) of one trial whose frame has k < alpha < n."""
     cfg, alpha, missing = {
         "sddn with B": (small_cfg(n=400), 600, False),
         "sddn, no noise": (small_cfg(n=400, noise_rv=None), 600, False),
@@ -157,12 +204,10 @@ def _frame_trial(case, trial=0):
     }[case]
     model = realize_model(cfg)
     supports = _schedule(model, alpha)
-    if missing:
-        rng = substream(cfg.master_seed, experiments.STREAM_SIGNAL, model.n, model.r, alpha, trial)
-        y = apply_missing_batch(sample_signal(model.signal, rng, alpha)[0], supports)
-    else:
-        y = _draw(cfg, model, alpha, trial, supports)[0]
-    return model, y, _range_frame(model, supports, alpha)
+    y = _reference_columns(cfg, model, alpha, trial, supports, missing)[0]
+    frame = _range_frame(model, supports)
+    d = _covariance(*_moment_parts(cfg, model, alpha, trial, supports, missing), frame)
+    return model, y, frame, d
 
 
 def _dense_frame(n, frame):
@@ -173,7 +218,7 @@ def _dense_frame(n, frame):
 
 @pytest.mark.parametrize("case", FRAME_CASES)
 def test_range_frame_holds_every_column(case):
-    model, y, frame = _frame_trial(case)
+    model, y, frame, _ = _frame_trial(case)
     assert frame is not None
     f = _dense_frame(model.n, frame)
     assert f.shape[1] < y.shape[1]
@@ -183,46 +228,108 @@ def test_range_frame_holds_every_column(case):
 
 @pytest.mark.parametrize("case", FRAME_CASES)
 def test_pca_se_in_frame_matches_full_dimension(case):
-    model, y, frame = _frame_trial(case)
-    se_frame, d_frame = _pca_se(y, model, frame)
-    se_full, d_full = _pca_se(y, model)
+    model, y, frame, d_frame = _frame_trial(case)
+    d = sample_covariance(DataBatch(y))
+    se_frame = _pca_se(d_frame, model, frame)
+    se_full = _pca_se(d, model)
     k = len(frame[0]) + frame[1].shape[1]
     assert d_frame.shape == (k, k)
     assert se_frame == pytest.approx(se_full, rel=1e-12, abs=0.0)
     # The k x k spectrum padded with n - k zeros is that of the n x n D.
     padded = np.concatenate([np.linalg.eigvalsh(d_frame)[::-1], np.zeros(model.n - k)])
-    d = sample_covariance(DataBatch(y))
     assert np.max(np.abs(padded - np.linalg.eigvalsh(d)[::-1])) <= 1e-10 * np.linalg.norm(d, 2)
 
 
 def test_range_frame_none_cases_keep_gram_shapes(monkeypatch):
-    # Full-dimensional noise (B is None): no frame; alpha < n keeps the
-    # alpha x alpha Gram matrix and alpha >= n the n x n covariance.
+    # Full-dimensional noise (B is None): no frame, and D is n x n at any
+    # alpha (there is no alpha x alpha Gram matrix any more).
     cfg = small_cfg(n=400, noise_rv="n")
     model = realize_model(cfg)
-    for alpha, shape in ((200, (200, 200)), (600, (400, 400))):
-        supports = _schedule(model, alpha)
-        assert _range_frame(model, supports, alpha) is None
-        y = _draw(cfg, model, alpha, 0, supports)[0]
-        assert _pca_se(y, model, None)[1].shape == shape
+    for alpha in (200, 600):
+        assert _range_frame(model, _schedule(model, alpha)) is None
+        assert _trial(cfg, model, alpha, 0)[0].shape == (400, 400)
     # k >= n: the support rows cover all 40 coordinates, and the size check
     # alone says so.
     cfg = small_cfg(alpha_grid=(900,))
     model = realize_model(cfg)
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "orthonormalize", None)
-        assert _range_frame(model, _schedule(model, 900), 900) is None
-    # alpha <= k < n: the alpha x alpha Gram matrix is no larger than the
-    # k x k one, so no frame is built, and the size check alone says so.
+        assert _range_frame(model, _schedule(model, 900)) is None
+    assert _trial(cfg, model, 900, 0)[0].shape == (40, 40)
+    # alpha <= k < n: the frame is used whenever k < n, and D is k x k.
     cfg = small_cfg(n=400)
     model = realize_model(cfg)
     for alpha in (30, 36):
-        supports = _schedule(model, alpha)
-        with monkeypatch.context() as patch:
-            patch.setattr(experiments, "orthonormalize", None)
-            assert _range_frame(model, supports, alpha) is None
-        y = _draw(cfg, model, alpha, 0, supports)[0]
-        assert _pca_se(y, model, None)[1].shape == (alpha, alpha)
+        rows, rest = _range_frame(model, _schedule(model, alpha))
+        k = len(rows) + rest.shape[1]
+        assert alpha <= k < 400
+        assert _trial(cfg, model, alpha, 0)[0].shape == (k, k)
+
+
+def _wrapping_schedule(n, s, alpha, dwell):
+    """Blocks of s rows that start at row n - 1, so the first wraps modulo n."""
+    starts = (n - 1 + (np.arange(alpha) // dwell) * s) % n
+    return (starts[:, None] + np.arange(s)[None, :]) % n
+
+
+COVARIANCE_CASES = (
+    "sddn with B", "sddn, B = None", "sddn, no noise", "missing data", "no sddn",
+    "wrapping block", "wrapping block, frame", "frame, sddn with B", "frame, missing data",
+)
+
+
+@pytest.mark.parametrize("case", COVARIANCE_CASES)
+def test_covariance_matches_explicit_columns(case):
+    # The moment form equals the sample covariance of the n x alpha columns,
+    # in full coordinates and, where a frame exists, in frame coordinates.
+    cfg, alpha, missing, wrapping, has_frame = {
+        # (config, alpha, missing data, wrapping schedule, frame expected)
+        "sddn with B": (small_cfg(), 300, False, False, False),
+        "sddn, B = None": (small_cfg(noise_rv="n"), 300, False, False, False),
+        "sddn, no noise": (small_cfg(noise_rv=None), 300, False, False, False),
+        "missing data": (missing_cfg(), 300, True, False, False),
+        "no sddn": (small_cfg(sddn_enabled=False), 300, False, False, True),
+        "wrapping block": (small_cfg(n=41, sddn_s=3), 30, False, False, False),
+        "wrapping block, frame": (small_cfg(n=400), 200, False, True, True),
+        "frame, sddn with B": (small_cfg(n=400), 600, False, False, True),
+        "frame, missing data": (missing_cfg(n=400), 600, True, False, True),
+    }[case]
+    model = realize_model(cfg)
+    supports = _wrapping_schedule(model.n, cfg.sddn_s, alpha, 50) if wrapping else _schedule(model, alpha)
+    if "wrapping" in case:
+        assert any(rows[0] > rows[-1] for rows in supports)
+    y = _reference_columns(cfg, model, alpha, 0, supports, missing)[0]
+    parts = _moment_parts(cfg, model, alpha, 0, supports, missing)
+    d_ref = sample_covariance(DataBatch(y))
+    tol = 1e-12 * np.linalg.norm(d_ref, 2)
+    d = _covariance(*parts)
+    assert d.shape == (model.n, model.n)
+    assert np.array_equal(d, d.T)
+    assert np.max(np.abs(d - d_ref)) <= tol
+    frame = _range_frame(model, supports)
+    assert (frame is not None) == has_frame
+    if frame is not None:
+        f = _dense_frame(model.n, frame)
+        assert np.max(np.abs(_covariance(*parts, frame) - f.T @ d_ref @ f)) <= tol
+
+
+@pytest.mark.parametrize("measure", ["_se_measure", "_deviation_measure", "_rank_measure", "_missing_measure"])
+def test_measures_hold_no_n_by_alpha_columns(measure):
+    # A trial works on its coefficients and per-block moments: its traced
+    # peak stays below half of one n x alpha float matrix.
+    n, alpha = 100, 16000
+    fig1a = dict(n=n, r=5, sddn_s=5, alpha_grid=(alpha,))
+    cfg = missing_cfg(**fig1a) if measure == "_missing_measure" else small_cfg(**fig1a)
+    model = realize_model(cfg)
+    run = getattr(experiments, measure)
+    run(cfg, model, alpha, 0)  # first-call allocations are not the trial's
+    tracemalloc.start()
+    try:
+        run(cfg, model, alpha, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * alpha * 8 / 2
 
 
 def test_range_frame_rank_deficient_is_none():
@@ -231,7 +338,7 @@ def test_range_frame_rank_deficient_is_none():
     p = BasisMatrix(np.eye(n)[:, :r])
     model = SimpleNamespace(n=n, noise=None, signal=SimpleNamespace(P=p))
     supports = np.array([[0, 1, 2, 3]] * 10)
-    assert _range_frame(model, supports, 10) is None
+    assert _range_frame(model, supports) is None
 
 
 @pytest.mark.parametrize("measure", ["_se_measure", "_deviation_measure", "_rank_measure", "_missing_measure"])
@@ -288,18 +395,17 @@ def test_sddn_population_terms_within_expected_perturbation():
     cfg = small_cfg(noise_rv=None, alpha_grid=(600,), sddn_q=0.4, sddn_s=4, sddn_b0=0.2)
     model = realize_model(cfg)
     supports = support_sequence(model.n, model.sddn, 600)
-    from noisypca.model import sample_signal
-
-    _, a = sample_signal(model.signal, substream(5, 1, 40, 3, 600, 0), 600)
-    _, moments = sample_sddn_batch(
-        model.sddn, model.signal.P, supports, a, substream(5, 3, 40, 3, 600, 0),
-        lambdas=model.signal.lambdas, moments=True,
-    )
-    pe = model.signal.P.entries
-    sigma_l = (pe * model.signal.lambdas) @ pe.T
+    blocks = sample_sddn_batch(model.sddn, model.signal.P, supports, substream(5, 3, 40, 3, 600, 0))
+    # Every frame of a block (lo, hi, T, G) adds G' on the columns T of
+    # P' mean_m' and G Lambda G' on the (T, T) block of mean_mlm.
+    lambdas = model.signal.lambdas
+    pm, mean_mlm = np.zeros((model.r, model.n)), np.zeros((model.n, model.n))
+    for lo, hi, rows, g in blocks:
+        pm[:, rows] += (hi - lo) / 600 * g.T
+        mean_mlm[np.ix_(rows, rows)] += (hi - lo) / 600 * ((g * lambdas) @ g.T)
     b = cfg.sddn_b0 + cfg.sddn_s / 600
-    cross = np.linalg.norm(sigma_l @ moments.mean_m.T, 2)
-    power = np.linalg.norm(moments.mean_mlm, 2)
+    cross = np.linalg.norm(lambdas[:, None] * pm, 2)  # ||P Lambda P' mean_m'||
+    power = np.linalg.norm(mean_mlm, 2)
     assert cross <= np.sqrt(b) * cfg.sddn_q * 12.0 * (1 + 1e-9)
     assert power <= np.sqrt(b) * cfg.sddn_q**2 * 12.0 * (1 + 1e-9)
     num, den = expected_perturbation(model.spectra, cfg.sddn_q, b)
@@ -367,8 +473,7 @@ def test_concentration_check_zero_component_terms():
 def _reference_deviation_measure(cfg, model, alpha, trial):
     """The five deviation norms as n x n products over the alpha columns."""
     supports = _schedule(model, alpha)
-    y, a_cols, v_cols, w_cols, moments = _draw(cfg, model, alpha, trial, supports, moments=True)
-    _pca_se(y, model)
+    _, a_cols, v_cols, w_cols, moments = _reference_columns(cfg, model, alpha, trial, supports)
     lambdas = model.signal.lambdas
     pe = model.signal.P.entries
     l_cols = pe @ a_cols
@@ -444,12 +549,7 @@ def test_rank_delta_dominates_empirical_deviation():
     from noisypca.bounds import rank_delta
     from noisypca.estimator import sample_covariance, DataBatch
     from noisypca.experiments import bound_inputs
-    from noisypca.model import (
-        row_occupancy,
-        sample_signal,
-        sample_sddn_batch,
-        sample_uncorr_noise,
-    )
+    from noisypca.model import row_occupancy
 
     alpha, trials = 2000, 20
     cfg = small_cfg(alpha_grid=(alpha,), n_trials=trials)
@@ -464,12 +564,8 @@ def test_rank_delta_dominates_empirical_deviation():
     cap = delta * model.signal.lambda_minus
     hits = 0
     for trial in range(trials):
-        seed = cfg.master_seed
-        l, a = sample_signal(model.signal, substream(seed, 1, model.n, model.r, alpha, trial), alpha)
-        v = sample_uncorr_noise(model.noise, substream(seed, 2, model.n, model.r, alpha, trial), alpha)
-        w, _ = sample_sddn_batch(model.sddn, model.signal.P, supports, a,
-                                 substream(seed, 3, model.n, model.r, alpha, trial))
-        d = sample_covariance(DataBatch(l + v + w))
+        y = _reference_columns(cfg, model, alpha, trial, supports)[0]
+        d = sample_covariance(DataBatch(y))
         hits += np.linalg.norm(d - d0, 2) <= cap
     assert hits >= 0.95 * trials
 
@@ -827,6 +923,14 @@ def test_experiment_config_validation():
     for bad in (dict(r_grid=(0,)), dict(n_grid=(2, -3)), dict(noise_rv=0), dict(noise_rv=-1),
                 dict(epsilon_rule="fixed", epsilon_value=float("nan")),
                 dict(epsilon_rule="fixed", epsilon_value=0.0),
-                dict(epsilon_rule="fixed", epsilon_value=float("inf"))):
+                dict(epsilon_rule="fixed", epsilon_value=float("inf")),
+                # q0 / 1.2 is a sine; stages >= 1; alpha_constant finite and > 0.
+                dict(refine_q0=2.0), dict(refine_q0=float("nan")), dict(refine_q0=-0.5),
+                dict(refine_q0=float("inf")), dict(refine_stages=0), dict(refine_stages=-1),
+                dict(refine_alpha_constant=-1.0), dict(refine_alpha_constant=0.0),
+                dict(refine_alpha_constant=float("nan")), dict(refine_alpha_constant=float("inf"))):
         with pytest.raises(ValidationError):
             small_cfg(**bad)
+    for good in (dict(refine_q0=0.0), dict(refine_q0=1.2), dict(refine_stages=1),
+                 dict(refine_alpha_constant=0.5)):
+        small_cfg(**good)

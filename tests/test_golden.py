@@ -61,7 +61,8 @@ CASES = {
     "adversarial": ("adversarial", "adversarial", ("alpha_grid = 20000", "trials = 3"), ()),
     "refine": ("refine", "refine", ("alpha_grid = 1000", "trials = 1"), ()),
     "missing": ("missing", "missing", ("alpha_grid = 1000,3000", "trials = 3"), ()),
-    # alpha < n: the trials estimate from the alpha x alpha Gram matrix.
+    # alpha < n: fig1b decomposes the 110 x 110 D of its range frame, and
+    # missing-small-alpha the n x n D (its support rows cover all n).
     "rank-estimation-fig1b": ("fig1b", "rank-estimation", ("alpha_grid = 100,300", "trials = 2"), ()),
     "missing-small-alpha": ("missing", "missing", ("alpha_grid = 60", "trials = 2"), ()),
 }

@@ -1,6 +1,7 @@
 """Generative-model tests: sampling laws, support process, exact spectra."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,12 +13,11 @@ from noisypca.linalg import BasisMatrix, orthogonal_complement, incoherence
 from noisypca.model import (
     DerivedSpectra,
     SddnModel,
-    SddnMoments,
     SignalModel,
     UncorrNoiseModel,
-    apply_missing_batch,
     derived_spectra,
     make_random_basis,
+    missing_blocks,
     profile_scales,
     row_occupancy,
     sample_sddn_batch,
@@ -242,13 +242,36 @@ def test_row_occupancy_edge_cases():
 
 # --- sparse data-dependent noise ---------------------------------------------
 
+def _sddn_columns(n, blocks, a):
+    """The n x alpha columns w of per-block factors: w[T, lo:hi] = G a[:, lo:hi]."""
+    w = np.zeros((n, a.shape[1]))
+    for lo, hi, rows, g in blocks:
+        w[rows, lo:hi] = g @ a[:, lo:hi]
+    return w
+
+
+def _block_moments(n, blocks, lambdas, alpha):
+    """(P' mean_m', mean_mlm) of per-block factors.
+
+    Every frame of a block (lo, hi, T, G) adds G' = (scale M P)' on the
+    columns T of P' mean_m' and G Lambda G' on the (T, T) block of mean_mlm.
+    """
+    pm, mlm = np.zeros((len(lambdas), n)), np.zeros((n, n))
+    for lo, hi, rows, g in blocks:
+        pm[:, rows] += (hi - lo) * g.T
+        mlm[np.ix_(rows, rows)] += (hi - lo) * ((g * lambdas) @ g.T)
+    return pm / alpha, mlm / alpha
+
+
 def test_sddn_zero_amplitude(basis100):
     model = SddnModel(s=5, b0=0.05, q=0.0)
-    w, _ = sample_sddn_batch(
-        model, basis100, np.array([[3, 4, 5, 6, 7]]), np.ones((5, 1)), np.random.default_rng(0)
-    )
-    assert w.shape == (100, 1)
-    assert np.all(w == 0.0)
+    blocks = sample_sddn_batch(model, basis100, np.array([[3, 4, 5, 6, 7]]), np.random.default_rng(0))
+    [(lo, hi, rows, g)] = blocks
+    assert (lo, hi) == (0, 1)
+    assert list(rows) == [3, 4, 5, 6, 7]
+    assert g.shape == (5, 5)
+    assert np.all(g == 0.0)
+    assert np.all(_sddn_columns(100, blocks, np.ones((5, 1))) == 0.0)
 
 
 def test_sddn_support_and_normalization(basis100):
@@ -256,24 +279,23 @@ def test_sddn_support_and_normalization(basis100):
     sig = SignalModel(basis100, np.full(5, 12.0))
     supports = support_sequence(100, model, 40)
     _, a = sample_signal(sig, np.random.default_rng(1), 40)
-    w, moments = sample_sddn_batch(
-        model, basis100, supports, a, np.random.default_rng(2),
-        lambdas=sig.lambdas, moments=True,
-    )
+    blocks = sample_sddn_batch(model, basis100, supports, np.random.default_rng(2))
+    # The blocks tile the frames; each covers frames that share its rows,
+    # and its factor G = scale M P has spectral norm exactly q.
+    assert [lo for lo, _, _, _ in blocks] == [0] + [hi for _, hi, _, _ in blocks[:-1]]
+    assert blocks[-1][1] == 40
+    for lo, hi, rows, g in blocks:
+        assert np.all(supports[lo:hi] == rows)
+        assert np.linalg.norm(g, 2) == pytest.approx(model.q, abs=1e-12)
     # Off-support rows are exactly zero.
+    w = _sddn_columns(100, blocks, a)
     for t in range(40):
         mask = np.ones(100, dtype=bool)
         mask[supports[t]] = False
         assert np.all(w[mask, t] == 0.0)
-    # Single-frame aggregate equals the scaled dependency matrix itself,
-    # whose product with P has spectral norm exactly q.
-    w1, m1 = sample_sddn_batch(
-        model, basis100, supports[:1], a[:, :1], np.random.default_rng(3),
-        lambdas=sig.lambdas, moments=True,
-    )
-    assert np.linalg.norm(m1.mean_m @ basis100.entries, 2) == pytest.approx(
-        model.q, abs=1e-12
-    )
+    # A single frame is one block of its own.
+    [(_, _, _, g1)] = sample_sddn_batch(model, basis100, supports[:1], np.random.default_rng(3))
+    assert np.linalg.norm(g1, 2) == pytest.approx(model.q, abs=1e-12)
 
 
 def test_sddn_norm_product_bound(basis100):
@@ -282,7 +304,7 @@ def test_sddn_norm_product_bound(basis100):
     sig = SignalModel(basis100, np.full(r, lam_plus))
     supports = support_sequence(100, model, 200)
     l, a = sample_signal(sig, np.random.default_rng(4), 200)
-    w, _ = sample_sddn_batch(model, basis100, supports, a, np.random.default_rng(5))
+    w = _sddn_columns(100, sample_sddn_batch(model, basis100, supports, np.random.default_rng(5)), a)
     cap = model.q * np.sqrt(eta * r * lam_plus)
     assert np.all(np.linalg.norm(w, axis=0) <= cap + 1e-12)
     assert np.all(np.linalg.norm(w, axis=0) <= model.q * np.linalg.norm(l, axis=0) + 1e-12)
@@ -293,7 +315,8 @@ def _reference_sddn_batch(model, p, supports, l_cols, rng, lambdas=None, moments
 
     It walks the frames one at a time, draws M when the support moves,
     normalizes by an SVD, forms M l_t over all n coordinates and scatters
-    the moments frame by frame with np.add.at.
+    the moments mean_m and mean_mlm frame by frame with np.add.at. Returns
+    (w, moments or None).
     """
     n, alpha = l_cols.shape
     pe = p.entries
@@ -314,7 +337,7 @@ def _reference_sddn_batch(model, p, supports, l_cols, rng, lambdas=None, moments
             h = scaled @ pe
             np.add.at(mean_mlm, (sup[:, None], sup[None, :]), (h * lambdas) @ h.T)
     if moments:
-        return w, SddnMoments(mean_m=mean_m / alpha, mean_mlm=mean_mlm / alpha)
+        return w, SimpleNamespace(mean_m=mean_m / alpha, mean_mlm=mean_mlm / alpha)
     return w, None
 
 
@@ -343,24 +366,27 @@ def assert_rel_close(actual, expected, rel=1e-12):
     ],
 )
 def test_sddn_matches_reference(n, r, s, dwell, alpha, moments):
+    # With moments, the factors also carry the reference's frame-by-frame
+    # moments, which the concentration trials take from them.
     sig = SignalModel(make_random_basis(n, r, np.random.default_rng(n + r)), np.linspace(12.0, 8.0, r))
     model = SddnModel(s=s, b0=0.5, q=0.3)
     supports = _moving_block(n, s, dwell, alpha)
     assert supports.max() < n and np.any(supports[:, 0] > n - s)  # some blocks wrap
     l, a = sample_signal(sig, np.random.default_rng(7), alpha)
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-    w, mom = sample_sddn_batch(model, sig.P, supports, a, rng, lambdas=sig.lambdas, moments=moments)
+    blocks = sample_sddn_batch(model, sig.P, supports, rng)
     w_ref, mom_ref = _reference_sddn_batch(
         model, sig.P, supports, l, ref_rng, lambdas=sig.lambdas, moments=moments
     )
     # Same draws: both generators end in the same state.
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    assert_rel_close(w, w_ref)
+    assert_rel_close(_sddn_columns(n, blocks, a), w_ref)
     if moments:
-        assert_rel_close(mom.mean_m, mom_ref.mean_m)
-        assert_rel_close(mom.mean_mlm, mom_ref.mean_mlm)
+        pm, mlm = _block_moments(n, blocks, sig.lambdas, alpha)
+        assert_rel_close(pm, sig.P.entries.T @ mom_ref.mean_m.T)
+        assert_rel_close(mlm, mom_ref.mean_mlm)
     else:
-        assert mom is None and mom_ref is None
+        assert mom_ref is None
 
 
 class _RecordingRng:
@@ -389,10 +415,8 @@ def test_sddn_draws_one_piece_at_a_time(dwell):
     n, r, s, alpha = 13, 3, 5, 50
     sig = SignalModel(make_random_basis(n, r, np.random.default_rng(1)), np.full(r, 12.0))
     supports = _moving_block(n, s, dwell, alpha)
-    _, a = sample_signal(sig, np.random.default_rng(2), alpha)
     rng = _RecordingRng(3)
-    sample_sddn_batch(SddnModel(s=s, b0=0.5, q=0.3), sig.P, supports, a, rng,
-                      lambdas=sig.lambdas, moments=True)
+    sample_sddn_batch(SddnModel(s=s, b0=0.5, q=0.3), sig.P, supports, rng)
     assert len(rng.draws) == -(-alpha // dwell)
     stream = np.random.default_rng(3)
     for z in rng.draws:
@@ -408,29 +432,34 @@ def test_sddn_one_dependency_matrix_per_dwell_block(dwell):
     assert np.any(supports[:, 0] > n - s)  # some blocks wrap
     _, a = sample_signal(sig, np.random.default_rng(2), alpha)
     rng = _RecordingRng(3)
-    w, mom = sample_sddn_batch(model, sig.P, supports, a, rng, lambdas=sig.lambdas, moments=True)
+    blocks = sample_sddn_batch(model, sig.P, supports, rng)
     starts = np.arange(0, alpha, dwell)
     assert [z.shape for z in rng.draws] == [(s, n)] * len(starts)
+    assert [lo for lo, _, _, _ in blocks] == list(starts)
+    w = _sddn_columns(n, blocks, a)
     pe = sig.P.entries
     mean_m, mean_mlm = np.zeros((n, n)), np.zeros((n, n))
-    for z, lo in zip(rng.draws, starts):
-        hi, rows = min(lo + dwell, alpha), supports[lo]
+    for z, (lo, hi, rows, g) in zip(rng.draws, blocks):
+        assert hi == min(lo + dwell, alpha)
+        assert np.array_equal(rows, supports[lo])
+        scaled = model.q * np.abs(z) / np.linalg.norm(np.abs(z) @ pe, 2)
+        assert_rel_close(g, scaled @ pe)
         block = w[rows, lo:hi]
         assert np.linalg.matrix_rank(block) <= min(s, r)
         if hi - lo >= r:
             # The block is G a[:, lo:hi] for one s x r matrix G = scale M P.
-            g = np.linalg.lstsq(a[:, lo:hi].T, block.T, rcond=None)[0].T
-            assert_rel_close(g @ a[:, lo:hi], block)
-            assert np.linalg.norm(g, 2) == pytest.approx(model.q, rel=1e-12)
-        scaled = model.q * np.abs(z) / np.linalg.norm(np.abs(z) @ pe, 2)
+            g_fit = np.linalg.lstsq(a[:, lo:hi].T, block.T, rcond=None)[0].T
+            assert_rel_close(g_fit @ a[:, lo:hi], block)
+            assert np.linalg.norm(g_fit, 2) == pytest.approx(model.q, rel=1e-12)
         for t in range(lo, hi):  # brute force, frame by frame
             m_t = np.zeros((n, n))
             m_t[rows] = scaled
             assert_rel_close(w[:, t], m_t @ pe @ a[:, t])
             mean_m += m_t
             mean_mlm += m_t @ pe @ np.diag(sig.lambdas) @ pe.T @ m_t.T
-    assert_rel_close(mom.mean_m, mean_m / alpha)
-    assert_rel_close(mom.mean_mlm, mean_mlm / alpha)
+    pm, mlm = _block_moments(n, blocks, sig.lambdas, alpha)
+    assert_rel_close(pm, pe.T @ mean_m.T / alpha)
+    assert_rel_close(mlm, mean_mlm / alpha)
 
 
 @pytest.mark.parametrize("zero_norm", [0.0, -1e-18])
@@ -445,37 +474,41 @@ def test_sddn_zero_norm_frame_is_redrawn(monkeypatch, zero_norm):
         return zero_norm if not np.any(x) else norm(x, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", rounding_norm)
-    n, r, s, alpha = 20, 4, 3, 4
+    n, r, s = 20, 4, 3
     sig = SignalModel(make_random_basis(n, r, np.random.default_rng(1)), np.full(r, 12.0))
     model = SddnModel(s=s, b0=0.5, q=0.2)
     supports = np.array([[0, 1, 2], [5, 6, 7], [5, 6, 7], [10, 11, 12]])
-    _, a = sample_signal(sig, np.random.default_rng(2), alpha)
     rng = _RecordingRng(3, zero_draw=1)
-    w, mom = sample_sddn_batch(model, sig.P, supports, a, rng, lambdas=sig.lambdas, moments=True)
+    blocks = sample_sddn_batch(model, sig.P, supports, rng)
     assert [z.shape for z in rng.draws] == [(s, n)] * 4
     assert np.all(rng.draws[1] == 0.0)
-    assert np.all(np.isfinite(w))
+    assert [(lo, hi) for lo, hi, _, _ in blocks] == [(0, 1), (1, 3), (3, 4)]
     pe = sig.P.entries
-    for t, draw in [(0, 0), (1, 2), (2, 2), (3, 3)]:
-        g = np.abs(rng.draws[draw]) @ pe
-        expected = model.q * g @ a[:, t] / np.linalg.norm(g, 2)
-        np.testing.assert_allclose(w[supports[t], t], expected, rtol=1e-12)
-    # Disjoint supports: each block's scaled M_{s,t} sits in its own rows.
-    for lo, frames in [(0, 1), (1, 2), (3, 1)]:
-        scaled = alpha / frames * mom.mean_m[supports[lo]]
-        assert np.linalg.norm(scaled @ pe, 2) == pytest.approx(model.q, rel=1e-12)
+    # Disjoint supports: each block's factor comes from its own draw.
+    for (lo, _, rows, g), draw in zip(blocks, [0, 2, 3]):
+        assert np.array_equal(rows, supports[lo])
+        assert np.all(np.isfinite(g))
+        mp = np.abs(rng.draws[draw]) @ pe
+        np.testing.assert_allclose(g, model.q * mp / np.linalg.norm(mp, 2), rtol=1e-12)
+        assert np.linalg.norm(g, 2) == pytest.approx(model.q, rel=1e-12)
 
 
 def test_apply_missing_cases():
+    # Missing data is SDDN with G = -P_T: with P = I the coefficients are
+    # the columns, and each column is erased on its own support only.
+    p = BasisMatrix(np.eye(3))
+
+    def erased(l, supports):
+        return l + _sddn_columns(3, missing_blocks(p, supports), l)
+
     l = np.array([[1.0], [2.0], [3.0]])
     empty = np.empty((1, 0), dtype=int)
-    np.testing.assert_array_equal(apply_missing_batch(l, empty), l)
-    np.testing.assert_array_equal(apply_missing_batch(l, np.array([[0, 1, 2]])), np.zeros((3, 1)))
-    np.testing.assert_array_equal(apply_missing_batch(l, np.array([[1]])), [[1.0], [0.0], [3.0]])
-    # Each column is erased on its own support and nowhere else.
+    np.testing.assert_array_equal(erased(l, empty), l)
+    np.testing.assert_array_equal(erased(l, np.array([[0, 1, 2]])), np.zeros((3, 1)))
+    np.testing.assert_array_equal(erased(l, np.array([[1]])), [[1.0], [0.0], [3.0]])
     two = np.array([[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
     np.testing.assert_array_equal(
-        apply_missing_batch(two, np.array([[0], [2]])), [[0.0, 4.0], [2.0, 5.0], [3.0, 0.0]]
+        erased(two, np.array([[0], [2]])), [[0.0, 4.0], [2.0, 5.0], [3.0, 0.0]]
     )
 
 
