@@ -53,8 +53,8 @@ from .bounds import (
     sddn_required_alpha,
     success_floor,
 )
-from .errors import InfeasibleModel, InvalidExample, RankDeficient, SupportDegenerate, ValidationError
-from .estimator import DataBatch, estimate_rank_eigengap, estimate_rank_threshold, pca_estimate
+from .errors import InfeasibleModel, InvalidExample, NoComplement, RankDeficient, ValidationError
+from .estimator import estimate_rank_eigengap, estimate_rank_threshold
 from .linalg import (
     BasisMatrix,
     incoherence,
@@ -77,10 +77,9 @@ from .model import (
     missing_blocks,
     noise_coefficients,
     profile_scales,
+    refine_blocks,
     row_occupancy,
     sample_sddn_batch,
-    sample_signal,
-    sample_uncorr_noise,
     signal_coefficients,
     substream,
     support_sequence,
@@ -254,9 +253,8 @@ def support_occupancy(model, alpha):
     The schedule is deterministic, so b is one number per (n, alpha); it is
     0 for a model without sparse data-dependent noise.
     """
-    if model.sddn is None:
-        return 0.0
-    return row_occupancy(support_sequence(model.n, model.sddn, alpha), model.n)
+    supports = _schedule(model, alpha)
+    return 0.0 if supports is None else row_occupancy(supports, model.n)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +304,12 @@ def _range_frame(model, supports):
         return None
 
 
+def _signal(cfg, model, alpha, *key):
+    """The r x alpha signal coefficients a of a trial, or of a refine stage (key = trial, stage)."""
+    rng = substream(cfg.master_seed, STREAM_SIGNAL, model.n, model.r, alpha, *key)
+    return signal_coefficients(model.signal, rng, alpha)
+
+
 def _draw(cfg, model, alpha, trial, supports):
     """Coefficients x = [a; c] and SDDN blocks of one trial, each from its own substream.
 
@@ -315,7 +319,7 @@ def _draw(cfg, model, alpha, trial, supports):
     """
     n, r = model.n, model.r
     seed = cfg.master_seed
-    x = signal_coefficients(model.signal, substream(seed, STREAM_SIGNAL, n, r, alpha, trial), alpha)
+    x = _signal(cfg, model, alpha, trial)
     if model.noise is not None:
         c = noise_coefficients(model.noise, substream(seed, STREAM_NOISE, n, r, alpha, trial), alpha)
         x = np.vstack([x, c])
@@ -370,7 +374,11 @@ def _pca_se(d, model, frame=None):
     in frame coordinates (`_covariance`), which has the nonzero spectrum of
     the n x n one; its top-r eigenvectors u map back as F u.
     """
-    u = top_r_eigvecs(d, model.r).entries
+    return _estimate_se(top_r_eigvecs(d, model.r).entries, model, frame)
+
+
+def _estimate_se(u, model, frame=None):
+    """se of the estimate spanned by the top-r eigenvectors u of D (`_pca_se`)."""
     if frame is not None:
         rows, rest = frame
         coords = u[: len(rows)]
@@ -429,23 +437,20 @@ def _deviation_measure(cfg, model, alpha, trial):
 def _rank_measure(cfg, model, alpha, trial):
     """(threshold, eigengap) rank estimates of one trial.
 
-    The k x k covariance that `_pca_se` decomposes (k the frame size or n)
-    lacks the n - k zero eigenvalues of the n x n one; they are padded on.
+    D is k x k (k the frame size or n) and lacks the n - k zero eigenvalues
+    of the n x n covariance; they are padded on. One `eigh` gives both the
+    spectrum and the estimate that `_estimate_se` checks.
     """
     d, frame = _trial(cfg, model, alpha, trial)[:2]
-    _pca_se(d, model, frame)
-    w = np.linalg.eigvalsh(d)[::-1]
-    w = np.concatenate([w, np.zeros(model.n - len(w))])
+    w, v = np.linalg.eigh(d)
+    _estimate_se(v[:, ::-1][:, : model.r], model, frame)
+    w = np.concatenate([w[::-1], np.zeros(model.n - len(w))])
     return estimate_rank_threshold(w, model.signal.lambda_minus), estimate_rank_eigengap(w)
 
 
 def _missing_measure(cfg, model, alpha, trial):
     """Subspace error of one trial with the support entries erased."""
-    a = signal_coefficients(
-        model.signal,
-        substream(cfg.master_seed, STREAM_SIGNAL, model.n, model.r, alpha, trial),
-        alpha,
-    )
+    a = _signal(cfg, model, alpha, trial)
     supports = _schedule(model, alpha)
     frame = _range_frame(model, supports)
     d = _covariance(model.signal.P.entries, a, missing_blocks(model.signal.P, supports), frame)
@@ -688,8 +693,8 @@ def adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussian"):
     d = np.zeros((r + 1, r + 1))
     for start in range(0, alpha, _ADVERSARIAL_CHUNK):
         count = min(_ADVERSARIAL_CHUNK, alpha - start)
-        l_cols, _ = sample_signal(signal, rng, count)
-        y = l_cols + sample_uncorr_noise(noise, rng, count)
+        # In the coordinates of [P u], P = [I; 0] and u = e_{r+1}: y = [a; c].
+        y = np.vstack([signal_coefficients(signal, rng, count), noise_coefficients(noise, rng, count)])
         d += y @ y.T
     d = (d + d.T) / (2.0 * alpha)
     se = subspace_error(top_r_eigvecs(d, r), signal.P)
@@ -711,6 +716,8 @@ def _tilted_basis(p, target_se, rng):
     """Basis at exact subspace error target_se from p (rotate first column)."""
     if target_se <= 0:
         return p
+    if p.r == p.n:
+        raise NoComplement(f"r = n = {p.n}: no direction outside span(P) to tilt the start toward")
     direction = rng.standard_normal(p.n)
     direction -= p.entries @ (p.entries.T @ direction)
     direction /= np.linalg.norm(direction)
@@ -726,9 +733,11 @@ def refinement_loop(cfg, trial=0):
 
     q0, the stage count and the sample-size constant come from cfg's
     refine_* fields. Starting from an estimate with error q0/1.2, each
-    stage builds error vectors e_t = I_T B_T^{-1} I_T' (I - Phat Phat') l_t
-    on a fresh batch, re-estimates the subspace from l_t + e_t, and should
-    contract the error by 0.3 per stage: se_k <= 0.25 * q0 * 0.3^(k-1).
+    stage re-estimates the subspace from l_t + e_t on a fresh batch and
+    should contract the error by 0.3: se_k <= 0.25 * q0 * 0.3^(k-1). The
+    error e_t = I_T B_T^{-1} I_T' (I - Phat Phat') l_t is SDDN with block
+    factor G = B_T^{-1} (P_T - Phat_T Phat'P) (`refine_blocks`), so D comes
+    from the signal coefficients by `_covariance` with C = P and no frame.
 
     It runs at one BLAS thread: the late-stage errors are tiny, and their
     last digits move with the thread count.
@@ -743,41 +752,19 @@ def refinement_loop(cfg, trial=0):
         raise ValidationError("refinement needs the sparse support model")
     n, r = cfg.n, cfg.r
     model = realize_model(cfg)
-    f = model.signal.f
+    p, f = model.signal.P, model.signal.f
     if 3.0 * np.sqrt(cfg.sddn_b0) * f >= 0.2:
         raise InfeasibleModel("refinement contraction requires 3 sqrt(b0) f < 0.2")
-    p = model.signal.P
     phat = _tilted_basis(p, q0 / 1.2, substream(cfg.master_seed, STREAM_AUX, n, r, trial))
+    # With eps_se = q/4 the sample-size formula is q-independent
+    # ((q f / eps)^2 = 16 f^2), so every stage takes the same batch size.
+    alpha = sddn_required_alpha(1.0, f, r, n, 0.25, constant)
+    supports = support_sequence(n, model.sddn, alpha)
     rows = []
-    q_stage = q0
     for k in range(1, stages + 1):
-        # With eps_se = q/4 the sample-size formula is q-independent
-        # ((q f / eps)^2 = 16 f^2), so the q -> 0 limit uses the same value.
-        alpha = sddn_required_alpha(max(q_stage, 1e-12), f, r, n,
-                                    max(q_stage, 1e-12) / 4.0, constant)
-        supports = support_sequence(n, model.sddn, alpha)
-        l_cols, _ = sample_signal(
-            model.signal, substream(cfg.master_seed, STREAM_SIGNAL, n, r, alpha, trial, k), alpha
-        )
-        resid = l_cols - phat.entries @ (phat.entries.T @ l_cols)
-        e_cols = np.zeros_like(l_cols)
-        starts = supports[:, 0]
-        for start in np.unique(starts):
-            frames = np.nonzero(starts == start)[0]
-            t_rows = supports[frames[0]]
-            pt = phat.entries[t_rows, :]
-            b_mat = np.eye(len(t_rows)) - pt @ pt.T
-            # Eigenvalues of B_T lie in (0, 1]; near-zero means the block is
-            # almost inside the estimated subspace.
-            if np.min(np.linalg.eigvalsh(b_mat)) < 1e-8:
-                raise SupportDegenerate(
-                    f"masked Gram matrix near-singular on block {t_rows}"
-                )
-            e_cols[np.ix_(t_rows, frames)] = np.linalg.solve(b_mat, resid[np.ix_(t_rows, frames)])
-        phat = pca_estimate(DataBatch(l_cols + e_cols), r)
-        se = subspace_error(phat, p)
-        rows.append((k, float(se), 0.25 * q0 * 0.3 ** (k - 1)))
-        q_stage *= 0.3
+        a = _signal(cfg, model, alpha, trial, k)
+        phat = top_r_eigvecs(_covariance(p.entries, a, refine_blocks(p, phat, supports)), r)
+        rows.append((k, subspace_error(phat, p), 0.25 * q0 * 0.3 ** (k - 1)))
     return GridResult(("stage", "se", "stage_bound"), rows)
 
 

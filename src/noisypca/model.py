@@ -6,7 +6,8 @@ uncorrelated possibly non-isotropic noise with covariance Sigma_v, and
 w_t = M_t l_t is sparse data-dependent noise supported on a moving index
 block T_t. The trials draw coefficients (a_t, and c_t with v_t = B c_t)
 and the per-block SDDN factors G = M_t P, never the n x alpha columns;
-missing data is the same form with G = -P_T. Model descriptions are
+missing data is G = -P_T, and refinement's e_t = I_T B_T^{-1} I_T'(I -
+Phat Phat') l_t is G = B_T^{-1}(P_T - Phat_T Phat'P). Model descriptions are
 immutable; sampling takes an explicit numpy Generator so there is no
 hidden global state.
 """
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRank, InvalidSupport, ValidationError
+from .errors import InvalidRank, InvalidSupport, SupportDegenerate, ValidationError
 from .linalg import BasisMatrix, orthonormalize
 
 # Stream labels for substream derivation; every sampled quantity in an
@@ -272,6 +273,24 @@ def sample_sddn_batch(model, p, supports, rng):
 def missing_blocks(p, supports):
     """Missing data as SDDN blocks: G = -P_T erases the support rows of P a."""
     return [(lo, hi, rows, -p.entries[rows]) for lo, hi, rows in dwell_blocks(supports)]
+
+
+def refine_blocks(p, phat, supports):
+    """Refinement error as SDDN blocks: G = B_T^{-1} (P_T - Phat_T Phat'P).
+
+    I_T G a_t is the error I_T B_T^{-1} I_T' (I - Phat Phat') P a_t, B_T = I -
+    Phat_T Phat_T'; one batched solve serves all blocks. Raises SupportDegenerate
+    when an eigenvalue of some B_T, all in (0, 1], is below 1e-8.
+    """
+    blocks = dwell_blocks(supports)
+    rows = np.array([t_rows for _, _, t_rows in blocks])
+    pe, ht = p.entries, phat.entries[rows]
+    b_mat = np.eye(rows.shape[1]) - ht @ ht.swapaxes(1, 2)
+    bad = np.flatnonzero(np.linalg.eigvalsh(b_mat)[:, 0] < 1e-8)
+    if bad.size:
+        raise SupportDegenerate(f"masked Gram matrix near-singular on block {rows[bad[0]]}")
+    g = np.linalg.solve(b_mat, pe[rows] - ht @ (phat.entries.T @ pe))
+    return [(lo, hi, t_rows, gt) for (lo, hi, t_rows), gt in zip(blocks, g)]
 
 
 @dataclass(frozen=True)

@@ -592,3 +592,20 @@ def test_cli_refine_subcommand(tmp_path, capsys):
     assert rc == 0
     assert out.splitlines()[0] == "stage,se,stage_bound"
     assert len(out.strip().splitlines()) == 3
+
+
+def test_cli_refine_full_rank_start_exits_one(tmp_path, capsys):
+    # With r = n there is no direction outside span(P) to tilt the start
+    # estimate toward, so a start at q0 > 0 cannot be built.
+    text = (
+        "[model]\nn = 5\nr = 5\nsignal_distribution = bounded_uniform\nsignal_lambdas = 12\n"
+        "noise_rv = none\nsddn = on\nsddn_s = 1\nsddn_b0 = 0.004\nsddn_rho = 1\nsddn_q = 0\n"
+        "[experiment]\nalpha_grid = 1000\ntrials = 1\nseed = 7\n"
+        "[refine]\nq0 = 0.06\nstages = 1\nalpha_constant = 16\n"
+    )
+    path = write_cfg(tmp_path, text, "refine-full-rank.cfg")
+    rc = main(["refine", "--config", path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "error: r = n = 5: no direction outside span(P)" in captured.err

@@ -1,6 +1,7 @@
 """Experiment-engine tests: determinism, parallel equivalence, small runs."""
 
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisypca.bounds import BoundInputs, expected_perturbation, sddn_bound
+from noisypca.bounds import BoundInputs, expected_perturbation, sddn_bound, sddn_required_alpha
+from noisypca.config import parse_config
 from noisypca.errors import (
     CorollaryInapplicable,
     InfeasibleModel,
@@ -28,6 +30,7 @@ from noisypca.experiments import (
     _range_frame,
     _rank_measure,
     _schedule,
+    _tilted_basis,
     _trial,
     adversarial_experiment,
     adversarial_sigma,
@@ -43,13 +46,16 @@ from noisypca.experiments import (
 )
 from noisypca.linalg import BasisMatrix, orthogonal_complement, orthonormalize, subspace_error, top_r_eigvecs
 from noisypca.model import (
+    STREAM_AUX,
     STREAM_NOISE,
     STREAM_SDDN,
     STREAM_SIGNAL,
     SignalModel,
     UncorrNoiseModel,
     make_random_basis,
+    dwell_blocks,
     missing_blocks,
+    refine_blocks,
     sample_sddn_batch,
     sample_signal,
     sample_uncorr_noise,
@@ -188,6 +194,19 @@ def test_rank_measure_matches_full_covariance(n, alpha):
         expected = (estimate_rank_threshold(w, model.signal.lambda_minus), estimate_rank_eigengap(w))
         assert _rank_measure(cfg, model, alpha, trial) == expected
 
+
+
+def test_rank_measure_decomposes_once(monkeypatch):
+    # One eigh gives both the spectrum for the rank rules and the checked
+    # estimate; the SDDN norms and the frame take SVDs, not eigensolves.
+    cfg = small_cfg(n=400, alpha_grid=(600,))
+    model = realize_model(cfg)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, _f=solve, _n=name: calls.append(_n) or _f(*args))
+    _rank_measure(cfg, model, 600, 0)
+    assert calls == ["eigh"]
 
 # --- estimate in an orthonormal frame of the exact range ----------------------
 
@@ -712,8 +731,6 @@ def test_refinement_single_stage_within_sddn_bound():
     res = refinement_loop(cfg, trial=0)
     stage, se, stage_bound = res.rows[0]
     model = realize_model(cfg)
-    from noisypca.bounds import sddn_required_alpha
-
     alpha = sddn_required_alpha(0.06, 1.0, 3, 240, 0.015, 16.0)
     supports = support_sequence(240, model.sddn, alpha)
     from noisypca.model import row_occupancy
@@ -739,6 +756,66 @@ def test_refinement_trajectory_contracts():
     assert all(se <= b for se, b in zip(ses, bounds_col))
     assert ses[-1] <= ses[0]
 
+
+
+def _refine_start(cfg, trial):
+    """(model, stage-1 alpha, start estimate) of a refinement trajectory."""
+    model = realize_model(cfg)
+    q0, n, r = cfg.refine_q0, cfg.n, cfg.r
+    alpha = sddn_required_alpha(q0, model.signal.f, r, n, q0 / 4.0, cfg.refine_alpha_constant)
+    phat = _tilted_basis(model.signal.P, q0 / 1.2, substream(cfg.master_seed, STREAM_AUX, n, r, trial))
+    return model, alpha, phat
+
+
+def _reference_refine_columns(cfg, model, alpha, phat, trial, k=1):
+    """The n x alpha columns l + e of refinement stage k, the column form.
+
+    l = P a is drawn from the stage's substream through `sample_signal`, and
+    e = I_T B_T^{-1} I_T' (I - Phat Phat') l is solved block by block on the
+    columns, as the stage did before it was built from moments.
+    """
+    n, r = model.n, model.r
+    l, _ = sample_signal(model.signal, substream(cfg.master_seed, STREAM_SIGNAL, n, r, alpha, trial, k), alpha)
+    resid = l - phat.entries @ (phat.entries.T @ l)
+    e = np.zeros_like(l)
+    for lo, hi, rows in dwell_blocks(support_sequence(n, model.sddn, alpha)):
+        ht = phat.entries[rows]
+        e[rows, lo:hi] = np.linalg.solve(np.eye(len(rows)) - ht @ ht.T, resid[rows, lo:hi])
+    return DataBatch(l + e)
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_refinement_stage_matches_column_form(trial):
+    # Stage 1 of the preset: D from the signal coefficients and the
+    # refine_blocks factors equals the sample covariance of l + e, and the
+    # reported se is that of PCA on the columns.
+    cfg = replace(parse_config("refine")[0], refine_stages=1)
+    model, alpha, phat = _refine_start(cfg, trial)
+    p = model.signal.P
+    columns = _reference_refine_columns(cfg, model, alpha, phat, trial)
+    d_ref = sample_covariance(columns)
+    a = signal_coefficients(
+        model.signal, substream(cfg.master_seed, STREAM_SIGNAL, cfg.n, cfg.r, alpha, trial, 1), alpha
+    )
+    d = _covariance(p.entries, a, refine_blocks(p, phat, support_sequence(cfg.n, model.sddn, alpha)))
+    assert np.max(np.abs(d - d_ref)) <= 1e-12 * np.linalg.norm(d_ref, 2)
+    se_ref = subspace_error(pca_estimate(columns, cfg.r), p)
+    assert refinement_loop(cfg, trial=trial).rows[0][1] == pytest.approx(se_ref, rel=1e-12, abs=0.0)
+
+
+def test_refinement_holds_no_n_by_alpha_columns():
+    # A preset-sized stage works on the signal coefficients and the per-block
+    # factors: its traced peak stays below half of one n x alpha float matrix.
+    cfg = replace(parse_config("refine")[0], refine_stages=1)
+    alpha = _refine_start(cfg, 0)[1]
+    refinement_loop(cfg, trial=0)  # first-call allocations are not the stage's
+    tracemalloc.start()
+    try:
+        refinement_loop(cfg, trial=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cfg.n * alpha * 8 / 2
 
 # --- missing data -----------------------------------------------------------------
 

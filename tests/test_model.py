@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisypca.errors import InvalidRank, InvalidSupport, ValidationError
+from noisypca.errors import InvalidRank, InvalidSupport, SupportDegenerate, ValidationError
 from noisypca.linalg import BasisMatrix, orthogonal_complement, incoherence
 from noisypca.model import (
     DerivedSpectra,
@@ -19,6 +19,7 @@ from noisypca.model import (
     make_random_basis,
     missing_blocks,
     profile_scales,
+    refine_blocks,
     row_occupancy,
     sample_sddn_batch,
     sample_signal,
@@ -511,6 +512,44 @@ def test_apply_missing_cases():
         erased(two, np.array([[0], [2]])), [[0.0, 4.0], [2.0, 5.0], [3.0, 0.0]]
     )
 
+
+
+def _tilted(p, rng, angle=0.3):
+    """A basis at a small angle from p: every column rotated toward the complement."""
+    comp = orthogonal_complement(p).entries[:, : p.r]
+    return BasisMatrix(np.cos(angle) * p.entries + np.sin(angle) * comp)
+
+
+def test_refine_blocks_match_error_columns():
+    # The blocks give the refinement error e = I_T B_T^{-1} I_T' (I - Phat
+    # Phat') P a column by column, also on a block that wraps modulo n.
+    n, r, s = 30, 3, 4
+    rng = np.random.default_rng(3)
+    p = make_random_basis(n, r, rng)
+    phat = _tilted(p, rng)
+    starts = np.repeat([0, 8, 28, 8], [5, 3, 4, 2])
+    supports = (starts[:, None] + np.arange(s)[None, :]) % n
+    a = rng.standard_normal((r, len(supports)))
+    resid = p.entries @ a - phat.entries @ (phat.entries.T @ (p.entries @ a))
+    expected = np.zeros_like(resid)
+    for t, rows in enumerate(supports):
+        ht = phat.entries[rows]
+        expected[rows, t] = np.linalg.solve(np.eye(s) - ht @ ht.T, resid[rows, t])
+    blocks = refine_blocks(p, phat, supports)
+    assert [(lo, hi) for lo, hi, _, _ in blocks] == [(0, 5), (5, 8), (8, 12), (12, 14)]
+    assert all(g.shape == (s, r) for _, _, _, g in blocks)
+    np.testing.assert_allclose(_sddn_columns(n, blocks, a), expected, rtol=0, atol=1e-13)
+
+
+def test_refine_blocks_support_degenerate():
+    # Phat holds e_4, so the block on row 4 has B_T = 1 - 1 = 0.
+    n = 10
+    p = make_random_basis(n, 2, np.random.default_rng(0))
+    phat = BasisMatrix(np.eye(n)[:, [4, 7]])
+    supports = np.array([[2], [2], [4], [4], [5]])
+    with pytest.raises(SupportDegenerate, match=r"block \[4\]"):
+        refine_blocks(p, phat, supports)
+    refine_blocks(p, phat, supports[:2])  # the other rows are fine
 
 # --- derived spectra ----------------------------------------------------------
 
