@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .bounds import general_bound, rank_delta
-from .experiments import bound_inputs, realize_model, support_occupancy, with_overrides
+from .experiments import bound_inputs, realize_model, with_overrides
 
 SEED_ENV_VAR = "NOISYPCA_SEED"
 
@@ -110,7 +110,7 @@ def _resolve_seed(flag_seed, config_seed):
 
 def _print_bound(cfg, alpha, out_path):
     model = realize_model(cfg)
-    inputs = bound_inputs(cfg, model, alpha, support_occupancy(model, alpha))
+    inputs = bound_inputs(cfg, model, alpha, exp._cell(model, alpha).b)
     report = general_bound(inputs)
     delta = rank_delta(inputs)
     s = model.spectra

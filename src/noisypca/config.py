@@ -146,8 +146,8 @@ def _alpha_grid(value, key):
         count = _as_int(parts[3], key)
         if not 0 < lo <= hi or count < 1:
             raise ConfigError("alpha_grid logspace bounds must satisfy 0 < lo <= hi")
-        grid = np.unique(np.rint(np.geomspace(lo, hi, count)).astype(int))
-        return tuple(int(a) for a in grid)
+        # Not np.unique: it imports numpy.ma, most of a cold parse's time.
+        return tuple(sorted({int(a) for a in np.rint(np.geomspace(lo, hi, count))}))
     return _int_list(value, key)
 
 

@@ -20,14 +20,15 @@ missing_data_experiment PCA on columns with erased blocks vs. the
 
 Every experiment that runs trials runs them through one runner,
 `_run_trials`, which applies the experiment's measure to each (grid cell,
-trial). Each (grid point, trial) owns an independent RNG substream,
-aggregation is order-independent, and every trial runs at one BLAS thread
-in whichever process runs it, so the CSV bytes are a pure function of
-(config, master_seed): identical across reruns, for any worker count and
-for any OPENBLAS_NUM_THREADS, as long as numpy's bundled OpenBLAS is found.
-`refinement_loop` runs whole at one BLAS thread too, so the same holds for
-it. The model realization and the bounds of the other experiments run at
-the caller's thread count.
+trial); a cell (`Cell`) is built once, so all its trials share its
+schedule, range frame and C. Each (grid point, trial) owns an independent
+RNG substream, aggregation is order-independent, and every trial runs at
+one BLAS thread in whichever process runs it, so the CSV bytes are a pure
+function of (config, master_seed): identical across reruns, for any worker
+count and for any OPENBLAS_NUM_THREADS, as long as numpy's bundled
+OpenBLAS is found. `refinement_loop` runs whole at one BLAS thread too, so
+the same holds for it. The model realization and the bounds of the other
+experiments run at the caller's thread count.
 """
 
 import contextlib
@@ -73,8 +74,8 @@ from .model import (
     SignalModel,
     UncorrNoiseModel,
     derived_spectra,
+    dwell_blocks,
     make_random_basis,
-    missing_blocks,
     noise_coefficients,
     profile_scales,
     refine_blocks,
@@ -247,62 +248,60 @@ def bound_inputs(cfg, model, alpha, b):
     )
 
 
-def support_occupancy(model, alpha):
-    """Realized per-row occupancy b of the support schedule at (n, alpha).
-
-    The schedule is deterministic, so b is one number per (n, alpha); it is
-    0 for a model without sparse data-dependent noise.
-    """
-    supports = _schedule(model, alpha)
-    return 0.0 if supports is None else row_occupancy(supports, model.n)
-
-
 # ---------------------------------------------------------------------------
-# Trial measures: one per kind of experiment, each a pure function of
-# (cfg, model, alpha, trial) that reduces one trial to what is reported
+# Grid cells, built once per (model, alpha), and trial measures: one per kind
+# of experiment, each a pure function of (cfg, cell, trial) that reduces one
+# trial to what is reported
 # ---------------------------------------------------------------------------
 
-def _schedule(model, alpha):
-    """The support schedule of a trial at alpha, or None without SDDN."""
-    return None if model.sddn is None else support_sequence(model.n, model.sddn, alpha)
+@dataclass(frozen=True)
+class Cell:
+    """A grid cell (model, alpha) and what all its trials share (`_cell`).
 
-
-def _basis(model):
-    """C = [P B]: P alone without noise and [P I] for full-dimensional noise.
-
-    Off the SDDN rows a column is y = C x with x = [a; c].
+    The adversarial trial draws its own basis, so its cell has no model.
     """
-    noise = model.noise
-    if noise is None:
-        return model.signal.P.entries
-    return np.hstack([model.signal.P.entries, np.eye(model.n) if noise.B is None else noise.B.entries])
+
+    model: object  # ModelRealization | None
+    alpha: int
+    blocks: object = ()  # the schedule's dwell blocks [(lo, hi, T)], T in D's coordinates
+    frame: object = None  # (U, rest), or None where D is n x n
+    c: object = None  # C = [P B] in D's coordinates
+    b: float = 0.0  # realized per-row occupancy, 0 without SDDN
 
 
-def _range_frame(model, supports):
-    """Orthonormal frame F = [E_U | rest] whose span holds every column of a trial, or None.
+def _cell(model, alpha):
+    """The cell of (model, alpha): schedule, exact-range frame and C, built once.
 
-    A column is P a + B c + I_T G a, with the SDDN term (or, for missing
-    data, the erased entries) on support rows T. So every column lies in
-    span{e_i : i in U} + span(C), with U the distinct support rows and
-    C = [P B] (`_basis`), and F = [E_U | orth(C_U)], where C_U is C with
-    rows U zeroed. Returns (U, orth(C_U)), or None where F gains nothing or
-    does not exist: full-dimensional noise (B is None), k >= n, or a
+    Off the support rows T a column is y = C x with x = [a; c] and C = [P B]
+    (P alone without noise, [P I] for full-dimensional noise), and the SDDN
+    term (or, for missing data, the erased entries) lies on the rows T. So
+    every column lies in span{e_i : i in U} + span(C), with U the distinct
+    support rows, and in the orthonormal frame F = [E_U | rest], rest =
+    orth(C_U) with C_U = C with rows U zeroed. With a frame, D is k x k in
+    frame coordinates: C becomes F'C = [C[U]; rest'C] and T its positions in
+    U (rest is zero on U). There is no frame where it gains nothing or does
+    not exist: full-dimensional noise (B is None), k >= n, or a
     rank-deficient C_U. The size is checked before C_U is orthonormalized.
     """
-    noise = model.noise
-    if noise is not None and noise.B is None:
-        return None
-    n = model.n
-    rows = [] if supports is None else np.flatnonzero(np.bincount(supports.ravel(), minlength=n))
-    c_u = np.array(_basis(model))
-    if len(rows) + c_u.shape[1] >= n:
-        return None
-    c_u[rows] = 0.0
-    try:
-        return rows, orthonormalize(c_u).entries
-    except RankDeficient:
-        return None
-
+    n, noise = model.n, model.noise
+    c = model.signal.P.entries
+    if noise is not None:
+        c = np.hstack([c, np.eye(n) if noise.B is None else noise.B.entries])
+    blocks, rows, b = [], [], 0.0
+    if model.sddn is not None:
+        supports = support_sequence(n, model.sddn, alpha)
+        blocks, b = dwell_blocks(supports), row_occupancy(supports, n)
+        rows = np.flatnonzero(np.bincount(supports.ravel(), minlength=n))
+    frame = None
+    if (noise is None or noise.B is not None) and len(rows) + c.shape[1] < n:
+        c_u = c.copy()
+        c_u[rows] = 0.0
+        with contextlib.suppress(RankDeficient):
+            frame = rows, orthonormalize(c_u).entries
+    if frame is not None:
+        c = np.vstack([c[rows], frame[1].T @ c])
+        blocks = [(lo, hi, np.searchsorted(rows, t)) for lo, hi, t in blocks]
+    return Cell(model, alpha, blocks, frame, c, b)
 
 def _signal(cfg, model, alpha, *key):
     """The r x alpha signal coefficients a of a trial, or of a refine stage (key = trial, stage)."""
@@ -310,13 +309,14 @@ def _signal(cfg, model, alpha, *key):
     return signal_coefficients(model.signal, rng, alpha)
 
 
-def _draw(cfg, model, alpha, trial, supports):
+def _draw(cfg, cell, trial):
     """Coefficients x = [a; c] and SDDN blocks of one trial, each from its own substream.
 
-    supports is the trial's schedule (`_schedule`). The columns are
-    y = C x plus the block terms (`_covariance`), with l = P a and
+    The blocks are the cell's dwell blocks with their factors G. The columns
+    are y = C x plus the block terms (`_covariance`), with l = P a and
     v = B c; x has no c rows without noise, and blocks is [] without SDDN.
     """
+    model, alpha = cell.model, cell.alpha
     n, r = model.n, model.r
     seed = cfg.master_seed
     x = _signal(cfg, model, alpha, trial)
@@ -326,12 +326,12 @@ def _draw(cfg, model, alpha, trial, supports):
     blocks = []
     if model.sddn is not None:
         blocks = sample_sddn_batch(
-            model.sddn, model.signal.P, supports, substream(seed, STREAM_SDDN, n, r, alpha, trial)
+            model.sddn, model.signal.P, cell.blocks, substream(seed, STREAM_SDDN, n, r, alpha, trial)
         )
     return x, blocks
 
 
-def _covariance(c, x, blocks, frame=None):
+def _covariance(c, x, blocks):
     """Sample covariance D of the columns y = C x + block terms, without forming them.
 
     In a block (lo, hi, T, G) column t is y_t = C x_t + I_T G a_t, with a_t
@@ -342,17 +342,11 @@ def _covariance(c, x, blocks, frame=None):
 
     formed as H C' + C H' + W with H = C K / 2 + sum_blk I_T G K_a (so the
     B-part of C is multiplied once, not per block) and W the (T, T) sums.
-    With a frame (U, rest) from `_range_frame`, D is F'DF: C becomes
-    F'C = [C[U]; rest'C] and T its positions in U (rest is zero on U).
+    C and T are in D's coordinates: in a cell's frame (`_cell`), D is F'DF.
     """
-    if frame is not None:
-        rows, rest = frame
-        c = np.vstack([c[rows], rest.T @ c])
     h = c @ (x @ x.T) / 2.0
     w = np.zeros((c.shape[0], c.shape[0]))
     for lo, hi, t_rows, g in blocks:
-        if frame is not None:
-            t_rows = np.searchsorted(frame[0], t_rows)
         gk = g @ (x[: g.shape[1], lo:hi] @ x[:, lo:hi].T)
         h[t_rows] += gk
         w[np.ix_(t_rows, t_rows)] += gk[:, : g.shape[1]] @ g.T
@@ -370,7 +364,7 @@ def _checked_se(se):
 def _pca_se(d, model, frame=None):
     """se of the top-r PCA estimate from the sample covariance D.
 
-    With a frame (U, rest) from `_range_frame`, D is the k x k covariance
+    With a cell's frame (U, rest) (`_cell`), D is the k x k covariance
     in frame coordinates (`_covariance`), which has the nonzero spectrum of
     the n x n one; its top-r eigenvectors u map back as F u.
     """
@@ -387,21 +381,18 @@ def _estimate_se(u, model, frame=None):
     return _checked_se(subspace_error(BasisMatrix(u), model.signal.P))
 
 
-def _trial(cfg, model, alpha, trial):
-    """(D, frame, x, blocks) of one trial, D in the frame's coordinates."""
-    supports = _schedule(model, alpha)
-    x, blocks = _draw(cfg, model, alpha, trial, supports)
-    frame = _range_frame(model, supports)
-    return _covariance(_basis(model), x, blocks, frame), frame, x, blocks
+def _trial(cfg, cell, trial):
+    """(D, x, blocks) of one trial, D in the cell's coordinates."""
+    x, blocks = _draw(cfg, cell, trial)
+    return _covariance(cell.c, x, blocks), x, blocks
 
 
-def _se_measure(cfg, model, alpha, trial):
+def _se_measure(cfg, cell, trial):
     """Subspace error of one trial (bound tightness, phase transition)."""
-    d, frame = _trial(cfg, model, alpha, trial)[:2]
-    return _pca_se(d, model, frame)
+    return _pca_se(_trial(cfg, cell, trial)[0], cell.model, cell.frame)
 
 
-def _deviation_measure(cfg, model, alpha, trial):
+def _deviation_measure(cfg, cell, trial):
     """The five batch deviation norms (aa, lw, ww, lv, vv) of one trial.
 
     l = P a and v = B c with orthonormal P and B, and ||P X|| = ||X||, so aa,
@@ -409,17 +400,20 @@ def _deviation_measure(cfg, model, alpha, trial):
     expectations. A block (lo, hi, T, G) adds w = I_T G a, so alpha times
     a w'/alpha - Lambda P' mean_m' (r x n) adds (K_aa - (hi - lo) Lambda) G'
     on columns T, and alpha times w w'/alpha - mean_mlm adds G times that
-    on (T, T).
+    on (T, T). Both are taken in D's coordinates, whose frame holds their
+    rows and columns, so the norms are those of the n-dimensional ones.
     """
-    d, frame, x, blocks = _trial(cfg, model, alpha, trial)
+    model, alpha = cell.model, cell.alpha
+    d, x, blocks = _trial(cfg, cell, trial)
     # Not reported, but every trial's estimate is checked.
-    _pca_se(d, model, frame)
+    _pca_se(d, model, cell.frame)
     r, lambdas = model.r, model.signal.lambdas
     k = x @ x.T / alpha
     dev_aa = np.linalg.norm(k[:r, :r] - np.diag(lambdas), 2)
     dev_lw = dev_ww = 0.0
     if blocks:
-        lw, ww = np.zeros((r, model.n)), np.zeros((model.n, model.n))
+        dim = len(cell.c)
+        lw, ww = np.zeros((r, dim)), np.zeros((dim, dim))
         for lo, hi, rows, g in blocks:
             a = x[:r, lo:hi]
             e = (a @ a.T - (hi - lo) * np.diag(lambdas)) @ g.T
@@ -434,34 +428,33 @@ def _deviation_measure(cfg, model, alpha, trial):
     return (float(dev_aa), float(dev_lw), float(dev_ww), float(dev_lv), float(dev_vv))
 
 
-def _rank_measure(cfg, model, alpha, trial):
+def _rank_measure(cfg, cell, trial):
     """(threshold, eigengap) rank estimates of one trial.
 
     D is k x k (k the frame size or n) and lacks the n - k zero eigenvalues
     of the n x n covariance; they are padded on. One `eigh` gives both the
     spectrum and the estimate that `_estimate_se` checks.
     """
-    d, frame = _trial(cfg, model, alpha, trial)[:2]
-    w, v = np.linalg.eigh(d)
-    _estimate_se(v[:, ::-1][:, : model.r], model, frame)
+    model = cell.model
+    w, v = np.linalg.eigh(_trial(cfg, cell, trial)[0])
+    _estimate_se(v[:, ::-1][:, : model.r], model, cell.frame)
     w = np.concatenate([w[::-1], np.zeros(model.n - len(w))])
     return estimate_rank_threshold(w, model.signal.lambda_minus), estimate_rank_eigengap(w)
 
 
-def _missing_measure(cfg, model, alpha, trial):
-    """Subspace error of one trial with the support entries erased."""
-    a = _signal(cfg, model, alpha, trial)
-    supports = _schedule(model, alpha)
-    frame = _range_frame(model, supports)
-    d = _covariance(model.signal.P.entries, a, missing_blocks(model.signal.P, supports), frame)
-    return _pca_se(d, model, frame)
+def _missing_measure(cfg, cell, trial):
+    """Subspace error of one trial with the support entries erased: G = -P_T, in D's coordinates."""
+    c = cell.c[:, : cell.model.r]
+    a = _signal(cfg, cell.model, cell.alpha, trial)
+    d = _covariance(c, a, [(lo, hi, t, -c[t]) for lo, hi, t in cell.blocks])
+    return _pca_se(d, cell.model, cell.frame)
 
 
-def _adversarial_measure(cfg, model, alpha, trial):
+def _adversarial_measure(cfg, cell, trial):
     """(se, deviation) of one adversarial trial; it draws its own basis."""
-    rng = substream(cfg.master_seed, STREAM_AUX, cfg.n, cfg.r, alpha, trial)
+    rng = substream(cfg.master_seed, STREAM_AUX, cfg.n, cfg.r, cell.alpha, trial)
     se, dev = adversarial_sigma(
-        cfg.n, cfg.r, alpha, cfg.lambdas_for(cfg.r), rng, distribution=cfg.signal_distribution
+        cfg.n, cfg.r, cell.alpha, cfg.lambdas_for(cfg.r), rng, distribution=cfg.signal_distribution
     )
     return _checked_se(se), dev
 
@@ -520,10 +513,11 @@ def _usable_cpus():
 
 
 def _run_trials(cfg, cells, measure, workers=1):
-    """measure(cfg, model, alpha, trial) for every trial of every grid cell.
+    """measure(cfg, cell, trial) for every trial of every grid cell.
 
-    cells is the experiment's whole grid as (model, alpha) pairs, each model
-    realized once by the caller. Returns one list per cell, in trial order.
+    cells is the experiment's whole grid as `Cell`s, each built once by the
+    caller and shared by all its trials. Returns one list per cell, in trial
+    order.
     The trials run in a process pool of min(workers, trials of the run,
     usable CPUs) processes, or in the calling process when that is 1: a
     pool starts all its processes at the first task, so more would only
@@ -536,7 +530,7 @@ def _run_trials(cfg, cells, measure, workers=1):
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     n = cfg.n_trials
-    tasks = [(cfg, model, alpha, t) for model, alpha in cells for t in range(n)]
+    tasks = [(cfg, cell, t) for cell in cells for t in range(n)]
     size = min(workers, len(tasks), _usable_cpus())
     with _one_blas_thread():
         if size <= 1:
@@ -549,13 +543,14 @@ def _run_trials(cfg, cells, measure, workers=1):
     return [results[i : i + n] for i in range(0, len(results), n)]
 
 
-def _alpha_sweep(cfg, model, measure, workers):
-    """(bound inputs, trial results) at each alpha of cfg's grid for one model."""
-    cells = [(model, alpha) for alpha in cfg.alpha_grid]
-    return [
-        (bound_inputs(cfg, model, alpha, support_occupancy(model, alpha)), results)
-        for alpha, results in zip(cfg.alpha_grid, _run_trials(cfg, cells, measure, workers))
-    ]
+def _alpha_sweep(cfg, model, measure, bound, workers):
+    """(alpha, bound(inputs), trial results) at each alpha of cfg's grid for one model.
+
+    Every cell and bound is built first: a bad alpha or model fails before any trial.
+    """
+    cells = [_cell(model, alpha) for alpha in cfg.alpha_grid]
+    bounds = [bound(bound_inputs(cfg, model, cell.alpha, cell.b)) for cell in cells]
+    return list(zip(cfg.alpha_grid, bounds, _run_trials(cfg, cells, measure, workers)))
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +599,8 @@ class GridResult:
 
 def bound_tightness(cfg, workers=1):
     """Mean/max subspace error and the c-calibrated bound per alpha."""
-    rows = [
-        (inputs.alpha, float(np.mean(ses)), float(np.max(ses)), general_bound(inputs).se_bound)
-        for inputs, ses in _alpha_sweep(cfg, realize_model(cfg), _se_measure, workers)
-    ]
+    sweep = _alpha_sweep(cfg, realize_model(cfg), _se_measure, lambda i: general_bound(i).se_bound, workers)
+    rows = [(alpha, float(np.mean(ses)), float(np.max(ses)), bound) for alpha, bound, ses in sweep]
     return GridResult(("alpha", "mean_se", "max_se", "bound"), rows)
 
 
@@ -632,33 +625,34 @@ def phase_transition(cfg, workers=1):
     values = cfg.r_grid if cfg.r_grid is not None else cfg.n_grid
     models = {v: realize_model(cfg, *((cfg.n, v) if axis_name == "r" else (v, cfg.r))) for v in values}
     eps = {v: success_epsilon(cfg, model) for v, model in models.items()}
-    cells = [(models[v], alpha) for v in values for alpha in cfg.alpha_grid]
+    cells = [_cell(models[v], alpha) for v in values for alpha in cfg.alpha_grid]
     rows = []
-    for (model, alpha), ses in zip(cells, _run_trials(cfg, cells, _se_measure, workers)):
-        value = getattr(model, axis_name)
+    for cell, ses in zip(cells, _run_trials(cfg, cells, _se_measure, workers)):
+        value = getattr(cell.model, axis_name)
         prob = np.mean([se <= eps[value] for se in ses])
-        rows.append((value, alpha, float(prob)))
+        rows.append((value, cell.alpha, float(prob)))
     return GridResult((axis_name, "alpha", "probability"), rows)
 
 
 def concentration_check(cfg, workers=1):
     """Median of each batch deviation norm against its concentration bound."""
     rows = []
-    for inputs, norms in _alpha_sweep(cfg, realize_model(cfg), _deviation_measure, workers):
-        limits = concentration_bounds(inputs)
+    for alpha, limits, norms in _alpha_sweep(
+        cfg, realize_model(cfg), _deviation_measure, concentration_bounds, workers
+    ):
         for idx, term in enumerate(DEVIATION_TERMS):
             med = median(t[idx] for t in norms)
-            rows.append((inputs.alpha, term, float(med), limits[term]))
+            rows.append((alpha, term, float(med), limits[term]))
     return GridResult(("alpha", "term_name", "empirical_median", "lemma_bound"), rows)
 
 
 def rank_estimation(cfg, workers=1):
     """Fraction of trials in which each rank estimator recovers the true r."""
     rows = []
-    for inputs, ranks in _alpha_sweep(cfg, realize_model(cfg), _rank_measure, workers):
-        p_thr = np.mean([thr == inputs.r for thr, _ in ranks])
-        p_gap = np.mean([gap == inputs.r for _, gap in ranks])
-        rows.append((inputs.alpha, rank_delta(inputs), float(p_thr), float(p_gap)))
+    for alpha, delta, ranks in _alpha_sweep(cfg, realize_model(cfg), _rank_measure, rank_delta, workers):
+        p_thr = np.mean([thr == cfg.r for thr, _ in ranks])
+        p_gap = np.mean([gap == cfg.r for _, gap in ranks])
+        rows.append((alpha, delta, float(p_thr), float(p_gap)))
     return GridResult(("alpha", "delta", "p_threshold", "p_gap"), rows)
 
 
@@ -707,7 +701,7 @@ def adversarial_experiment(cfg, workers=1):
     if len(cfg.alpha_grid) != 1:
         raise ValidationError(f"adversarial takes one alpha, got alpha_grid={cfg.alpha_grid}")
     # One cell and no shared model: every trial draws its own basis.
-    (results,) = _run_trials(cfg, [(None, cfg.alpha_grid[0])], _adversarial_measure, workers)
+    (results,) = _run_trials(cfg, [Cell(None, cfg.alpha_grid[0])], _adversarial_measure, workers)
     rows = [(trial, se, dev) for trial, (se, dev) in enumerate(results)]
     return GridResult(("trial", "se", "deviation"), rows)
 
@@ -759,11 +753,11 @@ def refinement_loop(cfg, trial=0):
     # With eps_se = q/4 the sample-size formula is q-independent
     # ((q f / eps)^2 = 16 f^2), so every stage takes the same batch size.
     alpha = sddn_required_alpha(1.0, f, r, n, 0.25, constant)
-    supports = support_sequence(n, model.sddn, alpha)
+    blocks = dwell_blocks(support_sequence(n, model.sddn, alpha))
     rows = []
     for k in range(1, stages + 1):
         a = _signal(cfg, model, alpha, trial, k)
-        phat = top_r_eigvecs(_covariance(p.entries, a, refine_blocks(p, phat, supports)), r)
+        phat = top_r_eigvecs(_covariance(p.entries, a, refine_blocks(p, phat, blocks)), r)
         rows.append((k, subspace_error(phat, p), 0.25 * q0 * 0.3 ** (k - 1)))
     return GridResult(("stage", "se", "stage_bound"), rows)
 
@@ -775,8 +769,8 @@ def missing_data_experiment(cfg, workers=1):
     model = realize_model(cfg)
     mu = incoherence(model.signal.P)
     q = missing_q(mu, model.r, cfg.sddn_s, model.n)
-    rows = [
-        (inputs.alpha, float(np.mean(ses)), float(np.max(ses)), sddn_bound(replace(inputs, q=q)).se_bound)
-        for inputs, ses in _alpha_sweep(cfg, model, _missing_measure, workers)
-    ]
+    sweep = _alpha_sweep(
+        cfg, model, _missing_measure, lambda inputs: sddn_bound(replace(inputs, q=q)).se_bound, workers
+    )
+    rows = [(alpha, float(np.mean(ses)), float(np.max(ses)), bound) for alpha, bound, ses in sweep]
     return GridResult(("alpha", "mean_se", "max_se", "bound"), rows)

@@ -245,44 +245,38 @@ def row_occupancy(supports, n):
 
 
 def dwell_blocks(supports):
-    """[(lo, hi, rows)] for the runs of frames [lo, hi) that share support rows."""
+    """[(lo, hi, rows)] for the runs of frames [lo, hi) that share support rows (copied)."""
     moves = np.flatnonzero(np.any(supports[1:] != supports[:-1], axis=1)) + 1
     edges = np.r_[0, moves, len(supports)]
-    return [(lo, hi, supports[lo]) for lo, hi in zip(edges[:-1], edges[1:])]
+    return [(lo, hi, supports[lo].copy()) for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def sample_sddn_batch(model, p, supports, rng):
+def sample_sddn_batch(model, p, blocks, rng):
     """SDDN factors for a whole batch, one dependency matrix per dwell block.
 
-    Each dwell block [lo, hi) with support rows T draws one s x n matrix M of
+    Each dwell block (lo, hi, T) (`dwell_blocks`) draws one s x n matrix M of
     |N(0,1)| entries from rng and returns (lo, hi, T, G) with the s x r factor
     G = q M P / ||M P||, so that w_t = I_T G a_t for the frames of the block
     (w_t = M_t l_t with l_t = P a_t and ||G|| = q).
     """
     pe = p.entries
-    blocks = []
-    for lo, hi, rows in dwell_blocks(supports):
+    out = []
+    for lo, hi, rows in blocks:
         norm = 0.0
         while norm <= 0.0:  # ||M P|| = 0 has probability zero; redraw defensively.
             g = np.abs(rng.standard_normal((model.s, pe.shape[0]))) @ pe
             norm = np.linalg.norm(g, 2)
-        blocks.append((lo, hi, rows, (model.q / norm) * g))
-    return blocks
+        out.append((lo, hi, rows, (model.q / norm) * g))
+    return out
 
 
-def missing_blocks(p, supports):
-    """Missing data as SDDN blocks: G = -P_T erases the support rows of P a."""
-    return [(lo, hi, rows, -p.entries[rows]) for lo, hi, rows in dwell_blocks(supports)]
-
-
-def refine_blocks(p, phat, supports):
-    """Refinement error as SDDN blocks: G = B_T^{-1} (P_T - Phat_T Phat'P).
+def refine_blocks(p, phat, blocks):
+    """Refinement error on the dwell blocks (lo, hi, T): G = B_T^{-1} (P_T - Phat_T Phat'P).
 
     I_T G a_t is the error I_T B_T^{-1} I_T' (I - Phat Phat') P a_t, B_T = I -
     Phat_T Phat_T'; one batched solve serves all blocks. Raises SupportDegenerate
     when an eigenvalue of some B_T, all in (0, 1], is below 1e-8.
     """
-    blocks = dwell_blocks(supports)
     rows = np.array([t_rows for _, _, t_rows in blocks])
     pe, ht = p.entries, phat.entries[rows]
     b_mat = np.eye(rows.shape[1]) - ht @ ht.swapaxes(1, 2)

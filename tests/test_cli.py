@@ -111,6 +111,12 @@ def test_logspace_grid_parses():
                                                "alpha_grid = logspace:29:7000:12"))
     assert len(cfg.alpha_grid) == 12
     assert cfg.alpha_grid[0] == 29 and cfg.alpha_grid[-1] == 7000
+    # Rounding can merge points: the grid is the sorted distinct integers.
+    for lo, hi, count in ((29, 7000, 12), (1, 10, 30), (5, 5, 3), (2, 9000, 200)):
+        cfg, _ = parse_config_text(MINIMAL.replace("alpha_grid = 200,400",
+                                                   f"alpha_grid = logspace:{lo}:{hi}:{count}"))
+        expected = np.unique(np.rint(np.geomspace(lo, hi, count)).astype(int))
+        assert cfg.alpha_grid == tuple(int(a) for a in expected)
 
 
 def test_describe_lists_every_field():
@@ -426,6 +432,24 @@ def _run_cli(args, cwd, **env_overrides):
         [sys.executable, "-m", "noisypca.cli", *args],
         capture_output=True, cwd=cwd, env=env,
     )
+
+
+def test_cli_run_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma takes about 16 ms to import in a fresh interpreter, and
+    # np.unique imports it: neither the config parser nor the trial path
+    # may pull it in.
+    script = (
+        "import sys\n"
+        "from noisypca.cli import main\n"
+        "rc = main(['bound-tightness', '--config', 'fig1a', '--trials', '1', '--out', 'out.csv'])\n"
+        "print(rc, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SOURCE_ROOT), os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"0", b"False"]
 
 
 def _assert_usage_error(proc):

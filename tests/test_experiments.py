@@ -22,14 +22,13 @@ from noisypca.estimator import DataBatch, estimate_rank_eigengap, estimate_rank_
 import noisypca.experiments as experiments
 from noisypca.experiments import (
     ExperimentConfig,
+    Cell,
     GridResult,
-    _basis,
+    _cell,
     _covariance,
     _draw,
     _pca_se,
-    _range_frame,
     _rank_measure,
-    _schedule,
     _tilted_basis,
     _trial,
     adversarial_experiment,
@@ -42,7 +41,6 @@ from noisypca.experiments import (
     realize_model,
     refinement_loop,
     success_epsilon,
-    support_occupancy,
 )
 from noisypca.linalg import BasisMatrix, orthogonal_complement, orthonormalize, subspace_error, top_r_eigvecs
 from noisypca.model import (
@@ -50,11 +48,11 @@ from noisypca.model import (
     STREAM_NOISE,
     STREAM_SDDN,
     STREAM_SIGNAL,
+    SddnModel,
     SignalModel,
     UncorrNoiseModel,
     make_random_basis,
     dwell_blocks,
-    missing_blocks,
     refine_blocks,
     sample_sddn_batch,
     sample_signal,
@@ -121,13 +119,23 @@ def _reference_columns(cfg, model, alpha, trial, supports, missing=False):
     return y, a, v, w, moments
 
 
-def _moment_parts(cfg, model, alpha, trial, supports, missing=False):
-    """(C, x, blocks) of one trial, as `_covariance` takes them."""
+def _supports(model, alpha):
+    """The support schedule of (model, alpha), or None without SDDN."""
+    return None if model.sddn is None else support_sequence(model.n, model.sddn, alpha)
+
+
+def _moment_parts(cfg, cell, trial, missing=False):
+    """(C, x, blocks) of one trial in the cell's coordinates, as `_covariance` takes them.
+
+    Missing data is G = -P_T; with a noise-free model C is P in the cell's
+    coordinates, so P_T is C[T].
+    """
     if missing:
+        model, alpha = cell.model, cell.alpha
         rng = substream(cfg.master_seed, STREAM_SIGNAL, model.n, model.r, alpha, trial)
         a = signal_coefficients(model.signal, rng, alpha)
-        return model.signal.P.entries, a, missing_blocks(model.signal.P, supports)
-    return (_basis(model), *_draw(cfg, model, alpha, trial, supports))
+        return cell.c, a, [(lo, hi, t, -cell.c[t]) for lo, hi, t in cell.blocks]
+    return (cell.c, *_draw(cfg, cell, trial))
 
 
 # --- subspace estimate from the sample covariance ------------------------------
@@ -186,13 +194,14 @@ def test_rank_measure_matches_full_covariance(n, alpha):
     # and 46). n = 40 at alpha = 40 and 90 decomposes D itself.
     cfg = small_cfg(n=n, alpha_grid=(alpha,))
     model = realize_model(cfg)
-    supports = _schedule(model, alpha)
-    assert (_range_frame(model, supports) is not None) == (n == 400 or alpha < 40)
+    supports = _supports(model, alpha)
+    cell = _cell(model, alpha)
+    assert (cell.frame is not None) == (n == 400 or alpha < 40)
     for trial in range(3):
         y = _reference_columns(cfg, model, alpha, trial, supports)[0]
         w = np.linalg.eigvalsh(sample_covariance(DataBatch(y)))[::-1]
         expected = (estimate_rank_threshold(w, model.signal.lambda_minus), estimate_rank_eigengap(w))
-        assert _rank_measure(cfg, model, alpha, trial) == expected
+        assert _rank_measure(cfg, cell, trial) == expected
 
 
 
@@ -200,12 +209,12 @@ def test_rank_measure_decomposes_once(monkeypatch):
     # One eigh gives both the spectrum for the rank rules and the checked
     # estimate; the SDDN norms and the frame take SVDs, not eigensolves.
     cfg = small_cfg(n=400, alpha_grid=(600,))
-    model = realize_model(cfg)
+    cell = _cell(realize_model(cfg), 600)
     calls = []
     for name in ("eigh", "eigvalsh"):
         solve = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name, lambda *args, _f=solve, _n=name: calls.append(_n) or _f(*args))
-    _rank_measure(cfg, model, 600, 0)
+    _rank_measure(cfg, cell, 0)
     assert calls == ["eigh"]
 
 # --- estimate in an orthonormal frame of the exact range ----------------------
@@ -222,11 +231,10 @@ def _frame_trial(case, trial=0):
         "no sddn": (small_cfg(n=400, sddn_enabled=False), 200, False),
     }[case]
     model = realize_model(cfg)
-    supports = _schedule(model, alpha)
-    y = _reference_columns(cfg, model, alpha, trial, supports, missing)[0]
-    frame = _range_frame(model, supports)
-    d = _covariance(*_moment_parts(cfg, model, alpha, trial, supports, missing), frame)
-    return model, y, frame, d
+    y = _reference_columns(cfg, model, alpha, trial, _supports(model, alpha), missing)[0]
+    cell = _cell(model, alpha)
+    d = _covariance(*_moment_parts(cfg, cell, trial, missing))
+    return model, y, cell.frame, d
 
 
 def _dense_frame(n, frame):
@@ -265,24 +273,27 @@ def test_range_frame_none_cases_keep_gram_shapes(monkeypatch):
     cfg = small_cfg(n=400, noise_rv="n")
     model = realize_model(cfg)
     for alpha in (200, 600):
-        assert _range_frame(model, _schedule(model, alpha)) is None
-        assert _trial(cfg, model, alpha, 0)[0].shape == (400, 400)
+        cell = _cell(model, alpha)
+        assert cell.frame is None
+        assert _trial(cfg, cell, 0)[0].shape == (400, 400)
     # k >= n: the support rows cover all 40 coordinates, and the size check
     # alone says so.
     cfg = small_cfg(alpha_grid=(900,))
     model = realize_model(cfg)
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "orthonormalize", None)
-        assert _range_frame(model, _schedule(model, 900)) is None
-    assert _trial(cfg, model, 900, 0)[0].shape == (40, 40)
+        cell = _cell(model, 900)
+    assert cell.frame is None
+    assert _trial(cfg, cell, 0)[0].shape == (40, 40)
     # alpha <= k < n: the frame is used whenever k < n, and D is k x k.
     cfg = small_cfg(n=400)
     model = realize_model(cfg)
     for alpha in (30, 36):
-        rows, rest = _range_frame(model, _schedule(model, alpha))
+        cell = _cell(model, alpha)
+        rows, rest = cell.frame
         k = len(rows) + rest.shape[1]
         assert alpha <= k < 400
-        assert _trial(cfg, model, alpha, 0)[0].shape == (k, k)
+        assert _trial(cfg, cell, 0)[0].shape == (k, k)
 
 
 def _wrapping_schedule(n, s, alpha, dwell):
@@ -298,9 +309,9 @@ COVARIANCE_CASES = (
 
 
 @pytest.mark.parametrize("case", COVARIANCE_CASES)
-def test_covariance_matches_explicit_columns(case):
-    # The moment form equals the sample covariance of the n x alpha columns,
-    # in full coordinates and, where a frame exists, in frame coordinates.
+def test_covariance_matches_explicit_columns(case, monkeypatch):
+    # The moment form equals the sample covariance of the n x alpha columns:
+    # D itself without a frame, F'DF with one, and then F (F'DF) F' is D.
     cfg, alpha, missing, wrapping, has_frame = {
         # (config, alpha, missing data, wrapping schedule, frame expected)
         "sddn with B": (small_cfg(), 300, False, False, False),
@@ -314,22 +325,25 @@ def test_covariance_matches_explicit_columns(case):
         "frame, missing data": (missing_cfg(n=400), 600, True, False, True),
     }[case]
     model = realize_model(cfg)
-    supports = _wrapping_schedule(model.n, cfg.sddn_s, alpha, 50) if wrapping else _schedule(model, alpha)
+    supports = _wrapping_schedule(model.n, cfg.sddn_s, alpha, 50) if wrapping else _supports(model, alpha)
+    if wrapping:  # the cell takes its schedule from support_sequence
+        monkeypatch.setattr(experiments, "support_sequence", lambda *args: supports)
     if "wrapping" in case:
         assert any(rows[0] > rows[-1] for rows in supports)
     y = _reference_columns(cfg, model, alpha, 0, supports, missing)[0]
-    parts = _moment_parts(cfg, model, alpha, 0, supports, missing)
+    cell = _cell(model, alpha)
     d_ref = sample_covariance(DataBatch(y))
     tol = 1e-12 * np.linalg.norm(d_ref, 2)
-    d = _covariance(*parts)
-    assert d.shape == (model.n, model.n)
+    d = _covariance(*_moment_parts(cfg, cell, 0, missing))
     assert np.array_equal(d, d.T)
-    assert np.max(np.abs(d - d_ref)) <= tol
-    frame = _range_frame(model, supports)
-    assert (frame is not None) == has_frame
-    if frame is not None:
-        f = _dense_frame(model.n, frame)
-        assert np.max(np.abs(_covariance(*parts, frame) - f.T @ d_ref @ f)) <= tol
+    assert (cell.frame is not None) == has_frame
+    if cell.frame is None:
+        assert d.shape == (model.n, model.n)
+        assert np.max(np.abs(d - d_ref)) <= tol
+    else:
+        f = _dense_frame(model.n, cell.frame)
+        assert np.max(np.abs(d - f.T @ d_ref @ f)) <= tol
+        assert np.max(np.abs(f @ d @ f.T - d_ref)) <= tol
 
 
 @pytest.mark.parametrize("measure", ["_se_measure", "_deviation_measure", "_rank_measure", "_missing_measure"])
@@ -339,12 +353,12 @@ def test_measures_hold_no_n_by_alpha_columns(measure):
     n, alpha = 100, 16000
     fig1a = dict(n=n, r=5, sddn_s=5, alpha_grid=(alpha,))
     cfg = missing_cfg(**fig1a) if measure == "_missing_measure" else small_cfg(**fig1a)
-    model = realize_model(cfg)
+    cell = _cell(realize_model(cfg), alpha)
     run = getattr(experiments, measure)
-    run(cfg, model, alpha, 0)  # first-call allocations are not the trial's
+    run(cfg, cell, 0)  # first-call allocations are not the trial's
     tracemalloc.start()
     try:
-        run(cfg, model, alpha, 1)
+        run(cfg, cell, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -352,26 +366,45 @@ def test_measures_hold_no_n_by_alpha_columns(measure):
 
 
 def test_range_frame_rank_deficient_is_none():
-    # P lies on the support rows, so A with those rows zeroed is 0.
+    # P lies on the support rows (0-3 in all 10 frames), so C with those
+    # rows zeroed is 0.
     n, r = 20, 3
     p = BasisMatrix(np.eye(n)[:, :r])
-    model = SimpleNamespace(n=n, noise=None, signal=SimpleNamespace(P=p))
-    supports = np.array([[0, 1, 2, 3]] * 10)
-    assert _range_frame(model, supports) is None
+    model = SimpleNamespace(n=n, noise=None, signal=SimpleNamespace(P=p), sddn=SddnModel(s=4, b0=1.0))
+    cell = _cell(model, 10)
+    assert [t.tolist() for _, _, t in cell.blocks] == [[0, 1, 2, 3]]
+    assert cell.frame is None
 
 
-@pytest.mark.parametrize("measure", ["_se_measure", "_deviation_measure", "_rank_measure", "_missing_measure"])
+EXPERIMENT_OF_MEASURE = {
+    "_se_measure": bound_tightness,
+    "_deviation_measure": concentration_check,
+    "_rank_measure": rank_estimation,
+    "_missing_measure": missing_data_experiment,
+}
+
+
+@pytest.mark.parametrize("measure", list(EXPERIMENT_OF_MEASURE))
 def test_one_support_schedule_per_trial(measure, monkeypatch):
-    calls = []
+    # The schedule is built once per cell and shared by all its trials.
+    calls, measured = [], []
 
     def counted(*args):
         calls.append(args)
         return support_sequence(*args)
 
+    def counted_measure(cfg, cell, trial, _run=getattr(experiments, measure)):
+        measured.append(trial)
+        return _run(cfg, cell, trial)
+
     monkeypatch.setattr(experiments, "support_sequence", counted)
-    cfg = missing_cfg(n=400, alpha_grid=(600,)) if measure == "_missing_measure" else small_cfg(n=400)
-    getattr(experiments, measure)(cfg, realize_model(cfg), 600, 0)
-    assert len(calls) == 1
+    monkeypatch.setattr(experiments, measure, counted_measure)
+    grid = (600, 1200)
+    make_cfg = missing_cfg if measure == "_missing_measure" else small_cfg
+    cfg = make_cfg(n=400, alpha_grid=grid)
+    EXPERIMENT_OF_MEASURE[measure](replace(cfg, n_trials=3))
+    assert len(measured) == 6
+    assert [args[2] for args in calls] == list(grid)
 
 
 # --- trials ------------------------------------------------------------------
@@ -390,7 +423,7 @@ def test_concentration_check_records_five_deviations():
     res = concentration_check(cfg)
     assert [row[1] for row in res.rows] == ["aa", "lw", "ww", "lv", "vv"]
     assert all(row[2] >= 0 for row in res.rows)
-    b = support_occupancy(realize_model(cfg), 300)
+    b = _cell(realize_model(cfg), 300).b
     assert 0 < b <= cfg.sddn_b0 + cfg.sddn_s / 300 + 1e-12
 
 
@@ -414,7 +447,8 @@ def test_sddn_population_terms_within_expected_perturbation():
     cfg = small_cfg(noise_rv=None, alpha_grid=(600,), sddn_q=0.4, sddn_s=4, sddn_b0=0.2)
     model = realize_model(cfg)
     supports = support_sequence(model.n, model.sddn, 600)
-    blocks = sample_sddn_batch(model.sddn, model.signal.P, supports, substream(5, 3, 40, 3, 600, 0))
+    rng = substream(5, 3, 40, 3, 600, 0)
+    blocks = sample_sddn_batch(model.sddn, model.signal.P, dwell_blocks(supports), rng)
     # Every frame of a block (lo, hi, T, G) adds G' on the columns T of
     # P' mean_m' and G Lambda G' on the (T, T) block of mean_mlm.
     lambdas = model.signal.lambdas
@@ -491,8 +525,7 @@ def test_concentration_check_zero_component_terms():
 
 def _reference_deviation_measure(cfg, model, alpha, trial):
     """The five deviation norms as n x n products over the alpha columns."""
-    supports = _schedule(model, alpha)
-    _, a_cols, v_cols, w_cols, moments = _reference_columns(cfg, model, alpha, trial, supports)
+    _, a_cols, v_cols, w_cols, moments = _reference_columns(cfg, model, alpha, trial, _supports(model, alpha))
     lambdas = model.signal.lambdas
     pe = model.signal.P.entries
     l_cols = pe @ a_cols
@@ -540,7 +573,7 @@ def test_deviation_measure_matches_full_dimension_reference(
     )
     model = realize_model(cfg)
     alpha = max(1, int(alpha_ratio * n))
-    got = experiments._deviation_measure(cfg, model, alpha, 0)
+    got = experiments._deviation_measure(cfg, _cell(model, alpha), 0)
     want = _reference_deviation_measure(cfg, model, alpha, 0)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -797,7 +830,8 @@ def test_refinement_stage_matches_column_form(trial):
     a = signal_coefficients(
         model.signal, substream(cfg.master_seed, STREAM_SIGNAL, cfg.n, cfg.r, alpha, trial, 1), alpha
     )
-    d = _covariance(p.entries, a, refine_blocks(p, phat, support_sequence(cfg.n, model.sddn, alpha)))
+    blocks = dwell_blocks(support_sequence(cfg.n, model.sddn, alpha))
+    d = _covariance(p.entries, a, refine_blocks(p, phat, blocks))
     assert np.max(np.abs(d - d_ref)) <= 1e-12 * np.linalg.norm(d_ref, 2)
     se_ref = subspace_error(pca_estimate(columns, cfg.r), p)
     assert refinement_loop(cfg, trial=trial).rows[0][1] == pytest.approx(se_ref, rel=1e-12, abs=0.0)
@@ -851,6 +885,26 @@ def test_missing_data_refuses_when_q_exceeds_one():
         missing_data_experiment(missing_cfg(sddn_s=50))
 
 
+@pytest.mark.parametrize("measure", list(EXPERIMENT_OF_MEASURE))
+def test_bad_bound_inputs_fail_before_any_trial(measure, monkeypatch):
+    # At alpha = 1 every support row is in the one frame, so b = 1: the
+    # bound inputs reject it before the good alpha's trials run.
+    calls = []
+    monkeypatch.setattr(experiments, measure, lambda *args: calls.append(args))
+    make_cfg = missing_cfg if measure == "_missing_measure" else small_cfg
+    with pytest.raises(ValidationError, match=r"b must lie in \[0, 1\)"):
+        EXPERIMENT_OF_MEASURE[measure](make_cfg(alpha_grid=(300, 1)))
+    assert calls == []
+
+
+def test_missing_noise_check_runs_before_any_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "_missing_measure", lambda *args: calls.append(args))
+    with pytest.raises(ValidationError, match="sddn_bound expects a noise-free Sigma_v"):
+        missing_data_experiment(missing_cfg(noise_rv="r", noise_scale_base=1.0))
+    assert calls == []
+
+
 # --- determinism and CSV ----------------------------------------------------------
 
 def test_grid_result_csv_format():
@@ -897,29 +951,29 @@ def test_phase_transition_worker_count_invariant():
     assert serial == parallel
 
 
-def _blas_threads_measure(cfg, model, alpha, trial):
+def _blas_threads_measure(cfg, cell, trial):
     return experiments.blas_threads()
 
 
-def _failing_measure(cfg, model, alpha, trial):
+def _failing_measure(cfg, cell, trial):
     raise InvalidExample("measure failed")
 
 
-def _cell_measure(cfg, model, alpha, trial):
-    return alpha, trial
+def _cell_measure(cfg, cell, trial):
+    return cell.alpha, trial
 
 
 def test_run_trials_runs_at_one_blas_thread_and_restores_the_count():
     # One list per cell in trial order, also when a pool chunk (2 trials at
     # 2 workers) spans two cells.
-    cells = [(None, alpha) for alpha in (100, 200, 300)]
+    cells = [Cell(None, alpha) for alpha in (100, 200, 300)]
     for workers in (1, 2, 4):
         got = experiments._run_trials(small_cfg(n_trials=3), cells, _cell_measure, workers)
-        assert got == [[(alpha, t) for t in range(3)] for _, alpha in cells]
+        assert got == [[(cell.alpha, t) for t in range(3)] for cell in cells]
     previous = experiments.blas_threads()
     if previous is None:
         pytest.skip("numpy's bundled OpenBLAS is not found")
-    cfg, cells = small_cfg(n_trials=3), [(None, 100)]
+    cfg, cells = small_cfg(n_trials=3), [Cell(None, 100)]
     experiments._set_blas_threads(2)
     try:
         for workers in (1, 2):
@@ -964,9 +1018,9 @@ def test_run_trials_caps_the_pool(workers, trials, cells, cpus, size, monkeypatc
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
-    cells = [(None, 100 * (i + 1)) for i in range(cells)]
+    cells = [Cell(None, 100 * (i + 1)) for i in range(cells)]
     got = experiments._run_trials(small_cfg(n_trials=trials), cells, _cell_measure, workers)
-    assert got == [[(alpha, t) for t in range(trials)] for _, alpha in cells]
+    assert got == [[(cell.alpha, t) for t in range(trials)] for cell in cells]
     assert _RecordingPool.sizes == ([] if size is None else [size])
 
 

@@ -16,8 +16,8 @@ from noisypca.model import (
     SignalModel,
     UncorrNoiseModel,
     derived_spectra,
+    dwell_blocks,
     make_random_basis,
-    missing_blocks,
     profile_scales,
     refine_blocks,
     row_occupancy,
@@ -266,7 +266,8 @@ def _block_moments(n, blocks, lambdas, alpha):
 
 def test_sddn_zero_amplitude(basis100):
     model = SddnModel(s=5, b0=0.05, q=0.0)
-    blocks = sample_sddn_batch(model, basis100, np.array([[3, 4, 5, 6, 7]]), np.random.default_rng(0))
+    supports = np.array([[3, 4, 5, 6, 7]])
+    blocks = sample_sddn_batch(model, basis100, dwell_blocks(supports), np.random.default_rng(0))
     [(lo, hi, rows, g)] = blocks
     assert (lo, hi) == (0, 1)
     assert list(rows) == [3, 4, 5, 6, 7]
@@ -280,7 +281,7 @@ def test_sddn_support_and_normalization(basis100):
     sig = SignalModel(basis100, np.full(5, 12.0))
     supports = support_sequence(100, model, 40)
     _, a = sample_signal(sig, np.random.default_rng(1), 40)
-    blocks = sample_sddn_batch(model, basis100, supports, np.random.default_rng(2))
+    blocks = sample_sddn_batch(model, basis100, dwell_blocks(supports), np.random.default_rng(2))
     # The blocks tile the frames; each covers frames that share its rows,
     # and its factor G = scale M P has spectral norm exactly q.
     assert [lo for lo, _, _, _ in blocks] == [0] + [hi for _, hi, _, _ in blocks[:-1]]
@@ -295,7 +296,7 @@ def test_sddn_support_and_normalization(basis100):
         mask[supports[t]] = False
         assert np.all(w[mask, t] == 0.0)
     # A single frame is one block of its own.
-    [(_, _, _, g1)] = sample_sddn_batch(model, basis100, supports[:1], np.random.default_rng(3))
+    [(_, _, _, g1)] = sample_sddn_batch(model, basis100, dwell_blocks(supports[:1]), np.random.default_rng(3))
     assert np.linalg.norm(g1, 2) == pytest.approx(model.q, abs=1e-12)
 
 
@@ -305,7 +306,8 @@ def test_sddn_norm_product_bound(basis100):
     sig = SignalModel(basis100, np.full(r, lam_plus))
     supports = support_sequence(100, model, 200)
     l, a = sample_signal(sig, np.random.default_rng(4), 200)
-    w = _sddn_columns(100, sample_sddn_batch(model, basis100, supports, np.random.default_rng(5)), a)
+    blocks = sample_sddn_batch(model, basis100, dwell_blocks(supports), np.random.default_rng(5))
+    w = _sddn_columns(100, blocks, a)
     cap = model.q * np.sqrt(eta * r * lam_plus)
     assert np.all(np.linalg.norm(w, axis=0) <= cap + 1e-12)
     assert np.all(np.linalg.norm(w, axis=0) <= model.q * np.linalg.norm(l, axis=0) + 1e-12)
@@ -375,7 +377,7 @@ def test_sddn_matches_reference(n, r, s, dwell, alpha, moments):
     assert supports.max() < n and np.any(supports[:, 0] > n - s)  # some blocks wrap
     l, a = sample_signal(sig, np.random.default_rng(7), alpha)
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-    blocks = sample_sddn_batch(model, sig.P, supports, rng)
+    blocks = sample_sddn_batch(model, sig.P, dwell_blocks(supports), rng)
     w_ref, mom_ref = _reference_sddn_batch(
         model, sig.P, supports, l, ref_rng, lambdas=sig.lambdas, moments=moments
     )
@@ -417,7 +419,7 @@ def test_sddn_draws_one_piece_at_a_time(dwell):
     sig = SignalModel(make_random_basis(n, r, np.random.default_rng(1)), np.full(r, 12.0))
     supports = _moving_block(n, s, dwell, alpha)
     rng = _RecordingRng(3)
-    sample_sddn_batch(SddnModel(s=s, b0=0.5, q=0.3), sig.P, supports, rng)
+    sample_sddn_batch(SddnModel(s=s, b0=0.5, q=0.3), sig.P, dwell_blocks(supports), rng)
     assert len(rng.draws) == -(-alpha // dwell)
     stream = np.random.default_rng(3)
     for z in rng.draws:
@@ -433,7 +435,7 @@ def test_sddn_one_dependency_matrix_per_dwell_block(dwell):
     assert np.any(supports[:, 0] > n - s)  # some blocks wrap
     _, a = sample_signal(sig, np.random.default_rng(2), alpha)
     rng = _RecordingRng(3)
-    blocks = sample_sddn_batch(model, sig.P, supports, rng)
+    blocks = sample_sddn_batch(model, sig.P, dwell_blocks(supports), rng)
     starts = np.arange(0, alpha, dwell)
     assert [z.shape for z in rng.draws] == [(s, n)] * len(starts)
     assert [lo for lo, _, _, _ in blocks] == list(starts)
@@ -480,7 +482,7 @@ def test_sddn_zero_norm_frame_is_redrawn(monkeypatch, zero_norm):
     model = SddnModel(s=s, b0=0.5, q=0.2)
     supports = np.array([[0, 1, 2], [5, 6, 7], [5, 6, 7], [10, 11, 12]])
     rng = _RecordingRng(3, zero_draw=1)
-    blocks = sample_sddn_batch(model, sig.P, supports, rng)
+    blocks = sample_sddn_batch(model, sig.P, dwell_blocks(supports), rng)
     assert [z.shape for z in rng.draws] == [(s, n)] * 4
     assert np.all(rng.draws[1] == 0.0)
     assert [(lo, hi) for lo, hi, _, _ in blocks] == [(0, 1), (1, 3), (3, 4)]
@@ -494,13 +496,18 @@ def test_sddn_zero_norm_frame_is_redrawn(monkeypatch, zero_norm):
         assert np.linalg.norm(g, 2) == pytest.approx(model.q, rel=1e-12)
 
 
+def _missing_blocks(p, supports):
+    """Missing data as SDDN blocks in full coordinates: G = -P_T erases the support rows of P a."""
+    return [(lo, hi, rows, -p.entries[rows]) for lo, hi, rows in dwell_blocks(supports)]
+
+
 def test_apply_missing_cases():
     # Missing data is SDDN with G = -P_T: with P = I the coefficients are
     # the columns, and each column is erased on its own support only.
     p = BasisMatrix(np.eye(3))
 
     def erased(l, supports):
-        return l + _sddn_columns(3, missing_blocks(p, supports), l)
+        return l + _sddn_columns(3, _missing_blocks(p, supports), l)
 
     l = np.array([[1.0], [2.0], [3.0]])
     empty = np.empty((1, 0), dtype=int)
@@ -535,7 +542,7 @@ def test_refine_blocks_match_error_columns():
     for t, rows in enumerate(supports):
         ht = phat.entries[rows]
         expected[rows, t] = np.linalg.solve(np.eye(s) - ht @ ht.T, resid[rows, t])
-    blocks = refine_blocks(p, phat, supports)
+    blocks = refine_blocks(p, phat, dwell_blocks(supports))
     assert [(lo, hi) for lo, hi, _, _ in blocks] == [(0, 5), (5, 8), (8, 12), (12, 14)]
     assert all(g.shape == (s, r) for _, _, _, g in blocks)
     np.testing.assert_allclose(_sddn_columns(n, blocks, a), expected, rtol=0, atol=1e-13)
@@ -548,8 +555,8 @@ def test_refine_blocks_support_degenerate():
     phat = BasisMatrix(np.eye(n)[:, [4, 7]])
     supports = np.array([[2], [2], [4], [4], [5]])
     with pytest.raises(SupportDegenerate, match=r"block \[4\]"):
-        refine_blocks(p, phat, supports)
-    refine_blocks(p, phat, supports[:2])  # the other rows are fine
+        refine_blocks(p, phat, dwell_blocks(supports))
+    refine_blocks(p, phat, dwell_blocks(supports[:2]))  # the other rows are fine
 
 # --- derived spectra ----------------------------------------------------------
 
