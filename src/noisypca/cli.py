@@ -19,7 +19,6 @@ from .errors import (
     CorollaryInapplicable,
     InfeasibleModel,
     NoisyPcaError,
-    ValidationError,
 )
 from .bounds import general_bound, rank_delta
 from .experiments import bound_inputs, realize_model, with_overrides
@@ -108,6 +107,14 @@ def _resolve_seed(flag_seed, config_seed):
     return 0
 
 
+def _check_out(path):
+    """Fail before the run where the CSV cannot be written to path (None or '-' is stdout); opens nothing."""
+    folder = os.path.dirname(path or "") or "."
+    writable = os.path.isdir(folder) and os.access(folder, os.W_OK)
+    if path not in (None, "-") and (os.path.isdir(path) or not writable):
+        raise ConfigError(f"--out {path}: not a file in an existing, writable directory")
+
+
 def _print_bound(cfg, alpha, out_path):
     model = realize_model(cfg)
     inputs = bound_inputs(cfg, model, alpha, exp._cell(model, alpha).b)
@@ -150,6 +157,7 @@ def _print_bound(cfg, alpha, out_path):
 
 
 def _dispatch(args):
+    _check_out(args.out)
     cfg, config_seed = parse_config(args.config)
     seed = _resolve_seed(args.seed, config_seed)
     cfg = with_overrides(cfg, seed=seed, c=args.c, trials=args.trials)
@@ -187,13 +195,10 @@ def main(argv=None):
         return 1
     try:
         return _dispatch(args)
-    except (ConfigError, ValidationError) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 1
     except (InfeasibleModel, CorollaryInapplicable) as err:
         sys.stderr.write(f"infeasible: {err}\n")
         return 2
-    except NoisyPcaError as err:
+    except (NoisyPcaError, OSError) as err:  # OSError: writing --out
         sys.stderr.write(f"error: {err}\n")
         return 1
 

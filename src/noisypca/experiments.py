@@ -59,7 +59,6 @@ from .estimator import estimate_rank_eigengap, estimate_rank_threshold
 from .linalg import (
     BasisMatrix,
     incoherence,
-    orthogonal_complement,
     orthonormalize,
     subspace_error,
     top_r_eigvecs,
@@ -258,50 +257,52 @@ def bound_inputs(cfg, model, alpha, b):
 class Cell:
     """A grid cell (model, alpha) and what all its trials share (`_cell`).
 
-    The adversarial trial draws its own basis, so its cell has no model.
+    Every model cell has its dwell blocks as one array record (empty without
+    SDDN) and a frame (the identity where no smaller one applies). The
+    adversarial trial draws its own basis, so its cell has no model.
     """
 
     model: object  # ModelRealization | None
     alpha: int
-    blocks: object = ()  # the schedule's dwell blocks [(lo, hi, T)], T in D's coordinates
-    frame: object = None  # (U, rest), or None where D is n x n
+    blocks: object = None  # the schedule's dwell blocks (lo, hi, T), T (nb, s) in D's coordinates
+    frame: object = None  # (U, rest): D is F'DF with F = [E_U | rest]
     c: object = None  # C = [P B] in D's coordinates
     b: float = 0.0  # realized per-row occupancy, 0 without SDDN
 
 
 def _cell(model, alpha):
-    """The cell of (model, alpha): schedule, exact-range frame and C, built once.
+    """The cell of (model, alpha): schedule, frame and C, built once.
 
     Off the support rows T a column is y = C x with x = [a; c] and C = [P B]
     (P alone without noise, [P I] for full-dimensional noise), and the SDDN
     term (or, for missing data, the erased entries) lies on the rows T. So
     every column lies in span{e_i : i in U} + span(C), with U the distinct
     support rows, and in the orthonormal frame F = [E_U | rest], rest =
-    orth(C_U) with C_U = C with rows U zeroed. With a frame, D is k x k in
-    frame coordinates: C becomes F'C = [C[U]; rest'C] and T its positions in
-    U (rest is zero on U). There is no frame where it gains nothing or does
-    not exist: full-dimensional noise (B is None), k >= n, or a
-    rank-deficient C_U. The size is checked before C_U is orthonormalized.
+    orth(C_U) with C_U = C with rows U zeroed. D is k x k in frame
+    coordinates: C becomes F'C = [C[U]; rest'C] and T its positions in U
+    (rest is zero on U). Where it gains nothing or does not exist (k >= n,
+    as for full-dimensional noise, or a rank-deficient C_U), the frame is the
+    identity: U is all n rows and rest is n x 0. The size is checked before
+    C_U is orthonormalized. Without SDDN the blocks are the empty record.
     """
     n, noise = model.n, model.noise
     c = model.signal.P.entries
     if noise is not None:
         c = np.hstack([c, np.eye(n) if noise.B is None else noise.B.entries])
-    blocks, rows, b = [], [], 0.0
+    blocks, rows, b = (np.zeros(0, int), np.zeros(0, int), np.zeros((0, 0), int)), [], 0.0
     if model.sddn is not None:
         supports = support_sequence(n, model.sddn, alpha)
         blocks, b = dwell_blocks(supports), row_occupancy(supports, n)
         rows = np.flatnonzero(np.bincount(supports.ravel(), minlength=n))
-    frame = None
-    if (noise is None or noise.B is not None) and len(rows) + c.shape[1] < n:
+    frame = np.arange(n), np.zeros((n, 0))
+    if len(rows) + c.shape[1] < n:
         c_u = c.copy()
         c_u[rows] = 0.0
         with contextlib.suppress(RankDeficient):
             frame = rows, orthonormalize(c_u).entries
-    if frame is not None:
-        c = np.vstack([c[rows], frame[1].T @ c])
-        blocks = [(lo, hi, np.searchsorted(rows, t)) for lo, hi, t in blocks]
-    return Cell(model, alpha, blocks, frame, c, b)
+    (u, rest), (lo, hi, t) = frame, blocks
+    return Cell(model, alpha, (lo, hi, np.searchsorted(u, t)), frame, np.vstack([c[u], rest.T @ c]), b)
+
 
 def _signal(cfg, model, alpha, *key):
     """The r x alpha signal coefficients a of a trial, or of a refine stage (key = trial, stage)."""
@@ -309,12 +310,13 @@ def _signal(cfg, model, alpha, *key):
     return signal_coefficients(model.signal, rng, alpha)
 
 
-def _draw(cfg, cell, trial):
-    """Coefficients x = [a; c] and SDDN blocks of one trial, each from its own substream.
+def _trial(cfg, cell, trial):
+    """(D, x, blocks) of one trial, D in the cell's coordinates; x and blocks each from its own substream.
 
-    The blocks are the cell's dwell blocks with their factors G. The columns
-    are y = C x plus the block terms (`_covariance`), with l = P a and
-    v = B c; x has no c rows without noise, and blocks is [] without SDDN.
+    x = [a; c] are the coefficients (l = P a, v = B c; no c rows without
+    noise) and blocks the cell's dwell blocks with their factors G, the
+    record (lo, hi, T, G), empty (nb = 0) without SDDN. The columns are
+    y = C x plus the block terms (`_covariance`).
     """
     model, alpha = cell.model, cell.alpha
     n, r = model.n, model.r
@@ -323,33 +325,36 @@ def _draw(cfg, cell, trial):
     if model.noise is not None:
         c = noise_coefficients(model.noise, substream(seed, STREAM_NOISE, n, r, alpha, trial), alpha)
         x = np.vstack([x, c])
-    blocks = []
+    blocks = (*cell.blocks, np.zeros((0, 0, r)))
     if model.sddn is not None:
         blocks = sample_sddn_batch(
             model.sddn, model.signal.P, cell.blocks, substream(seed, STREAM_SDDN, n, r, alpha, trial)
         )
-    return x, blocks
+    return _covariance(cell.c, x, blocks), x, blocks
 
 
 def _covariance(c, x, blocks):
     """Sample covariance D of the columns y = C x + block terms, without forming them.
 
-    In a block (lo, hi, T, G) column t is y_t = C x_t + I_T G a_t, with a_t
-    the first r = G.shape[1] rows of x_t. So, with K = x x', K_a = a x'
-    over the block and K_aa its first r columns,
+    In block i of the record (lo, hi, T, G), column t is y_t = C x_t +
+    I_T[i] G[i] a_t, with a_t the first r = G.shape[2] rows of x_t. So,
+    with K = x x', K_a = a x' over the block and K_aa its first r columns,
 
         alpha D = C K C' + sum_blk (R + R' + I_T G K_aa G' I_T'),  R = I_T G K_a C',
 
     formed as H C' + C H' + W with H = C K / 2 + sum_blk I_T G K_a (so the
-    B-part of C is multiplied once, not per block) and W the (T, T) sums.
-    C and T are in D's coordinates: in a cell's frame (`_cell`), D is F'DF.
+    B-part of C is multiplied once, not per block) and W the (T, T) sums,
+    each scattered by one `np.add.at` in block order. C and T are in D's
+    coordinates: in a cell's frame (`_cell`), D is F'DF.
     """
+    lo, hi, t, g = blocks
+    r = g.shape[2]
+    k_a = np.array([x[:r, i:j] @ x[:, i:j].T for i, j in zip(lo, hi)]).reshape(len(lo), r, len(x))
+    gk = g @ k_a
     h = c @ (x @ x.T) / 2.0
+    np.add.at(h, t, gk)
     w = np.zeros((c.shape[0], c.shape[0]))
-    for lo, hi, t_rows, g in blocks:
-        gk = g @ (x[: g.shape[1], lo:hi] @ x[:, lo:hi].T)
-        h[t_rows] += gk
-        w[np.ix_(t_rows, t_rows)] += gk[:, : g.shape[1]] @ g.T
+    np.add.at(w, (t[:, :, None], t[:, None, :]), gk[:, :, :r] @ g.swapaxes(1, 2))
     d = h @ c.T + w / 2.0
     return (d + d.T) / x.shape[1]
 
@@ -361,30 +366,22 @@ def _checked_se(se):
     return se
 
 
-def _pca_se(d, model, frame=None):
+def _pca_se(d, model, frame):
     """se of the top-r PCA estimate from the sample covariance D.
 
-    With a cell's frame (U, rest) (`_cell`), D is the k x k covariance
-    in frame coordinates (`_covariance`), which has the nonzero spectrum of
+    In a cell's frame (U, rest) (`_cell`), D is the k x k covariance in
+    frame coordinates (`_covariance`), which has the nonzero spectrum of
     the n x n one; its top-r eigenvectors u map back as F u.
     """
     return _estimate_se(top_r_eigvecs(d, model.r).entries, model, frame)
 
 
-def _estimate_se(u, model, frame=None):
+def _estimate_se(u, model, frame):
     """se of the estimate spanned by the top-r eigenvectors u of D (`_pca_se`)."""
-    if frame is not None:
-        rows, rest = frame
-        coords = u[: len(rows)]
-        u = rest @ u[len(rows):]
-        u[rows] = coords  # rest is zero on the rows U
-    return _checked_se(subspace_error(BasisMatrix(u), model.signal.P))
-
-
-def _trial(cfg, cell, trial):
-    """(D, x, blocks) of one trial, D in the cell's coordinates."""
-    x, blocks = _draw(cfg, cell, trial)
-    return _covariance(cell.c, x, blocks), x, blocks
+    rows, rest = frame
+    full = rest @ u[len(rows):]
+    full[rows] = u[: len(rows)]  # rest is zero on the rows U
+    return _checked_se(subspace_error(BasisMatrix(full), model.signal.P))
 
 
 def _se_measure(cfg, cell, trial):
@@ -411,14 +408,14 @@ def _deviation_measure(cfg, cell, trial):
     k = x @ x.T / alpha
     dev_aa = np.linalg.norm(k[:r, :r] - np.diag(lambdas), 2)
     dev_lw = dev_ww = 0.0
-    if blocks:
+    lo, hi, t, g = blocks
+    if len(lo):
         dim = len(cell.c)
+        k_aa = np.array([x[:r, i:j] @ x[:r, i:j].T for i, j in zip(lo, hi)])
+        e = (k_aa - (hi - lo)[:, None, None] * np.diag(lambdas)) @ g.swapaxes(1, 2)
         lw, ww = np.zeros((r, dim)), np.zeros((dim, dim))
-        for lo, hi, rows, g in blocks:
-            a = x[:r, lo:hi]
-            e = (a @ a.T - (hi - lo) * np.diag(lambdas)) @ g.T
-            lw[:, rows] += e
-            ww[np.ix_(rows, rows)] += g @ e
+        np.add.at(lw, (slice(None), t), e.swapaxes(0, 1))
+        np.add.at(ww, (t[:, :, None], t[:, None, :]), g @ e)
         dev_lw = np.linalg.norm(lw / alpha, 2)
         dev_ww = np.linalg.norm(ww / alpha, 2)
     dev_lv = dev_vv = 0.0
@@ -445,8 +442,8 @@ def _rank_measure(cfg, cell, trial):
 def _missing_measure(cfg, cell, trial):
     """Subspace error of one trial with the support entries erased: G = -P_T, in D's coordinates."""
     c = cell.c[:, : cell.model.r]
-    a = _signal(cfg, cell.model, cell.alpha, trial)
-    d = _covariance(c, a, [(lo, hi, t, -c[t]) for lo, hi, t in cell.blocks])
+    lo, hi, t = cell.blocks
+    d = _covariance(c, _signal(cfg, cell.model, cell.alpha, trial), (lo, hi, t, -c[t]))
     return _pca_se(d, cell.model, cell.frame)
 
 
@@ -676,9 +673,10 @@ def adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussian"):
             f"need lambda_(r-1) >= 1.1 lambda^-: {lambdas[r - 2]} < {1.1 * lam_minus}"
         )
     # The n x r basis is drawn only to keep the stream of the n-dimensional
-    # trial, and its complement only to raise NoComplement when r == n:
-    # se and the deviation do not depend on P or u.
-    orthogonal_complement(make_random_basis(n, r, rng))
+    # trial: se and the deviation do not depend on P or u.
+    make_random_basis(n, r, rng)
+    if r >= n:
+        raise NoComplement("basis already spans the full space")
     coords = np.eye(r + 1)
     signal = SignalModel(BasisMatrix(coords[:, :r]), lambdas, distribution)
     variance = 1.2 * lam_minus

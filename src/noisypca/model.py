@@ -5,11 +5,12 @@ signal (zero-mean coefficients with diagonal covariance Lambda), v_t is
 uncorrelated possibly non-isotropic noise with covariance Sigma_v, and
 w_t = M_t l_t is sparse data-dependent noise supported on a moving index
 block T_t. The trials draw coefficients (a_t, and c_t with v_t = B c_t)
-and the per-block SDDN factors G = M_t P, never the n x alpha columns;
-missing data is G = -P_T, and refinement's e_t = I_T B_T^{-1} I_T'(I -
-Phat Phat') l_t is G = B_T^{-1}(P_T - Phat_T Phat'P). Model descriptions are
-immutable; sampling takes an explicit numpy Generator so there is no
-hidden global state.
+and the per-block SDDN factors G = M_t P, never the n x alpha columns; the
+nb dwell blocks and factors are one record of arrays (lo, hi, T, G), G of
+shape (nb, s, r). Missing data is G = -P_T, and refinement's e_t = I_T
+B_T^{-1} I_T'(I - Phat Phat') l_t is G = B_T^{-1}(P_T - Phat_T Phat'P).
+Model descriptions are immutable; sampling takes an explicit numpy
+Generator so there is no hidden global state.
 """
 
 from dataclasses import dataclass
@@ -245,46 +246,42 @@ def row_occupancy(supports, n):
 
 
 def dwell_blocks(supports):
-    """[(lo, hi, rows)] for the runs of frames [lo, hi) that share support rows (copied)."""
-    moves = np.flatnonzero(np.any(supports[1:] != supports[:-1], axis=1)) + 1
-    edges = np.r_[0, moves, len(supports)]
-    return [(lo, hi, supports[lo].copy()) for lo, hi in zip(edges[:-1], edges[1:])]
+    """Dwell blocks (lo, hi, T): frames [lo[i], hi[i]) share rows T[i], T a copied (nb, s) array."""
+    lo = np.r_[0, np.flatnonzero(np.any(supports[1:] != supports[:-1], axis=1)) + 1]
+    return lo, np.r_[lo[1:], len(supports)], supports[lo]
 
 
 def sample_sddn_batch(model, p, blocks, rng):
     """SDDN factors for a whole batch, one dependency matrix per dwell block.
 
-    Each dwell block (lo, hi, T) (`dwell_blocks`) draws one s x n matrix M of
-    |N(0,1)| entries from rng and returns (lo, hi, T, G) with the s x r factor
-    G = q M P / ||M P||, so that w_t = I_T G a_t for the frames of the block
-    (w_t = M_t l_t with l_t = P a_t and ||G|| = q).
+    One draw of nb s x n matrices M of |N(0,1)| entries from rng serves the nb
+    dwell blocks (lo, hi, T) (`dwell_blocks`); returns (lo, hi, T, G) with the
+    (nb, s, r) factors G = q M P / ||M P||, so that w_t = I_T G a_t for the
+    frames of a block (w_t = M_t l_t with l_t = P a_t and ||G|| = q).
     """
-    pe = p.entries
-    out = []
-    for lo, hi, rows in blocks:
-        norm = 0.0
-        while norm <= 0.0:  # ||M P|| = 0 has probability zero; redraw defensively.
-            g = np.abs(rng.standard_normal((model.s, pe.shape[0]))) @ pe
-            norm = np.linalg.norm(g, 2)
-        out.append((lo, hi, rows, (model.q / norm) * g))
-    return out
+    lo, hi, rows = blocks
+    while True:
+        g = np.abs(rng.standard_normal((len(lo), model.s, p.n))) @ p.entries
+        norm = np.linalg.norm(g, 2, axis=(1, 2))
+        if not np.any(norm <= 0.0):  # ||M P|| = 0 has probability zero; redraw the batch.
+            return lo, hi, rows, (model.q / norm)[:, None, None] * g
 
 
 def refine_blocks(p, phat, blocks):
     """Refinement error on the dwell blocks (lo, hi, T): G = B_T^{-1} (P_T - Phat_T Phat'P).
 
     I_T G a_t is the error I_T B_T^{-1} I_T' (I - Phat Phat') P a_t, B_T = I -
-    Phat_T Phat_T'; one batched solve serves all blocks. Raises SupportDegenerate
-    when an eigenvalue of some B_T, all in (0, 1], is below 1e-8.
+    Phat_T Phat_T'; one batched solve gives the (nb, s, r) factors G, returned
+    as (lo, hi, T, G). Raises SupportDegenerate when an eigenvalue of some B_T,
+    all in (0, 1], is below 1e-8.
     """
-    rows = np.array([t_rows for _, _, t_rows in blocks])
+    lo, hi, rows = blocks
     pe, ht = p.entries, phat.entries[rows]
     b_mat = np.eye(rows.shape[1]) - ht @ ht.swapaxes(1, 2)
     bad = np.flatnonzero(np.linalg.eigvalsh(b_mat)[:, 0] < 1e-8)
     if bad.size:
         raise SupportDegenerate(f"masked Gram matrix near-singular on block {rows[bad[0]]}")
-    g = np.linalg.solve(b_mat, pe[rows] - ht @ (phat.entries.T @ pe))
-    return [(lo, hi, t_rows, gt) for (lo, hi, t_rows), gt in zip(blocks, g)]
+    return lo, hi, rows, np.linalg.solve(b_mat, pe[rows] - ht @ (phat.entries.T @ pe))
 
 
 @dataclass(frozen=True)

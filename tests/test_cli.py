@@ -476,7 +476,15 @@ def test_cli_no_subcommand_exit_one(tmp_path):
     _assert_usage_error(_run_cli([], str(tmp_path)))
 
 
-def test_cli_bad_workers_exit_one(tmp_path):
+def _main_exit_code(args):
+    """Exit code of `noisypca.cli.main(args)` run in this process; usage errors raise SystemExit."""
+    try:
+        return main(args)
+    except SystemExit as stop:
+        return stop.code
+
+
+def test_cli_bad_workers_exit_one(tmp_path, capsys, monkeypatch):
     # --workers, --trials and --alpha must be >= 1; only the subcommands that
     # run trials take --workers and --trials, and only those that evaluate a
     # bound take --c (which must not be read as an abbreviated --config).
@@ -501,51 +509,93 @@ def test_cli_bad_workers_exit_one(tmp_path):
         ["rank-estimation", "--config", "fig1a", "--c", "-inf"],
         ["missing", "--config", "missing", "--c", "0"],
     ):
-        _assert_usage_error(_run_cli(args, str(tmp_path)))
+        assert _main_exit_code(args) == 1, args
+        err = capsys.readouterr().err
+        assert "usage" in err.lower() and "Traceback" not in err, args
     # The same values from a config file or NOISYPCA_SEED are config errors.
     no_seed = MINIMAL.replace("seed = 11\n", "")
     refine = case_config_text("refine", ("alpha_grid = 1000", "trials = 1"))
     for command, text, env, message in (
-        ("bound", MINIMAL.replace("seed = 11", "seed = -1"), {}, b"error:"),
-        ("bound", MINIMAL + "c = nan\n", {}, b"error:"),
-        ("bound", MINIMAL + "c = inf\n", {}, b"error:"),
-        ("bound", no_seed, {"NOISYPCA_SEED": "-2"}, b"error:"),
-        ("bound", no_seed, {"NOISYPCA_SEED": "abc"}, b"error:"),
+        ("bound", MINIMAL.replace("seed = 11", "seed = -1"), {}, "error:"),
+        ("bound", MINIMAL + "c = nan\n", {}, "error:"),
+        ("bound", MINIMAL + "c = inf\n", {}, "error:"),
+        ("bound", no_seed, {"NOISYPCA_SEED": "-2"}, "error:"),
+        ("bound", no_seed, {"NOISYPCA_SEED": "abc"}, "error:"),
         # Grid entries and an integer noise_rv must be >= 1; a fixed epsilon
         # must be finite and > 0.
-        ("bound", MINIMAL + "r_grid = 0\n", {}, b"error:"),
-        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = 0"), {}, b"error:"),
-        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = -1"), {}, b"error:"),
-        ("bound", MINIMAL + "epsilon_rule = fixed:nan\n", {}, b"error:"),
+        ("bound", MINIMAL + "r_grid = 0\n", {}, "error:"),
+        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = 0"), {}, "error:"),
+        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = -1"), {}, "error:"),
+        ("bound", MINIMAL + "epsilon_rule = fixed:nan\n", {}, "error:"),
         # An integer noise_rv above n is reported under its own name.
-        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = 50"), {}, b"error: noise_rv=50 exceeds n=40"),
+        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = 50"), {}, "error: noise_rv=50 exceeds n=40"),
         # Signal variances must be finite and > 0, noise amplitudes finite
         # and >= 0, also where the model is drawn for trials.
-        ("bound", MINIMAL.replace("lambdas = 12", "lambdas = nan"), {}, b"error: lambdas must be"),
-        ("bound", MINIMAL.replace("lambdas = 12", "lambdas = inf"), {}, b"error: lambdas must be"),
-        ("bound", MINIMAL.replace("base = 1.1", "base = nan"), {}, b"error: scales must be"),
-        ("bound", MINIMAL.replace("base = 1.1", "base = inf"), {}, b"error: scales must be"),
-        ("bound-tightness", MINIMAL.replace("lambdas = 12", "lambdas = nan"), {}, b"error: lambdas must be"),
+        ("bound", MINIMAL.replace("lambdas = 12", "lambdas = nan"), {}, "error: lambdas must be"),
+        ("bound", MINIMAL.replace("lambdas = 12", "lambdas = inf"), {}, "error: lambdas must be"),
+        ("bound", MINIMAL.replace("base = 1.1", "base = nan"), {}, "error: scales must be"),
+        ("bound", MINIMAL.replace("base = 1.1", "base = inf"), {}, "error: scales must be"),
+        ("bound-tightness", MINIMAL.replace("lambdas = 12", "lambdas = nan"), {}, "error: lambdas must be"),
         # The CSV has no alpha column, so a second alpha would be dropped unseen.
         (
             "adversarial", case_config_text("adversarial", ("alpha_grid = 1000,2000", "trials = 1")), {},
-            b"error: adversarial takes one alpha",
+            "error: adversarial takes one alpha",
         ),
         # [refine]: q0 / 1.2 is a sine, so q0 lies in [0, 1.2]; stages >= 1;
         # alpha_constant finite and > 0.
-        ("refine", refine.replace("q0 = 0.06", "q0 = 2"), {}, b"error: refine q0"),
-        ("refine", refine.replace("q0 = 0.06", "q0 = nan"), {}, b"error: refine q0"),
-        ("refine", refine.replace("q0 = 0.06", "q0 = -0.5"), {}, b"error: refine q0"),
-        ("refine", refine.replace("stages = 4", "stages = 0"), {}, b"error: refine stages"),
+        ("refine", refine.replace("q0 = 0.06", "q0 = 2"), {}, "error: refine q0"),
+        ("refine", refine.replace("q0 = 0.06", "q0 = nan"), {}, "error: refine q0"),
+        ("refine", refine.replace("q0 = 0.06", "q0 = -0.5"), {}, "error: refine q0"),
+        ("refine", refine.replace("stages = 4", "stages = 0"), {}, "error: refine stages"),
         ("refine", refine.replace("alpha_constant = 16", "alpha_constant = -1"), {},
-         b"error: refine alpha_constant"),
+         "error: refine alpha_constant"),
         ("refine", refine.replace("alpha_constant = 16", "alpha_constant = inf"), {},
-         b"error: refine alpha_constant"),
+         "error: refine alpha_constant"),
     ):
-        proc = _run_cli([command, "--config", write_cfg(tmp_path, text)], str(tmp_path), **env)
-        assert proc.returncode == 1, proc.stderr
-        assert message in proc.stderr
-        assert b"Traceback" not in proc.stderr
+        monkeypatch.delenv("NOISYPCA_SEED", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert _main_exit_code([command, "--config", write_cfg(tmp_path, text)]) == 1, message
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("command", ["bound-tightness", "bound"])
+def test_cli_bad_out_fails_before_the_run(command, tmp_path, capsys, monkeypatch):
+    # An --out that cannot be written exits 1 with `error:` before any trial
+    # runs: a missing directory, a directory, or a read-only directory.
+    calls = []
+    monkeypatch.setattr(noisypca.experiments, "_run_trials", lambda *args, **kw: calls.append(args))
+    read_only = tmp_path / "read-only"
+    read_only.mkdir()
+    monkeypatch.setattr(os, "access", lambda path, mode: os.path.abspath(path) != str(read_only))
+    for out in (tmp_path / "missing" / "x.csv", tmp_path, read_only / "x.csv"):
+        assert _main_exit_code([command, "--config", write_cfg(tmp_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: --out" in captured.err and "Traceback" not in captured.err, captured.err
+        assert captured.out == ""
+    assert calls == []
+    assert not (read_only / "x.csv").exists()
+
+
+def test_cli_failed_write_exits_one(tmp_path, capsys, monkeypatch):
+    # An OSError from the final write is an `error:` with exit 1, and the
+    # check before the run leaves an existing file untouched.
+    out = tmp_path / "kept.csv"
+    out.write_text("kept\n")
+    text = MINIMAL.replace("noise_rv = r", "noise_rv = 50")  # fails after the check
+    assert _main_exit_code(["bound-tightness", "--config", write_cfg(tmp_path, text), "--out", str(out)]) == 1
+    assert "error: noise_rv=50" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
+
+    def full_disk(self, path=None):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(noisypca.experiments.GridResult, "write", full_disk)
+    for command in ("bound-tightness", "bound"):
+        assert _main_exit_code([command, "--config", write_cfg(tmp_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: [Errno 28] No space left on device" in err and "Traceback" not in err, err
 
 
 def test_cli_byte_identical_reruns(tmp_path):

@@ -26,7 +26,6 @@ from noisypca.experiments import (
     GridResult,
     _cell,
     _covariance,
-    _draw,
     _pca_se,
     _rank_measure,
     _tilted_basis,
@@ -92,6 +91,21 @@ def _reference_model(r, p):
     return SimpleNamespace(r=r, signal=SimpleNamespace(P=p))
 
 
+def _identity_frame(n):
+    """The frame (U, rest) of an n x n D: U is all n rows and rest is n x 0."""
+    return np.arange(n), np.zeros((n, 0))
+
+
+def _frame_size(frame):
+    """k = |U| + the columns of rest: D is k x k in the frame (U, rest)."""
+    return len(frame[0]) + frame[1].shape[1]
+
+
+def _is_identity(frame, n):
+    rows, rest = frame
+    return np.array_equal(rows, np.arange(n)) and rest.shape == (n, 0)
+
+
 def _reference_columns(cfg, model, alpha, trial, supports, missing=False):
     """(y, a, v, w, sddn moments) of one trial as explicit n x alpha columns.
 
@@ -134,8 +148,9 @@ def _moment_parts(cfg, cell, trial, missing=False):
         model, alpha = cell.model, cell.alpha
         rng = substream(cfg.master_seed, STREAM_SIGNAL, model.n, model.r, alpha, trial)
         a = signal_coefficients(model.signal, rng, alpha)
-        return cell.c, a, [(lo, hi, t, -cell.c[t]) for lo, hi, t in cell.blocks]
-    return (cell.c, *_draw(cfg, cell, trial))
+        lo, hi, t = cell.blocks
+        return cell.c, a, (lo, hi, t, -cell.c[t])
+    return (cell.c, *_trial(cfg, cell, trial)[1:])
 
 
 # --- subspace estimate from the sample covariance ------------------------------
@@ -161,7 +176,7 @@ def test_pca_se_gram_path_matches_pca_estimate(n, r_frac, alpha_frac, seed):
     u = y @ top_r_eigvecs(y.T @ y / alpha, r).entries
     reference = BasisMatrix(u / np.linalg.norm(u, axis=0))
     assert subspace_error(reference, pca_estimate(DataBatch(y), r)) <= 1e-10
-    se = _pca_se(sample_covariance(DataBatch(y)), _reference_model(r, reference))
+    se = _pca_se(sample_covariance(DataBatch(y)), _reference_model(r, reference), _identity_frame(n))
     assert se <= 1e-10
 
 
@@ -178,7 +193,7 @@ def test_pca_se_fewer_columns_than_rank_falls_back(n, r_frac, alpha_frac, seed):
     r = 2 + int(r_frac * (n - 2))
     alpha = 1 + int(alpha_frac * (r - 2))
     y = np.random.default_rng(seed).standard_normal((n, alpha))
-    se = _pca_se(sample_covariance(DataBatch(y)), _reference_model(r, orthonormalize(y)))
+    se = _pca_se(sample_covariance(DataBatch(y)), _reference_model(r, orthonormalize(y)), _identity_frame(n))
     assert se <= 1e-10
 
 
@@ -189,14 +204,15 @@ def test_pca_se_fewer_columns_than_rank_falls_back(n, r_frac, alpha_frac, seed):
 )
 def test_rank_measure_matches_full_covariance(n, alpha):
     # The spectrum of D in frame coordinates is padded with n - k zeros.
-    # The frame (k = |U| + 6) is used wherever k < n: at n = 40 for
-    # alpha = 3 and 12 (k = 12 and 30), at n = 400 for every alpha (k = 36
-    # and 46). n = 40 at alpha = 40 and 90 decomposes D itself.
+    # The frame (k = |U| + 6) is smaller than the identity wherever k < n:
+    # at n = 40 for alpha = 3 and 12 (k = 12 and 30), at n = 400 for every
+    # alpha (k = 36 and 46). n = 40 at alpha = 40 and 90 has the identity
+    # frame and decomposes D itself.
     cfg = small_cfg(n=n, alpha_grid=(alpha,))
     model = realize_model(cfg)
     supports = _supports(model, alpha)
     cell = _cell(model, alpha)
-    assert (cell.frame is not None) == (n == 400 or alpha < 40)
+    assert (not _is_identity(cell.frame, n)) == (n == 400 or alpha < 40)
     for trial in range(3):
         y = _reference_columns(cfg, model, alpha, trial, supports)[0]
         w = np.linalg.eigvalsh(sample_covariance(DataBatch(y)))[::-1]
@@ -246,7 +262,7 @@ def _dense_frame(n, frame):
 @pytest.mark.parametrize("case", FRAME_CASES)
 def test_range_frame_holds_every_column(case):
     model, y, frame, _ = _frame_trial(case)
-    assert frame is not None
+    assert _frame_size(frame) < model.n
     f = _dense_frame(model.n, frame)
     assert f.shape[1] < y.shape[1]
     assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) <= 1e-10
@@ -258,8 +274,8 @@ def test_pca_se_in_frame_matches_full_dimension(case):
     model, y, frame, d_frame = _frame_trial(case)
     d = sample_covariance(DataBatch(y))
     se_frame = _pca_se(d_frame, model, frame)
-    se_full = _pca_se(d, model)
-    k = len(frame[0]) + frame[1].shape[1]
+    se_full = _pca_se(d, model, _identity_frame(model.n))
+    k = _frame_size(frame)
     assert d_frame.shape == (k, k)
     assert se_frame == pytest.approx(se_full, rel=1e-12, abs=0.0)
     # The k x k spectrum padded with n - k zeros is that of the n x n D.
@@ -268,13 +284,13 @@ def test_pca_se_in_frame_matches_full_dimension(case):
 
 
 def test_range_frame_none_cases_keep_gram_shapes(monkeypatch):
-    # Full-dimensional noise (B is None): no frame, and D is n x n at any
-    # alpha (there is no alpha x alpha Gram matrix any more).
+    # Full-dimensional noise (B is None): the identity frame, and D is n x n
+    # at any alpha (there is no alpha x alpha Gram matrix any more).
     cfg = small_cfg(n=400, noise_rv="n")
     model = realize_model(cfg)
     for alpha in (200, 600):
         cell = _cell(model, alpha)
-        assert cell.frame is None
+        assert _is_identity(cell.frame, 400)
         assert _trial(cfg, cell, 0)[0].shape == (400, 400)
     # k >= n: the support rows cover all 40 coordinates, and the size check
     # alone says so.
@@ -283,15 +299,14 @@ def test_range_frame_none_cases_keep_gram_shapes(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(experiments, "orthonormalize", None)
         cell = _cell(model, 900)
-    assert cell.frame is None
+    assert _is_identity(cell.frame, 40)
     assert _trial(cfg, cell, 0)[0].shape == (40, 40)
     # alpha <= k < n: the frame is used whenever k < n, and D is k x k.
     cfg = small_cfg(n=400)
     model = realize_model(cfg)
     for alpha in (30, 36):
         cell = _cell(model, alpha)
-        rows, rest = cell.frame
-        k = len(rows) + rest.shape[1]
+        k = _frame_size(cell.frame)
         assert alpha <= k < 400
         assert _trial(cfg, cell, 0)[0].shape == (k, k)
 
@@ -311,9 +326,10 @@ COVARIANCE_CASES = (
 @pytest.mark.parametrize("case", COVARIANCE_CASES)
 def test_covariance_matches_explicit_columns(case, monkeypatch):
     # The moment form equals the sample covariance of the n x alpha columns:
-    # D itself without a frame, F'DF with one, and then F (F'DF) F' is D.
+    # D itself in the identity frame, F'DF in a smaller one, and then
+    # F (F'DF) F' is D.
     cfg, alpha, missing, wrapping, has_frame = {
-        # (config, alpha, missing data, wrapping schedule, frame expected)
+        # (config, alpha, missing data, wrapping schedule, frame smaller than the identity)
         "sddn with B": (small_cfg(), 300, False, False, False),
         "sddn, B = None": (small_cfg(noise_rv="n"), 300, False, False, False),
         "sddn, no noise": (small_cfg(noise_rv=None), 300, False, False, False),
@@ -336,8 +352,8 @@ def test_covariance_matches_explicit_columns(case, monkeypatch):
     tol = 1e-12 * np.linalg.norm(d_ref, 2)
     d = _covariance(*_moment_parts(cfg, cell, 0, missing))
     assert np.array_equal(d, d.T)
-    assert (cell.frame is not None) == has_frame
-    if cell.frame is None:
+    assert (not _is_identity(cell.frame, model.n)) == has_frame
+    if not has_frame:
         assert d.shape == (model.n, model.n)
         assert np.max(np.abs(d - d_ref)) <= tol
     else:
@@ -367,13 +383,13 @@ def test_measures_hold_no_n_by_alpha_columns(measure):
 
 def test_range_frame_rank_deficient_is_none():
     # P lies on the support rows (0-3 in all 10 frames), so C with those
-    # rows zeroed is 0.
+    # rows zeroed is 0, and the frame is the identity.
     n, r = 20, 3
     p = BasisMatrix(np.eye(n)[:, :r])
     model = SimpleNamespace(n=n, noise=None, signal=SimpleNamespace(P=p), sddn=SddnModel(s=4, b0=1.0))
     cell = _cell(model, 10)
-    assert [t.tolist() for _, _, t in cell.blocks] == [[0, 1, 2, 3]]
-    assert cell.frame is None
+    assert cell.blocks[2].tolist() == [[0, 1, 2, 3]]
+    assert _is_identity(cell.frame, n)
 
 
 EXPERIMENT_OF_MEASURE = {
@@ -408,6 +424,20 @@ def test_one_support_schedule_per_trial(measure, monkeypatch):
 
 
 # --- trials ------------------------------------------------------------------
+
+def test_cell_without_sddn_has_an_empty_record():
+    # nb = 0 blocks: the trial runs through the same block sums on empty
+    # arrays, and D is C K C' / alpha.
+    for cfg in (small_cfg(sddn_enabled=False), small_cfg(sddn_enabled=False, noise_rv="n")):
+        cell = _cell(realize_model(cfg), 300)
+        assert [part.shape for part in cell.blocks] == [(0,), (0,), (0, 0)]
+        assert cell.b == 0.0
+        c, x, blocks = _moment_parts(cfg, cell, 0)
+        assert blocks[3].shape == (0, 0, cfg.r)
+        d_ref = c @ (x @ x.T) @ c.T / 300
+        assert np.max(np.abs(_covariance(c, x, blocks) - d_ref)) <= 1e-12 * np.linalg.norm(d_ref, 2)
+        assert experiments._deviation_measure(cfg, cell, 0)[1:3] == (0.0, 0.0)
+
 
 def test_noiseless_trials_exact():
     cfg = small_cfg(noise_rv=None, sddn_enabled=False, alpha_grid=(50,))
@@ -453,7 +483,7 @@ def test_sddn_population_terms_within_expected_perturbation():
     # P' mean_m' and G Lambda G' on the (T, T) block of mean_mlm.
     lambdas = model.signal.lambdas
     pm, mean_mlm = np.zeros((model.r, model.n)), np.zeros((model.n, model.n))
-    for lo, hi, rows, g in blocks:
+    for lo, hi, rows, g in zip(*blocks):
         pm[:, rows] += (hi - lo) / 600 * g.T
         mean_mlm[np.ix_(rows, rows)] += (hi - lo) / 600 * ((g * lambdas) @ g.T)
     b = cfg.sddn_b0 + cfg.sddn_s / 600
@@ -661,6 +691,19 @@ def test_adversarial_sigma_rejects_bad_profile():
             adversarial_sigma(n, r, 1000, lambdas, np.random.default_rng(2))
 
 
+def test_adversarial_sigma_takes_no_n_by_n_svd(monkeypatch):
+    # r = n is caught with the complement's message but without its SVD,
+    # whose n x n left factor the trial never uses: the only SVD left is the
+    # singular values of the basis draw.
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append((a.shape, kw)) or svd(a, **kw))
+    with pytest.raises(NoComplement, match="^basis already spans the full space$"):
+        adversarial_sigma(3, 3, 1000, [14.0, 13.5, 12.0], np.random.default_rng(2))
+    adversarial_sigma(30, 3, 1000, [14.0, 13.5, 12.0], np.random.default_rng(2))
+    assert calls == [((3, 3), {"compute_uv": False}), ((30, 3), {"compute_uv": False})]
+
+
 def _reference_adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussian"):
     """The adversarial trial on n-dimensional columns y = P a + u c."""
     lambdas = np.asarray(lambdas, dtype=float)
@@ -811,7 +854,7 @@ def _reference_refine_columns(cfg, model, alpha, phat, trial, k=1):
     l, _ = sample_signal(model.signal, substream(cfg.master_seed, STREAM_SIGNAL, n, r, alpha, trial, k), alpha)
     resid = l - phat.entries @ (phat.entries.T @ l)
     e = np.zeros_like(l)
-    for lo, hi, rows in dwell_blocks(support_sequence(n, model.sddn, alpha)):
+    for lo, hi, rows in zip(*dwell_blocks(support_sequence(n, model.sddn, alpha))):
         ht = phat.entries[rows]
         e[rows, lo:hi] = np.linalg.solve(np.eye(len(rows)) - ht @ ht.T, resid[rows, lo:hi])
     return DataBatch(l + e)

@@ -244,9 +244,9 @@ def test_row_occupancy_edge_cases():
 # --- sparse data-dependent noise ---------------------------------------------
 
 def _sddn_columns(n, blocks, a):
-    """The n x alpha columns w of per-block factors: w[T, lo:hi] = G a[:, lo:hi]."""
+    """The n x alpha columns w of the record (lo, hi, T, G): w[T[i], lo[i]:hi[i]] = G[i] a[:, lo[i]:hi[i]]."""
     w = np.zeros((n, a.shape[1]))
-    for lo, hi, rows, g in blocks:
+    for lo, hi, rows, g in zip(*blocks):
         w[rows, lo:hi] = g @ a[:, lo:hi]
     return w
 
@@ -258,7 +258,7 @@ def _block_moments(n, blocks, lambdas, alpha):
     columns T of P' mean_m' and G Lambda G' on the (T, T) block of mean_mlm.
     """
     pm, mlm = np.zeros((len(lambdas), n)), np.zeros((n, n))
-    for lo, hi, rows, g in blocks:
+    for lo, hi, rows, g in zip(*blocks):
         pm[:, rows] += (hi - lo) * g.T
         mlm[np.ix_(rows, rows)] += (hi - lo) * ((g * lambdas) @ g.T)
     return pm / alpha, mlm / alpha
@@ -268,10 +268,10 @@ def test_sddn_zero_amplitude(basis100):
     model = SddnModel(s=5, b0=0.05, q=0.0)
     supports = np.array([[3, 4, 5, 6, 7]])
     blocks = sample_sddn_batch(model, basis100, dwell_blocks(supports), np.random.default_rng(0))
-    [(lo, hi, rows, g)] = blocks
+    assert [part.shape for part in blocks] == [(1,), (1,), (1, 5), (1, 5, 5)]
+    [(lo, hi, rows, g)] = zip(*blocks)
     assert (lo, hi) == (0, 1)
     assert list(rows) == [3, 4, 5, 6, 7]
-    assert g.shape == (5, 5)
     assert np.all(g == 0.0)
     assert np.all(_sddn_columns(100, blocks, np.ones((5, 1))) == 0.0)
 
@@ -284,9 +284,9 @@ def test_sddn_support_and_normalization(basis100):
     blocks = sample_sddn_batch(model, basis100, dwell_blocks(supports), np.random.default_rng(2))
     # The blocks tile the frames; each covers frames that share its rows,
     # and its factor G = scale M P has spectral norm exactly q.
-    assert [lo for lo, _, _, _ in blocks] == [0] + [hi for _, hi, _, _ in blocks[:-1]]
-    assert blocks[-1][1] == 40
-    for lo, hi, rows, g in blocks:
+    lo, hi = blocks[:2]
+    assert lo[0] == 0 and np.array_equal(lo[1:], hi[:-1]) and hi[-1] == 40
+    for lo, hi, rows, g in zip(*blocks):
         assert np.all(supports[lo:hi] == rows)
         assert np.linalg.norm(g, 2) == pytest.approx(model.q, abs=1e-12)
     # Off-support rows are exactly zero.
@@ -296,7 +296,7 @@ def test_sddn_support_and_normalization(basis100):
         mask[supports[t]] = False
         assert np.all(w[mask, t] == 0.0)
     # A single frame is one block of its own.
-    [(_, _, _, g1)] = sample_sddn_batch(model, basis100, dwell_blocks(supports[:1]), np.random.default_rng(3))
+    [g1] = sample_sddn_batch(model, basis100, dwell_blocks(supports[:1]), np.random.default_rng(3))[3]
     assert np.linalg.norm(g1, 2) == pytest.approx(model.q, abs=1e-12)
 
 
@@ -395,34 +395,36 @@ def test_sddn_matches_reference(n, r, s, dwell, alpha, moments):
 class _RecordingRng:
     """Generator stub that records its standard_normal draws.
 
-    With zero_draw set, that draw (counted from 0) is returned zeroed.
+    With zero_draw set, that draw (counted from 0) is returned with
+    z[zero_at] zeroed (all of it by default).
     """
 
-    def __init__(self, seed, zero_draw=None):
+    def __init__(self, seed, zero_draw=None, zero_at=...):
         self.rng = np.random.default_rng(seed)
-        self.zero_draw = zero_draw
+        self.zero_draw, self.zero_at = zero_draw, zero_at
         self.draws = []
 
     def standard_normal(self, shape):
         z = self.rng.standard_normal(shape)
         if len(self.draws) == self.zero_draw:
-            z[...] = 0.0
+            z[self.zero_at] = 0.0
         self.draws.append(z.copy())
         return z
 
 
 @pytest.mark.parametrize("dwell", [6, 20, 7])
 def test_sddn_draws_one_piece_at_a_time(dwell):
-    # One (s, n) draw per dwell block, in block order: together they are
-    # the stream of consecutive (s, n) draws.
+    # One (nb, s, n) draw for the nb dwell blocks, nb s n floats whatever
+    # alpha: it is the stream of nb consecutive (s, n) draws, in block order.
     n, r, s, alpha = 13, 3, 5, 50
     sig = SignalModel(make_random_basis(n, r, np.random.default_rng(1)), np.full(r, 12.0))
     supports = _moving_block(n, s, dwell, alpha)
     rng = _RecordingRng(3)
     sample_sddn_batch(SddnModel(s=s, b0=0.5, q=0.3), sig.P, dwell_blocks(supports), rng)
-    assert len(rng.draws) == -(-alpha // dwell)
+    nb = -(-alpha // dwell)
+    assert [z.shape for z in rng.draws] == [(nb, s, n)]
     stream = np.random.default_rng(3)
-    for z in rng.draws:
+    for z in rng.draws[0]:
         np.testing.assert_array_equal(z, stream.standard_normal((s, n)))
 
 
@@ -437,12 +439,12 @@ def test_sddn_one_dependency_matrix_per_dwell_block(dwell):
     rng = _RecordingRng(3)
     blocks = sample_sddn_batch(model, sig.P, dwell_blocks(supports), rng)
     starts = np.arange(0, alpha, dwell)
-    assert [z.shape for z in rng.draws] == [(s, n)] * len(starts)
-    assert [lo for lo, _, _, _ in blocks] == list(starts)
+    assert [z.shape for z in rng.draws] == [(len(starts), s, n)]
+    assert np.array_equal(blocks[0], starts)
     w = _sddn_columns(n, blocks, a)
     pe = sig.P.entries
     mean_m, mean_mlm = np.zeros((n, n)), np.zeros((n, n))
-    for z, (lo, hi, rows, g) in zip(rng.draws, blocks):
+    for z, (lo, hi, rows, g) in zip(rng.draws[0], zip(*blocks)):
         assert hi == min(lo + dwell, alpha)
         assert np.array_equal(rows, supports[lo])
         scaled = model.q * np.abs(z) / np.linalg.norm(np.abs(z) @ pe, 2)
@@ -467,38 +469,43 @@ def test_sddn_one_dependency_matrix_per_dwell_block(dwell):
 
 @pytest.mark.parametrize("zero_norm", [0.0, -1e-18])
 def test_sddn_zero_norm_frame_is_redrawn(monkeypatch, zero_norm):
-    # An all-zero draw gives M P = 0, so the block is redrawn before the
-    # next block's draw. zero_norm stands in for the value a norm routine
-    # may round the zero matrix's norm to; a negative one must still read
-    # as norm 0.
+    # An all-zero block in the draw gives M P = 0 for that block, so the
+    # whole batch is redrawn: every block's G comes from the second draw.
+    # zero_norm stands in for the value a norm routine may round the zero
+    # matrix's norm to; a negative one must still read as norm 0.
     norm = np.linalg.norm
 
     def rounding_norm(x, *args, **kwargs):
-        return zero_norm if not np.any(x) else norm(x, *args, **kwargs)
+        values = norm(x, *args, **kwargs)
+        if np.ndim(x) == 3:  # the sampler's batched norm, one value per block
+            values[~np.any(x, axis=(1, 2))] = zero_norm
+        return values
 
     monkeypatch.setattr(np.linalg, "norm", rounding_norm)
     n, r, s = 20, 4, 3
     sig = SignalModel(make_random_basis(n, r, np.random.default_rng(1)), np.full(r, 12.0))
     model = SddnModel(s=s, b0=0.5, q=0.2)
     supports = np.array([[0, 1, 2], [5, 6, 7], [5, 6, 7], [10, 11, 12]])
-    rng = _RecordingRng(3, zero_draw=1)
+    rng = _RecordingRng(3, zero_draw=0, zero_at=1)  # the first draw's second block
     blocks = sample_sddn_batch(model, sig.P, dwell_blocks(supports), rng)
-    assert [z.shape for z in rng.draws] == [(s, n)] * 4
-    assert np.all(rng.draws[1] == 0.0)
-    assert [(lo, hi) for lo, hi, _, _ in blocks] == [(0, 1), (1, 3), (3, 4)]
+    assert [z.shape for z in rng.draws] == [(3, s, n)] * 2
+    assert np.all(rng.draws[0][1] == 0.0) and np.any(rng.draws[0][[0, 2]])
+    lo, hi, _, _ = blocks
+    assert list(zip(lo, hi)) == [(0, 1), (1, 3), (3, 4)]
     pe = sig.P.entries
-    # Disjoint supports: each block's factor comes from its own draw.
-    for (lo, _, rows, g), draw in zip(blocks, [0, 2, 3]):
+    # Disjoint supports: block i's factor comes from block i of the second draw.
+    for (lo, _, rows, g), z in zip(zip(*blocks), rng.draws[1]):
         assert np.array_equal(rows, supports[lo])
         assert np.all(np.isfinite(g))
-        mp = np.abs(rng.draws[draw]) @ pe
+        mp = np.abs(z) @ pe
         np.testing.assert_allclose(g, model.q * mp / np.linalg.norm(mp, 2), rtol=1e-12)
         assert np.linalg.norm(g, 2) == pytest.approx(model.q, rel=1e-12)
 
 
 def _missing_blocks(p, supports):
     """Missing data as SDDN blocks in full coordinates: G = -P_T erases the support rows of P a."""
-    return [(lo, hi, rows, -p.entries[rows]) for lo, hi, rows in dwell_blocks(supports)]
+    lo, hi, rows = dwell_blocks(supports)
+    return lo, hi, rows, -p.entries[rows]
 
 
 def test_apply_missing_cases():
@@ -543,8 +550,8 @@ def test_refine_blocks_match_error_columns():
         ht = phat.entries[rows]
         expected[rows, t] = np.linalg.solve(np.eye(s) - ht @ ht.T, resid[rows, t])
     blocks = refine_blocks(p, phat, dwell_blocks(supports))
-    assert [(lo, hi) for lo, hi, _, _ in blocks] == [(0, 5), (5, 8), (8, 12), (12, 14)]
-    assert all(g.shape == (s, r) for _, _, _, g in blocks)
+    assert list(zip(*blocks[:2])) == [(0, 5), (5, 8), (8, 12), (12, 14)]
+    assert blocks[3].shape == (4, s, r)
     np.testing.assert_allclose(_sddn_columns(n, blocks, a), expected, rtol=0, atol=1e-13)
 
 
