@@ -26,19 +26,19 @@ from .experiments import bound_inputs, realize_model, with_overrides
 SEED_ENV_VAR = "NOISYPCA_SEED"
 
 # Subcommand -> (experiment function name in noisypca.experiments, whether it
-# runs trials, whether it evaluates a bound). The function is looked up when
-# the command runs. Commands that run trials go through the trial runner and
-# take --workers and --trials; commands that evaluate a bound take --c.
-# `bound` is handled by _print_bound.
+# evaluates a bound). The function is looked up when the command runs. Every
+# command but `bound` runs trials through the trial runner and takes
+# --workers and --trials; commands that evaluate a bound take --c. `bound` is
+# handled by _print_bound.
 COMMANDS = {
-    "bound": (None, False, True),
-    "bound-tightness": ("bound_tightness", True, True),
-    "phase-transition": ("phase_transition", True, False),
-    "concentration": ("concentration_check", True, True),
-    "rank-estimation": ("rank_estimation", True, True),
-    "adversarial": ("adversarial_experiment", True, False),
-    "refine": ("refinement_loop", False, False),
-    "missing": ("missing_data_experiment", True, True),
+    "bound": (None, True),
+    "bound-tightness": ("bound_tightness", True),
+    "phase-transition": ("phase_transition", False),
+    "concentration": ("concentration_check", True),
+    "rank-estimation": ("rank_estimation", True),
+    "adversarial": ("adversarial_experiment", False),
+    "refine": ("refinement_loop", False),
+    "missing": ("missing_data_experiment", True),
 }
 
 
@@ -75,14 +75,14 @@ def _positive_float(text):
 def _build_parser():
     parser = _Parser(prog="noisypca", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="|".join(COMMANDS))
-    for name, (_, runs_trials, evaluates_bound) in COMMANDS.items():
+    for name, (function, evaluates_bound) in COMMANDS.items():
         # No prefix matching: `--c` on a command without it must not mean --config.
         p = sub.add_parser(name, add_help=True, allow_abbrev=False)
         p.set_defaults(workers=1, trials=None, c=None)
         p.add_argument("--config", required=True, help="config file path or preset name")
         p.add_argument("--seed", type=_seed, default=None, help="master seed, >= 0 (overrides config)")
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-        if runs_trials:
+        if function is not None:
             p.add_argument("--workers", type=_positive_int,
                            help="worker processes, >= 1 (does not change output bytes)")
             p.add_argument("--trials", type=_positive_int, help="override the trial count, >= 1")
@@ -165,13 +165,12 @@ def _dispatch(args):
     for line in describe(cfg).splitlines():
         sys.stderr.write(f"# {line}\n")
     start = time.time()
-    function, runs_trials, _ = COMMANDS[args.command]
+    function, _ = COMMANDS[args.command]
     if function is None:
         alpha = args.alpha if args.alpha is not None else cfg.alpha_grid[0]
         result = _print_bound(cfg, alpha, args.out)
     else:
-        kwargs = {"workers": args.workers} if runs_trials else {}
-        result = getattr(exp, function)(cfg, **kwargs)
+        result = getattr(exp, function)(cfg, workers=args.workers)
         result.write(args.out)
     wall = time.time() - start
     # Every command but `bound` runs at one BLAS thread.

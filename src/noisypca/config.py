@@ -29,14 +29,14 @@ Format::
     [refine]                                # optional section
     q0 = 0.06
     stages = 4
-    alpha_constant = 16
 
 Unknown sections or keys are errors; so are missing required keys. Keys
 marked optional may be left out. The noise_* keys are required unless
-noise_rv = none, the sddn_* keys are required when sddn = on, and all three
+noise_rv = none, the sddn_* keys are required when sddn = on, and both
 [refine] keys are required once that section has any key; a key whose
-condition is false is not read. The table _KEYS below is the source for
-which keys each section takes, when each is required and how it is read.
+condition is false is not read. `refine` runs `trials` trajectories at the
+one alpha of its alpha_grid. The table _KEYS below is the source for which
+keys each section takes, when each is required and how it is read.
 """
 
 import importlib.resources
@@ -177,7 +177,6 @@ _KEYS = (
     ("experiment", "epsilon_rule", ("epsilon_rule", "epsilon_value"), _epsilon_rule, "optional"),
     ("refine", "q0", "refine_q0", _as_float, "refine"),
     ("refine", "stages", "refine_stages", _as_int, "refine"),
-    ("refine", "alpha_constant", "refine_alpha_constant", _as_float, "refine"),
 )
 _SECTIONS = {name: {row[1] for row in _KEYS if row[0] == name} for name, *_ in _KEYS}
 _READ_WHEN = {

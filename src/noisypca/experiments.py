@@ -26,9 +26,8 @@ RNG substream, aggregation is order-independent, and every trial runs at
 one BLAS thread in whichever process runs it, so the CSV bytes are a pure
 function of (config, master_seed): identical across reruns, for any worker
 count and for any OPENBLAS_NUM_THREADS, as long as numpy's bundled
-OpenBLAS is found. `refinement_loop` runs whole at one BLAS thread too, so
-the same holds for it. The model realization and the bounds of the other
-experiments run at the caller's thread count.
+OpenBLAS is found. The model realization, the cells and the bounds run at
+the caller's thread count.
 """
 
 import contextlib
@@ -51,7 +50,6 @@ from .bounds import (
     missing_q,
     rank_delta,
     sddn_bound,
-    sddn_required_alpha,
     success_floor,
 )
 from .errors import InfeasibleModel, InvalidExample, NoComplement, RankDeficient, ValidationError
@@ -120,7 +118,6 @@ class ExperimentConfig:
     epsilon_value: float = None
     refine_q0: float = None
     refine_stages: int = None
-    refine_alpha_constant: float = None
 
     def __post_init__(self):
         if self.n < 1 or not 1 <= self.r <= self.n:
@@ -158,10 +155,6 @@ class ExperimentConfig:
             raise ValidationError(f"refine q0 must lie in [0, 1.2], got {self.refine_q0}")
         if self.refine_stages is not None and self.refine_stages < 1:
             raise ValidationError(f"refine stages must be >= 1, got {self.refine_stages}")
-        if self.refine_alpha_constant is not None and not 0 < self.refine_alpha_constant < math.inf:
-            raise ValidationError(
-                f"refine alpha_constant must be finite and positive, got {self.refine_alpha_constant}"
-            )
 
     def lambdas_for(self, r):
         lam = self.signal_lambdas
@@ -300,8 +293,13 @@ def _cell(model, alpha):
         c_u[rows] = 0.0
         with contextlib.suppress(RankDeficient):
             frame = rows, orthonormalize(c_u).entries
-    (u, rest), (lo, hi, t) = frame, blocks
-    return Cell(model, alpha, (lo, hi, np.searchsorted(u, t)), frame, np.vstack([c[u], rest.T @ c]), b)
+    lo, hi, t = blocks
+    return Cell(model, alpha, (lo, hi, np.searchsorted(frame[0], t)), frame, _in_frame(frame, c), b)
+
+
+def _in_frame(frame, x):
+    """F'x = [x[U]; rest'x] for the n-row x and the frame (U, rest) of a cell (`_cell`)."""
+    return np.vstack([x[frame[0]], frame[1].T @ x])
 
 
 def _signal(cfg, model, alpha, *key):
@@ -445,6 +443,23 @@ def _missing_measure(cfg, cell, trial):
     lo, hi, t = cell.blocks
     d = _covariance(c, _signal(cfg, cell.model, cell.alpha, trial), (lo, hi, t, -c[t]))
     return _pca_se(d, cell.model, cell.frame)
+
+
+def _refine_measure(cfg, cell, trial):
+    """se after each stage of one refinement trajectory (`refinement_loop`), in D's coordinates.
+
+    P lies in the frame, so C = F'P and Phat'P = (F'Phat)'C: the start, tilted
+    from P by q0 / 1.2, enters as F'Phat_0, and stage estimates u as F'(F u) = u.
+    """
+    model, c = cell.model, cell.c
+    p = model.signal.P
+    start = _tilted_basis(p, cfg.refine_q0 / 1.2, substream(cfg.master_seed, STREAM_AUX, p.n, p.r, trial))
+    phat, ses = _in_frame(cell.frame, start.entries), []
+    for k in range(1, cfg.refine_stages + 1):
+        d = _covariance(c, _signal(cfg, model, cell.alpha, trial, k), refine_blocks(c, phat, cell.blocks))
+        phat = top_r_eigvecs(d, p.r).entries
+        ses.append(_estimate_se(phat, model, cell.frame))
+    return ses
 
 
 def _adversarial_measure(cfg, cell, trial):
@@ -719,45 +734,33 @@ def _tilted_basis(p, target_se, rng):
     return BasisMatrix(entries)
 
 
-@_one_blas_thread()
-def refinement_loop(cfg, trial=0):
-    """Staged subspace refinement under projection-induced sparse noise.
+def refinement_loop(cfg, workers=1):
+    """Staged subspace refinement under projection-induced sparse noise, one trajectory per trial.
 
-    q0, the stage count and the sample-size constant come from cfg's
-    refine_* fields. Starting from an estimate with error q0/1.2, each
-    stage re-estimates the subspace from l_t + e_t on a fresh batch and
-    should contract the error by 0.3: se_k <= 0.25 * q0 * 0.3^(k-1). The
-    error e_t = I_T B_T^{-1} I_T' (I - Phat Phat') l_t is SDDN with block
-    factor G = B_T^{-1} (P_T - Phat_T Phat'P) (`refine_blocks`), so D comes
-    from the signal coefficients by `_covariance` with C = P and no frame.
+    q0 and the stage count come from cfg's refine_* fields, the batch size
+    from its one alpha. From an estimate with error q0/1.2, each stage
+    re-estimates the subspace from l_t + e_t on a fresh batch and should
+    contract the error by 0.3: se_k <= 0.25 * q0 * 0.3^(k-1). The error e_t
+    = I_T B_T^{-1} I_T' (I - Phat Phat') l_t is SDDN with block factor G =
+    B_T^{-1} (P_T - Phat_T Phat'P) (`refine_blocks`), and C = P. The
+    contraction needs 3 sqrt(b) f < 0.2 for the cell's realized occupancy b.
 
-    It runs at one BLAS thread: the late-stage errors are tiny, and their
-    last digits move with the thread count.
-
-    Returns a GridResult with columns (stage, se, stage_bound).
+    Returns a GridResult with columns (trial, stage, se, stage_bound).
     """
-    stages, q0 = cfg.refine_stages, cfg.refine_q0
-    constant = cfg.refine_alpha_constant if cfg.refine_alpha_constant is not None else 16.0
-    if stages is None or q0 is None:
+    if cfg.refine_stages is None or cfg.refine_q0 is None:
         raise ValidationError("refinement needs q0 and a stage count")
     if not cfg.sddn_enabled:
         raise ValidationError("refinement needs the sparse support model")
-    n, r = cfg.n, cfg.r
+    if len(cfg.alpha_grid) != 1:
+        raise ValidationError(f"refine takes one alpha, got alpha_grid={cfg.alpha_grid}")
     model = realize_model(cfg)
-    p, f = model.signal.P, model.signal.f
-    if 3.0 * np.sqrt(cfg.sddn_b0) * f >= 0.2:
-        raise InfeasibleModel("refinement contraction requires 3 sqrt(b0) f < 0.2")
-    phat = _tilted_basis(p, q0 / 1.2, substream(cfg.master_seed, STREAM_AUX, n, r, trial))
-    # With eps_se = q/4 the sample-size formula is q-independent
-    # ((q f / eps)^2 = 16 f^2), so every stage takes the same batch size.
-    alpha = sddn_required_alpha(1.0, f, r, n, 0.25, constant)
-    blocks = dwell_blocks(support_sequence(n, model.sddn, alpha))
-    rows = []
-    for k in range(1, stages + 1):
-        a = _signal(cfg, model, alpha, trial, k)
-        phat = top_r_eigvecs(_covariance(p.entries, a, refine_blocks(p, phat, blocks)), r)
-        rows.append((k, subspace_error(phat, p), 0.25 * q0 * 0.3 ** (k - 1)))
-    return GridResult(("stage", "se", "stage_bound"), rows)
+    cell = _cell(model, cfg.alpha_grid[0])
+    if 3.0 * np.sqrt(cell.b) * model.signal.f >= 0.2:
+        raise InfeasibleModel(f"refinement contraction requires 3 sqrt(b) f < 0.2, got b = {cell.b:.6f}")
+    (results,) = _run_trials(cfg, [cell], _refine_measure, workers)
+    bounds = [0.25 * cfg.refine_q0 * 0.3**k for k in range(cfg.refine_stages)]
+    rows = [(trial, k + 1, se, bounds[k]) for trial, ses in enumerate(results) for k, se in enumerate(ses)]
+    return GridResult(("trial", "stage", "se", "stage_bound"), rows)
 
 
 def missing_data_experiment(cfg, workers=1):

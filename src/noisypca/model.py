@@ -272,16 +272,17 @@ def refine_blocks(p, phat, blocks):
 
     I_T G a_t is the error I_T B_T^{-1} I_T' (I - Phat Phat') P a_t, B_T = I -
     Phat_T Phat_T'; one batched solve gives the (nb, s, r) factors G, returned
-    as (lo, hi, T, G). Raises SupportDegenerate when an eigenvalue of some B_T,
-    all in (0, 1], is below 1e-8.
+    as (lo, hi, T, G). p and phat are arrays in any coordinates that keep
+    Phat'P (a cell's frame does). Raises SupportDegenerate when an
+    eigenvalue of some B_T, all in (0, 1], is below 1e-8.
     """
     lo, hi, rows = blocks
-    pe, ht = p.entries, phat.entries[rows]
+    ht = phat[rows]
     b_mat = np.eye(rows.shape[1]) - ht @ ht.swapaxes(1, 2)
     bad = np.flatnonzero(np.linalg.eigvalsh(b_mat)[:, 0] < 1e-8)
     if bad.size:
-        raise SupportDegenerate(f"masked Gram matrix near-singular on block {rows[bad[0]]}")
-    return lo, hi, rows, np.linalg.solve(b_mat, pe[rows] - ht @ (phat.entries.T @ pe))
+        raise SupportDegenerate(f"masked Gram matrix near-singular on frames [{lo[bad[0]]}, {hi[bad[0]]})")
+    return lo, hi, rows, np.linalg.solve(b_mat, p[rows] - ht @ (phat.T @ p))
 
 
 @dataclass(frozen=True)

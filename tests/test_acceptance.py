@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from noisypca.bounds import BoundInputs, general_bound
+from noisypca.bounds import BoundInputs, general_bound, sddn_required_alpha
 from noisypca.config import parse_config
 from noisypca.experiments import (
     adversarial_experiment,
@@ -170,21 +170,21 @@ def test_criterion_7_concentration_decay():
 def test_criterion_8_refinement_recursion():
     cfg, _ = parse_config("refine")
     assert cfg.refine_q0 == 0.06 and cfg.refine_stages == 4
-    assert cfg.refine_alpha_constant == 16.0
-    assert 3.0 * math.sqrt(cfg.sddn_b0) * 1.0 < 0.2
-    successes = 0
-    worst = 0.0
-    for trial in range(cfg.n_trials):
-        rows = refinement_loop(cfg, trial=trial).rows
-        ok_traj = all(se <= stage_bound for _, se, stage_bound in rows)
-        successes += ok_traj
-        worst = max(worst, max(se / stage_bound for _, se, stage_bound in rows))
+    f = 1.0  # one signal variance
+    assert cfg.alpha_grid == (sddn_required_alpha(1.0, f, cfg.r, cfg.n, 0.25, 16.0),)
+    assert 3.0 * math.sqrt(cfg.sddn_b0) * f < 0.2
+    trajectories = {}
+    for trial, _, se, stage_bound in refinement_loop(cfg).rows:
+        trajectories.setdefault(trial, []).append((se, stage_bound))
+    assert sorted(trajectories) == list(range(cfg.n_trials))
+    successes = sum(all(se <= bound for se, bound in rows) for rows in trajectories.values())
+    worst = max(se / bound for rows in trajectories.values() for se, bound in rows)
     frac = successes / cfg.n_trials
     ok = frac >= 0.9
     report(
         8,
         ok,
-        "refinement recursion: %d/%d trajectories within 0.25*q0*0.3^(k-1), worst ratio %.2f"
+        "refinement recursion: %d/%d trajectories within 0.25*q0*0.3^(k-1), worst ratio %.4g"
         % (successes, cfg.n_trials, worst),
     )
 

@@ -142,7 +142,7 @@ _REFERENCE_SECTIONS = {
         "noise_scale_base", "noise_scale_slope", "sddn", "sddn_s", "sddn_b0", "sddn_rho", "sddn_q",
     },
     "experiment": {"alpha_grid", "trials", "seed", "c", "epsilon_rule", "r_grid", "n_grid"},
-    "refine": {"q0", "stages", "alpha_constant"},
+    "refine": {"q0", "stages"},
 }
 
 
@@ -245,9 +245,6 @@ def _reference_parse_config_text(text, source="<config>"):
     if refine:
         kwargs["refine_q0"] = _as_float(_require(refine, "refine", "q0"), "q0")
         kwargs["refine_stages"] = _as_int(_require(refine, "refine", "stages"), "stages")
-        kwargs["refine_alpha_constant"] = _as_float(
-            _require(refine, "refine", "alpha_constant"), "alpha_constant"
-        )
 
     config_seed = kwargs.pop("master_seed")
     cfg = config_module.ExperimentConfig(master_seed=config_seed if config_seed is not None else 0, **kwargs)
@@ -262,7 +259,6 @@ n_grid = 40
 [refine]
 q0 = 0.06
 stages = 4
-alpha_constant = 16
 """
 _MALFORMED = ("", "x", "0", "-1", "2.5", "nan", "inf", "1,,2", "logspace:5:2:3", "fixed:", "none", "off")
 
@@ -292,7 +288,7 @@ def _differential_cases():
         texts += ["\n".join(f"{line.split('=')[0]}= x" if k in (i, j) else line for k, line in enumerate(lines))
                   for j in keyed if j > i]
     texts += [MINIMAL + "\n[refine]\n", MINIMAL + "\n[refine]\nq0 = 0.06\n",
-              MINIMAL + "\n[refine]\nstages = 4\nalpha_constant = 16\n",
+              MINIMAL + "\n[refine]\nstages = 4\n",
               MINIMAL + "epsilon_rule = floor\n", MINIMAL + "epsilon_rule = fixed:0.05\n",
               MINIMAL + "q0 = 1\n", MINIMAL.replace("[experiment]", "[refine]"),
               MINIMAL.split("[experiment]")[0], "[experiment]" + MINIMAL.split("[experiment]")[1]]
@@ -491,7 +487,7 @@ def test_cli_bad_workers_exit_one(tmp_path, capsys, monkeypatch):
     for args in (
         ["bound-tightness", "--config", "fig1a", "--workers", "0"],
         ["missing", "--config", "missing", "--workers", "-3"],
-        ["refine", "--config", "refine", "--workers", "2"],
+        ["refine", "--config", "refine", "--workers", "0"],
         ["bound", "--config", "fig1a", "--workers", "2"],
         ["bound-tightness", "--config", "fig1a", "--trials", "0"],
         ["bound", "--config", "fig1a", "--alpha", "0"],
@@ -500,7 +496,7 @@ def test_cli_bad_workers_exit_one(tmp_path, capsys, monkeypatch):
         ["adversarial", "--config", "adversarial", "--c", "2"],
         ["refine", "--config", "refine", "--c", "9"],
         ["bound", "--config", "fig1a", "--trials", "999"],
-        ["refine", "--config", "refine", "--trials", "7"],
+        ["refine", "--config", "refine", "--trials", "0"],
         # Seeds must be >= 0 and c finite and > 0.
         ["bound", "--config", "fig1a", "--seed", "-1"],
         ["bound-tightness", "--config", "fig1a", "--seed", "-5"],
@@ -514,7 +510,7 @@ def test_cli_bad_workers_exit_one(tmp_path, capsys, monkeypatch):
         assert "usage" in err.lower() and "Traceback" not in err, args
     # The same values from a config file or NOISYPCA_SEED are config errors.
     no_seed = MINIMAL.replace("seed = 11\n", "")
-    refine = case_config_text("refine", ("alpha_grid = 1000", "trials = 1"))
+    refine = case_config_text("refine", ("alpha_grid = 7068", "trials = 1"))
     for command, text, env, message in (
         ("bound", MINIMAL.replace("seed = 11", "seed = -1"), {}, "error:"),
         ("bound", MINIMAL + "c = nan\n", {}, "error:"),
@@ -541,16 +537,14 @@ def test_cli_bad_workers_exit_one(tmp_path, capsys, monkeypatch):
             "adversarial", case_config_text("adversarial", ("alpha_grid = 1000,2000", "trials = 1")), {},
             "error: adversarial takes one alpha",
         ),
-        # [refine]: q0 / 1.2 is a sine, so q0 lies in [0, 1.2]; stages >= 1;
-        # alpha_constant finite and > 0.
+        # [refine]: q0 / 1.2 is a sine, so q0 lies in [0, 1.2]; stages >= 1.
         ("refine", refine.replace("q0 = 0.06", "q0 = 2"), {}, "error: refine q0"),
         ("refine", refine.replace("q0 = 0.06", "q0 = nan"), {}, "error: refine q0"),
         ("refine", refine.replace("q0 = 0.06", "q0 = -0.5"), {}, "error: refine q0"),
         ("refine", refine.replace("stages = 4", "stages = 0"), {}, "error: refine stages"),
-        ("refine", refine.replace("alpha_constant = 16", "alpha_constant = -1"), {},
-         "error: refine alpha_constant"),
-        ("refine", refine.replace("alpha_constant = 16", "alpha_constant = inf"), {},
-         "error: refine alpha_constant"),
+        # The batch size is the one alpha of alpha_grid; there is no second knob.
+        ("refine", refine.replace("stages = 4", "stages = 4\nalpha_constant = 16"), {}, "unknown key"),
+        ("refine", refine.replace("alpha_grid = 7068", "alpha_grid = 7068,8000"), {}, "error:"),
     ):
         monkeypatch.delenv("NOISYPCA_SEED", raising=False)
         for name, value in env.items():
@@ -619,6 +613,16 @@ def test_cli_worker_count_does_not_change_bytes(tmp_path):
     proc_b = _run_cli(["bound-tightness", "--config", path, "--workers", "2", "--out", out_b], str(tmp_path))
     assert proc_b.returncode == 0, proc_b.stderr
     assert _read_csv_bytes(out_a, 2) == _read_csv_bytes(out_b, 2)
+    # refine's trajectories are trials too.
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"refine-w{workers}.csv"
+        proc = _run_cli(["refine", "--config", "refine", "--trials", "2", "--workers", workers, "--out", str(out)],
+                        str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0].count(b"\n") == 1 + 2 * 4
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_blas_thread_count_does_not_change_bytes(tmp_path):
@@ -659,27 +663,46 @@ def test_cli_refine_subcommand(tmp_path, capsys):
     # 3 sqrt(b0) f < 0.2 needs occupancy below 0.0044.
     text = text.replace("n = 40", "n = 240")
     text = text.replace("sddn_s = 2", "sddn_s = 1").replace("sddn_b0 = 0.05", "sddn_b0 = 0.004")
-    text += "\n[refine]\nq0 = 0.05\nstages = 2\nalpha_constant = 8\n"
+    # sddn_required_alpha(1, 1, 3, 240, 0.25, 8): one batch size for every stage.
+    text = text.replace("alpha_grid = 200,400", "alpha_grid = 2105")
+    text += "\n[refine]\nq0 = 0.05\nstages = 2\n"
     path = write_cfg(tmp_path, text, "refine.cfg")
     rc = main(["refine", "--config", path])
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.splitlines()[0] == "stage,se,stage_bound"
-    assert len(out.strip().splitlines()) == 3
+    lines = out.splitlines()
+    assert lines[0] == "trial,stage,se,stage_bound"
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        [str(t), str(k)] for t in range(3) for k in (1, 2)
+    ]  # MINIMAL's 3 trials x 2 stages
+
+
+def test_cli_refine_infeasible_occupancy_exits_two(tmp_path, capsys, monkeypatch):
+    # 3 sqrt(b0) = 0.199 passes, but the schedule realizes b = 0.004527 at
+    # alpha = 7068: 3 sqrt(b) = 0.2019, so no trial may run.
+    calls = []
+    monkeypatch.setattr(noisypca.experiments, "_refine_measure", lambda *args: calls.append(args))
+    text = case_config_text("refine", ("alpha_grid = 7068", "trials = 2"))
+    path = write_cfg(tmp_path, text.replace("sddn_b0 = 0.004", "sddn_b0 = 0.0044"), "refine-b.cfg")
+    assert main(["refine", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert "infeasible: refinement contraction requires 3 sqrt(b) f < 0.2, got b = 0.004527" in captured.err
+    assert captured.out == "" and calls == []
 
 
 def test_cli_refine_full_rank_start_exits_one(tmp_path, capsys):
     # With r = n there is no direction outside span(P) to tilt the start
-    # estimate toward, so a start at q0 > 0 cannot be built.
+    # estimate toward, so a start at q0 > 0 cannot be built. n = 250 keeps
+    # the realized occupancy under the contraction cap, so the trial runs.
     text = (
-        "[model]\nn = 5\nr = 5\nsignal_distribution = bounded_uniform\nsignal_lambdas = 12\n"
+        "[model]\nn = 250\nr = 250\nsignal_distribution = bounded_uniform\nsignal_lambdas = 12\n"
         "noise_rv = none\nsddn = on\nsddn_s = 1\nsddn_b0 = 0.004\nsddn_rho = 1\nsddn_q = 0\n"
-        "[experiment]\nalpha_grid = 1000\ntrials = 1\nseed = 7\n"
-        "[refine]\nq0 = 0.06\nstages = 1\nalpha_constant = 16\n"
+        "[experiment]\nalpha_grid = 7068\ntrials = 1\nseed = 7\n"
+        "[refine]\nq0 = 0.06\nstages = 1\n"
     )
     path = write_cfg(tmp_path, text, "refine-full-rank.cfg")
     rc = main(["refine", "--config", path])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert "error: r = n = 5: no direction outside span(P)" in captured.err
+    assert "error: r = n = 250: no direction outside span(P)" in captured.err

@@ -774,7 +774,8 @@ def test_adversarial_experiment_rows():
 
 def refinement_cfg(**overrides):
     # Contraction precondition 3 sqrt(b) f < 0.2 forces occupancy below
-    # 0.0044, hence n well above 225 * s.
+    # 0.0044, hence n well above 225 * s. The batch size is the one
+    # sddn_required_alpha gives with eps_se = q/4 and constant 16.
     base = dict(
         n=240,
         r=3,
@@ -786,28 +787,32 @@ def refinement_cfg(**overrides):
         sddn_b0=1.0 / 240,
         sddn_rho=1,
         sddn_q=0.0,
-        alpha_grid=(100,),
+        alpha_grid=(sddn_required_alpha(1.0, 1.0, 3, 240, 0.25, 16.0),),
         n_trials=1,
         master_seed=2,
         refine_q0=0.06,
         refine_stages=3,
-        refine_alpha_constant=16.0,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
 
 
+def _trajectory(result, trial):
+    """The se column of one trial's rows of a refinement_loop result."""
+    return [se for t, _, se, _ in result.rows if t == trial]
+
+
 def test_refinement_zero_start_stays_exact():
-    res = refinement_loop(refinement_cfg(refine_q0=0.0), trial=0)
-    assert all(row[1] <= 1e-8 for row in res.rows)
+    res = refinement_loop(refinement_cfg(refine_q0=0.0))
+    assert all(row[2] <= 1e-8 for row in res.rows)
 
 
 def test_refinement_single_stage_within_sddn_bound():
     cfg = refinement_cfg(refine_stages=1)
-    res = refinement_loop(cfg, trial=0)
-    stage, se, stage_bound = res.rows[0]
+    res = refinement_loop(cfg)
+    trial, stage, se, stage_bound = res.rows[0]
     model = realize_model(cfg)
-    alpha = sddn_required_alpha(0.06, 1.0, 3, 240, 0.015, 16.0)
+    alpha = cfg.alpha_grid[0]
     supports = support_sequence(240, model.sddn, alpha)
     from noisypca.model import row_occupancy
 
@@ -822,25 +827,66 @@ def test_refinement_single_stage_within_sddn_bound():
 
 def test_refinement_requires_small_occupancy():
     with pytest.raises(InfeasibleModel):
-        refinement_loop(refinement_cfg(sddn_s=12, sddn_b0=0.1), trial=0)
+        refinement_loop(refinement_cfg(sddn_s=12, sddn_b0=0.1))
+
+
+def test_refinement_takes_one_alpha():
+    with pytest.raises(ValidationError, match="refine takes one alpha"):
+        refinement_loop(refinement_cfg(alpha_grid=(4210, 5000)))
 
 
 def test_refinement_trajectory_contracts():
-    res = refinement_loop(refinement_cfg(), trial=1)
-    ses = [row[1] for row in res.rows]
-    bounds_col = [row[2] for row in res.rows]
+    res = refinement_loop(refinement_cfg(n_trials=2))
+    assert res.columns == ("trial", "stage", "se", "stage_bound")
+    assert [row[:2] for row in res.rows] == [(t, k) for t in range(2) for k in range(1, 4)]
+    ses = _trajectory(res, 1)
+    bounds_col = [row[3] for row in res.rows if row[0] == 1]
     assert all(se <= b for se, b in zip(ses, bounds_col))
     assert ses[-1] <= ses[0]
 
 
-
 def _refine_start(cfg, trial):
-    """(model, stage-1 alpha, start estimate) of a refinement trajectory."""
+    """(model, alpha, start estimate) of a refinement trajectory."""
     model = realize_model(cfg)
-    q0, n, r = cfg.refine_q0, cfg.n, cfg.r
-    alpha = sddn_required_alpha(q0, model.signal.f, r, n, q0 / 4.0, cfg.refine_alpha_constant)
-    phat = _tilted_basis(model.signal.P, q0 / 1.2, substream(cfg.master_seed, STREAM_AUX, n, r, trial))
-    return model, alpha, phat
+    rng = substream(cfg.master_seed, STREAM_AUX, cfg.n, cfg.r, trial)
+    phat = _tilted_basis(model.signal.P, cfg.refine_q0 / 1.2, rng)
+    return model, cfg.alpha_grid[0], phat
+
+
+def _stage_coefficients(cfg, model, alpha, trial, k):
+    return signal_coefficients(
+        model.signal, substream(cfg.master_seed, STREAM_SIGNAL, cfg.n, cfg.r, alpha, trial, k), alpha
+    )
+
+
+def _reference_refinement(cfg, trial):
+    """se after each stage of one trajectory in n coordinates, with C = P and no frame.
+
+    The stage loop as it ran before refinement became a trial measure in
+    the cell's frame: D is the n x n covariance of each stage, and the
+    estimate is carried as an n x r basis.
+    """
+    model, alpha, phat = _refine_start(cfg, trial)
+    p = model.signal.P
+    blocks = dwell_blocks(support_sequence(cfg.n, model.sddn, alpha))
+    ses = []
+    for k in range(1, cfg.refine_stages + 1):
+        a = _stage_coefficients(cfg, model, alpha, trial, k)
+        phat = top_r_eigvecs(_covariance(p.entries, a, refine_blocks(p.entries, phat.entries, blocks)), cfg.r)
+        ses.append(subspace_error(phat, p))
+    return ses
+
+
+def test_refinement_matches_n_coordinate_loop():
+    # The frame form against the n-coordinate loop on trials 0-2 of the
+    # preset: stage 1 agrees to rel 1e-10; later stages have tiny errors
+    # whose last digits move with rounding (rel 1e-6 at stage 4).
+    cfg = replace(parse_config("refine")[0], n_trials=3)
+    res = refinement_loop(cfg)
+    for trial in range(3):
+        got, want = _trajectory(res, trial), _reference_refinement(cfg, trial)
+        assert got[0] == pytest.approx(want[0], rel=1e-10, abs=0.0), trial
+        assert got == pytest.approx(want, rel=1e-4, abs=0.0), trial
 
 
 def _reference_refine_columns(cfg, model, alpha, phat, trial, k=1):
@@ -864,31 +910,30 @@ def _reference_refine_columns(cfg, model, alpha, phat, trial, k=1):
 def test_refinement_stage_matches_column_form(trial):
     # Stage 1 of the preset: D from the signal coefficients and the
     # refine_blocks factors equals the sample covariance of l + e, and the
-    # reported se is that of PCA on the columns.
-    cfg = replace(parse_config("refine")[0], refine_stages=1)
+    # reported se is that of PCA on the columns (the frame form to rel 1e-10).
+    cfg = replace(parse_config("refine")[0], refine_stages=1, n_trials=trial + 1)
     model, alpha, phat = _refine_start(cfg, trial)
     p = model.signal.P
     columns = _reference_refine_columns(cfg, model, alpha, phat, trial)
     d_ref = sample_covariance(columns)
-    a = signal_coefficients(
-        model.signal, substream(cfg.master_seed, STREAM_SIGNAL, cfg.n, cfg.r, alpha, trial, 1), alpha
-    )
+    a = _stage_coefficients(cfg, model, alpha, trial, 1)
     blocks = dwell_blocks(support_sequence(cfg.n, model.sddn, alpha))
-    d = _covariance(p.entries, a, refine_blocks(p, phat, blocks))
+    d = _covariance(p.entries, a, refine_blocks(p.entries, phat.entries, blocks))
     assert np.max(np.abs(d - d_ref)) <= 1e-12 * np.linalg.norm(d_ref, 2)
     se_ref = subspace_error(pca_estimate(columns, cfg.r), p)
-    assert refinement_loop(cfg, trial=trial).rows[0][1] == pytest.approx(se_ref, rel=1e-12, abs=0.0)
+    assert _trajectory(refinement_loop(cfg), trial) == [pytest.approx(se_ref, rel=1e-10, abs=0.0)]
 
 
 def test_refinement_holds_no_n_by_alpha_columns():
-    # A preset-sized stage works on the signal coefficients and the per-block
-    # factors: its traced peak stays below half of one n x alpha float matrix.
-    cfg = replace(parse_config("refine")[0], refine_stages=1)
-    alpha = _refine_start(cfg, 0)[1]
-    refinement_loop(cfg, trial=0)  # first-call allocations are not the stage's
+    # A preset-sized trajectory works on the signal coefficients and the
+    # per-block factors: its traced peak stays below half of one n x alpha
+    # float matrix.
+    cfg = replace(parse_config("refine")[0], refine_stages=1, n_trials=1)
+    alpha = cfg.alpha_grid[0]
+    refinement_loop(cfg)  # first-call allocations are not the stage's
     tracemalloc.start()
     try:
-        refinement_loop(cfg, trial=1)
+        refinement_loop(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1098,13 +1143,10 @@ def test_experiment_config_validation():
                 dict(epsilon_rule="fixed", epsilon_value=float("nan")),
                 dict(epsilon_rule="fixed", epsilon_value=0.0),
                 dict(epsilon_rule="fixed", epsilon_value=float("inf")),
-                # q0 / 1.2 is a sine; stages >= 1; alpha_constant finite and > 0.
+                # q0 / 1.2 is a sine; stages >= 1.
                 dict(refine_q0=2.0), dict(refine_q0=float("nan")), dict(refine_q0=-0.5),
-                dict(refine_q0=float("inf")), dict(refine_stages=0), dict(refine_stages=-1),
-                dict(refine_alpha_constant=-1.0), dict(refine_alpha_constant=0.0),
-                dict(refine_alpha_constant=float("nan")), dict(refine_alpha_constant=float("inf"))):
+                dict(refine_q0=float("inf")), dict(refine_stages=0), dict(refine_stages=-1)):
         with pytest.raises(ValidationError):
             small_cfg(**bad)
-    for good in (dict(refine_q0=0.0), dict(refine_q0=1.2), dict(refine_stages=1),
-                 dict(refine_alpha_constant=0.5)):
+    for good in (dict(refine_q0=0.0), dict(refine_q0=1.2), dict(refine_stages=1)):
         small_cfg(**good)

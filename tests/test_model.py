@@ -549,21 +549,22 @@ def test_refine_blocks_match_error_columns():
     for t, rows in enumerate(supports):
         ht = phat.entries[rows]
         expected[rows, t] = np.linalg.solve(np.eye(s) - ht @ ht.T, resid[rows, t])
-    blocks = refine_blocks(p, phat, dwell_blocks(supports))
+    blocks = refine_blocks(p.entries, phat.entries, dwell_blocks(supports))
     assert list(zip(*blocks[:2])) == [(0, 5), (5, 8), (8, 12), (12, 14)]
     assert blocks[3].shape == (4, s, r)
     np.testing.assert_allclose(_sddn_columns(n, blocks, a), expected, rtol=0, atol=1e-13)
 
 
 def test_refine_blocks_support_degenerate():
-    # Phat holds e_4, so the block on row 4 has B_T = 1 - 1 = 0.
+    # Phat holds e_4, so the block on row 4 (frames 2 and 3) has B_T = 1 - 1
+    # = 0. The message names frames, which mean the same in any coordinates.
     n = 10
     p = make_random_basis(n, 2, np.random.default_rng(0))
     phat = BasisMatrix(np.eye(n)[:, [4, 7]])
     supports = np.array([[2], [2], [4], [4], [5]])
-    with pytest.raises(SupportDegenerate, match=r"block \[4\]"):
-        refine_blocks(p, phat, dwell_blocks(supports))
-    refine_blocks(p, phat, dwell_blocks(supports[:2]))  # the other rows are fine
+    with pytest.raises(SupportDegenerate, match=r"frames \[2, 4\)"):
+        refine_blocks(p.entries, phat.entries, dwell_blocks(supports))
+    refine_blocks(p.entries, phat.entries, dwell_blocks(supports[:2]))  # the other rows are fine
 
 # --- derived spectra ----------------------------------------------------------
 
