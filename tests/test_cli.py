@@ -544,7 +544,7 @@ def test_cli_bad_workers_exit_one(tmp_path, capsys, monkeypatch):
         ("refine", refine.replace("stages = 4", "stages = 0"), {}, "error: refine stages"),
         # The batch size is the one alpha of alpha_grid; there is no second knob.
         ("refine", refine.replace("stages = 4", "stages = 4\nalpha_constant = 16"), {}, "unknown key"),
-        ("refine", refine.replace("alpha_grid = 7068", "alpha_grid = 7068,8000"), {}, "error:"),
+        ("refine", refine.replace("alpha_grid = 7068", "alpha_grid = 7068,8000"), {}, "error: refine takes one alpha"),
     ):
         monkeypatch.delenv("NOISYPCA_SEED", raising=False)
         for name, value in env.items():

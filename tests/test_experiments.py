@@ -830,11 +830,6 @@ def test_refinement_requires_small_occupancy():
         refinement_loop(refinement_cfg(sddn_s=12, sddn_b0=0.1))
 
 
-def test_refinement_takes_one_alpha():
-    with pytest.raises(ValidationError, match="refine takes one alpha"):
-        refinement_loop(refinement_cfg(alpha_grid=(4210, 5000)))
-
-
 def test_refinement_trajectory_contracts():
     res = refinement_loop(refinement_cfg(n_trials=2))
     assert res.columns == ("trial", "stage", "se", "stage_bound")
