@@ -448,10 +448,11 @@ def _missing_measure(cfg, cell, trial):
 def _refine_measure(cfg, cell, trial):
     """se after each stage of one refinement trajectory (`refinement_loop`), in D's coordinates.
 
-    P lies in the frame, so C = F'P and Phat'P = (F'Phat)'C: the start, tilted
-    from P by q0 / 1.2, enters as F'Phat_0, and stage estimates u as F'(F u) = u.
+    P lies in the frame, so C = F'P (the cell's first r columns; model noise
+    plays no part) and Phat'P = (F'Phat)'C: the start, tilted from P by
+    q0 / 1.2, enters as F'Phat_0, and stage estimates u as F'(F u) = u.
     """
-    model, c = cell.model, cell.c
+    model, c = cell.model, cell.c[:, : cell.model.r]
     p = model.signal.P
     start = _tilted_basis(p, cfg.refine_q0 / 1.2, substream(cfg.master_seed, STREAM_AUX, p.n, p.r, trial))
     phat, ses = _in_frame(cell.frame, start.entries), []

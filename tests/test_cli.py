@@ -654,19 +654,24 @@ def test_cli_runs_unpinned_without_the_blas_library(tmp_path, capsys, monkeypatc
     _read_csv_bytes(out, 2)
 
 
-def test_cli_refine_subcommand(tmp_path, capsys):
-    text = MINIMAL.replace("noise_rv = r", "noise_rv = none")
-    text = "\n".join(
-        line for line in text.splitlines()
-        if not line.startswith(("noise_distribution", "noise_scale"))
-    )
+def _refine_text(noise=False):
+    """MINIMAL made a refine config; with noise it keeps MINIMAL's noise_rv = r model."""
+    text = MINIMAL
+    if not noise:
+        text = "\n".join(
+            line for line in text.replace("noise_rv = r", "noise_rv = none").splitlines()
+            if not line.startswith(("noise_distribution", "noise_scale"))
+        )
     # 3 sqrt(b0) f < 0.2 needs occupancy below 0.0044.
     text = text.replace("n = 40", "n = 240")
     text = text.replace("sddn_s = 2", "sddn_s = 1").replace("sddn_b0 = 0.05", "sddn_b0 = 0.004")
     # sddn_required_alpha(1, 1, 3, 240, 0.25, 8): one batch size for every stage.
     text = text.replace("alpha_grid = 200,400", "alpha_grid = 2105")
-    text += "\n[refine]\nq0 = 0.05\nstages = 2\n"
-    path = write_cfg(tmp_path, text, "refine.cfg")
+    return text + "\n[refine]\nq0 = 0.05\nstages = 2\n"
+
+
+def test_cli_refine_subcommand(tmp_path, capsys):
+    path = write_cfg(tmp_path, _refine_text(), "refine.cfg")
     rc = main(["refine", "--config", path])
     out = capsys.readouterr().out
     assert rc == 0
@@ -675,6 +680,21 @@ def test_cli_refine_subcommand(tmp_path, capsys):
     assert [line.split(",")[:2] for line in lines[1:]] == [
         [str(t), str(k)] for t in range(3) for k in (1, 2)
     ]  # MINIMAL's 3 trials x 2 stages
+
+
+def test_cli_refine_ignores_model_noise(tmp_path, capsys):
+    # The stages see l_t + e_t alone: with noise_rv = r the cell's frame and
+    # C gain noise columns, but refine runs on C = F'P and reports the se of
+    # the noise-free config.
+    rows = []
+    for noise in (False, True):
+        path = write_cfg(tmp_path, _refine_text(noise), f"refine-noise-{noise}.cfg")
+        assert main(["refine", "--config", path]) == 0
+        rows.append([line.split(",") for line in capsys.readouterr().out.splitlines()])
+    quiet, noisy = rows
+    assert noisy[0] == quiet[0] == ["trial", "stage", "se", "stage_bound"]
+    assert [row[:2] for row in noisy] == [row[:2] for row in quiet]
+    assert [float(row[2]) for row in noisy[1:]] == pytest.approx([float(row[2]) for row in quiet[1:]], rel=1e-8)
 
 
 def test_cli_refine_infeasible_occupancy_exits_two(tmp_path, capsys, monkeypatch):

@@ -904,8 +904,10 @@ def _reference_refine_columns(cfg, model, alpha, phat, trial, k=1):
 @pytest.mark.parametrize("trial", range(3))
 def test_refinement_stage_matches_column_form(trial):
     # Stage 1 of the preset: D from the signal coefficients and the
-    # refine_blocks factors equals the sample covariance of l + e, and the
-    # reported se is that of PCA on the columns (the frame form to rel 1e-10).
+    # refine_blocks factors equals the sample covariance of l + e, both in
+    # n coordinates and in the cell's frame F (F'DF from C = F'P and F'Phat,
+    # the path refinement_loop takes), and the reported se is that of PCA on
+    # the columns.
     cfg = replace(parse_config("refine")[0], refine_stages=1, n_trials=trial + 1)
     model, alpha, phat = _refine_start(cfg, trial)
     p = model.signal.P
@@ -915,8 +917,14 @@ def test_refinement_stage_matches_column_form(trial):
     blocks = dwell_blocks(support_sequence(cfg.n, model.sddn, alpha))
     d = _covariance(p.entries, a, refine_blocks(p.entries, phat.entries, blocks))
     assert np.max(np.abs(d - d_ref)) <= 1e-12 * np.linalg.norm(d_ref, 2)
+    cell = _cell(model, alpha)
+    rows, rest = cell.frame
+    f = np.hstack([np.eye(cfg.n)[:, rows], rest])
+    np.testing.assert_allclose(cell.c, f.T @ p.entries, rtol=0.0, atol=1e-14)
+    d_frame = _covariance(cell.c, a, refine_blocks(cell.c, f.T @ phat.entries, cell.blocks))
+    assert np.max(np.abs(d_frame - f.T @ d_ref @ f)) <= 1e-12 * np.linalg.norm(d_ref, 2)
     se_ref = subspace_error(pca_estimate(columns, cfg.r), p)
-    assert _trajectory(refinement_loop(cfg), trial) == [pytest.approx(se_ref, rel=1e-10, abs=0.0)]
+    assert _trajectory(refinement_loop(cfg), trial) == [pytest.approx(se_ref, rel=1e-12, abs=0.0)]
 
 
 def test_refinement_holds_no_n_by_alpha_columns():
