@@ -290,13 +290,18 @@ class DerivedSpectra:
     """Scalar spectra of one (signal, uncorrelated-noise) model pair.
 
     lambda_minus/lambda_plus/f describe the signal covariance restricted
-    to its subspace; the four noise quantities are
-    lambda_v_plus   = ||Sigma_v||_2,
-    lambda_vP_minus = lambda_min(P' Sigma_v P),
-    lambda_vrest_plus = lambda_max(Sigma_v - P P' Sigma_v P P'),
-    lambda_vPPperp  = ||P_perp' Sigma_v P||_2,
+    to its subspace; the four noise quantities of Sigma_v = B S B' are,
+    with W = P'B and Q an orthonormal basis of a space containing
+    range([P B]) (`derived_spectra`),
+    lambda_v_plus   = ||Sigma_v||_2 = max(S),
+    lambda_vP_minus = lambda_min(P' Sigma_v P) = lambda_min(W S W'),
+    lambda_vrest_plus = max(lambda_max(Sigma_v - P P' Sigma_v P P'), 0)
+                      = max(lambda_max(Q'(B S B' - P W S W' P')Q), 0),
+    lambda_vPPperp  = ||P_perp' Sigma_v P||_2 = ||(B - P W) S W'||_2,
     and g = max(lambda_v_plus/lambda_minus,
                 sqrt(lambda_v_plus * f / lambda_minus)).
+    Full-dimension noise (B = None) takes the left-hand forms on the
+    n x n Sigma_v.
     """
 
     lambda_minus: float
@@ -318,22 +323,38 @@ class DerivedSpectra:
 
 
 def derived_spectra(signal, noise=None):
-    """Exact model spectra from the signal and (optional) noise covariance.
+    """Exact model spectra from the signal and (optional) noise model, never from samples.
 
-    Everything is computed from the model covariance Sigma_v, never from
-    samples. noise=None means Sigma_v = 0.
+    With a noise basis B, Sigma_v = B S B' (S = diag(sigma^2)) is never
+    formed: W = P'B gives P' Sigma_v P = W S W' and (I - PP') Sigma_v P =
+    (B - P W) S W' (n x r), and Sigma_v - PP' Sigma_v PP' is decomposed
+    as Q'(B S B' - P W S W' P')Q, (r + r_v)-square, with Q from a
+    Householder QR of [P B]. Q spans a space containing range([P B]), so
+    this holds for a rank-deficient [P B] or r + r_v >= n too; the
+    eigenvalues outside Q are 0, which the clamp at 0 covers (known-range
+    argument, Halko, Martinsson and Tropp, arXiv:0909.4061). Full-dimension
+    noise (B = None) uses the n x n Sigma_v. noise=None means Sigma_v = 0.
     """
     lam_minus = signal.lambda_minus
     lam_plus = signal.lambda_plus
     if noise is None or float(np.max(noise.sigma2, initial=0.0)) == 0.0:
         return DerivedSpectra(lam_minus, lam_plus, lam_plus / lam_minus)
-    sigma_v = noise.covariance()
     pe = signal.P.entries
-    pvp = pe.T @ sigma_v @ pe
+    if noise.B is None:
+        sigma_v = noise.covariance()
+        pvp = pe.T @ sigma_v @ pe
+        rest = sigma_v - pe @ pvp @ pe.T
+        cross = sigma_v @ pe - pe @ pvp  # (I - PP') Sigma_v P
+    else:
+        b, s2 = noise.B.entries, noise.sigma2
+        w = pe.T @ b
+        pvp = (w * s2) @ w.T
+        q = np.linalg.qr(np.hstack([pe, b]))[0]
+        qb, qp = q.T @ b, q.T @ pe
+        rest = (qb * s2) @ qb.T - qp @ pvp @ qp.T
+        cross = ((b - pe @ w) * s2) @ w.T
     lam_vp_minus = max(float(np.min(np.linalg.eigvalsh(pvp))), 0.0)
-    proj = pe @ pvp @ pe.T
-    lam_vrest = max(float(np.max(np.linalg.eigvalsh(sigma_v - proj))), 0.0)
-    cross = sigma_v @ pe - pe @ pvp  # (I - PP') Sigma_v P
+    lam_vrest = max(float(np.max(np.linalg.eigvalsh(rest))), 0.0)
     lam_cross = float(np.linalg.norm(cross, 2))
     return DerivedSpectra(
         lambda_minus=lam_minus,
@@ -347,9 +368,13 @@ def derived_spectra(signal, noise=None):
 
 
 def signal_noise_eigenvalues(signal, noise=None):
-    """Descending eigenvalues of Lambda + P' Sigma_v P (gap-condition input)."""
+    """Descending eigenvalues of Lambda + P' Sigma_v P = Lambda + W S W' (gap-condition input).
+
+    W = P'B, and W = P' for full-dimension noise (B = None, B = I).
+    """
     lam = np.diag(signal.lambdas)
     if noise is not None:
         pe = signal.P.entries
-        lam = lam + pe.T @ noise.covariance() @ pe
+        w = pe.T if noise.B is None else pe.T @ noise.B.entries
+        lam = lam + (w * noise.sigma2) @ w.T
     return np.linalg.eigvalsh(lam)[::-1]

@@ -632,3 +632,99 @@ def test_derived_spectra_validation():
         DerivedSpectra(lambda_minus=0.0, lambda_plus=1.0, f=1.0)
     with pytest.raises(ValidationError):
         DerivedSpectra(lambda_minus=2.0, lambda_plus=1.0, f=0.5)
+
+
+# The n x n formulas `derived_spectra` and `signal_noise_eigenvalues` used
+# before they moved into span([P B]); kept here as the oracle.
+
+def nxn_noise_spectra(signal, noise):
+    """(lambda_vP_minus, lambda_vrest_plus, lambda_vPPperp) from the n x n Sigma_v."""
+    sigma_v = noise.covariance()
+    pe = signal.P.entries
+    pvp = pe.T @ sigma_v @ pe
+    return (
+        max(float(np.min(np.linalg.eigvalsh(pvp))), 0.0),
+        max(float(np.max(np.linalg.eigvalsh(sigma_v - pe @ pvp @ pe.T))), 0.0),
+        float(np.linalg.norm(sigma_v @ pe - pe @ pvp, 2)),
+    )
+
+
+def nxn_signal_noise_eigenvalues(signal, noise):
+    pe = signal.P.entries
+    return np.linalg.eigvalsh(np.diag(signal.lambdas) + pe.T @ noise.covariance() @ pe)[::-1]
+
+
+def _spectra_case(kind, seed):
+    """(signal, noise) of one oracle case; P and B are columns of one random orthogonal U."""
+    rng = np.random.default_rng(seed)
+    n, r, r_v = {
+        "random": (int(rng.integers(2, 40)), None, None),
+        "r_plus_rv_ge_n": (6, 3, 5),
+        "shared_column": (30, 4, 6),
+        "orthogonal": (30, 4, 6),
+        "zero_scales": (30, 4, 6),
+        "full_dimension": (12, 3, 12),
+    }[kind]
+    if kind == "random":
+        r, r_v = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
+    u = make_random_basis(n, n, rng).entries
+    p = u[:, :r]
+    if kind == "shared_column":  # B's first column is P's, so [P B] has rank r + r_v - 1
+        b = u[:, [0, *range(r, r + r_v - 1)]]
+    elif kind == "orthogonal":
+        b = u[:, r:r + r_v]
+    else:
+        b = make_random_basis(n, r_v, rng).entries
+    scales = rng.uniform(0.1, 2.0, r_v)
+    if kind == "zero_scales":
+        scales[::2] = 0.0
+    signal = SignalModel(BasisMatrix(p), np.sort(rng.uniform(1.0, 10.0, r))[::-1])
+    basis = None if kind == "full_dimension" else BasisMatrix(b)
+    return signal, UncorrNoiseModel(n=n, scales=scales, distribution="gaussian", B=basis)
+
+
+SPECTRA_CASES = [("random", s) for s in range(8)] + [
+    (kind, s) for kind in ("r_plus_rv_ge_n", "shared_column", "orthogonal", "zero_scales",
+                           "full_dimension") for s in range(3)
+]
+
+
+@pytest.mark.parametrize("kind,seed", SPECTRA_CASES, ids=[f"{k}-{s}" for k, s in SPECTRA_CASES])
+def test_span_spectra_match_nxn_oracle(kind, seed):
+    signal, noise = _spectra_case(kind, seed)
+    spec = derived_spectra(signal, noise)
+    floor = 1e-14 * noise.lambda_v_plus  # for the quantities that are exactly 0
+    got = [spec.lambda_vP_minus, spec.lambda_vrest_plus, spec.lambda_vPPperp]
+    np.testing.assert_allclose(got, nxn_noise_spectra(signal, noise), rtol=1e-12, atol=floor)
+    assert spec.lambda_v_plus == noise.lambda_v_plus
+    np.testing.assert_allclose(
+        signal_noise_eigenvalues(signal, noise), nxn_signal_noise_eigenvalues(signal, noise),
+        rtol=1e-12, atol=floor,
+    )
+    if kind == "orthogonal":  # P' Sigma_v P = 0 and Sigma_v P = 0
+        assert spec.lambda_vP_minus <= floor and spec.lambda_vPPperp <= floor
+
+
+class _CovarianceCalled(Exception):
+    pass
+
+
+def _no_covariance(self):
+    raise _CovarianceCalled
+
+
+@pytest.mark.parametrize("preset", ["fig1b", "fig2d"])
+def test_realize_model_forms_no_nxn_noise_covariance_with_a_basis(preset, monkeypatch):
+    # fig1b's noise has a basis B (r_v = 5 of n = 1000): its spectra never
+    # form Sigma_v. fig2d's is full-dimensional (B = None) and still does.
+    from noisypca.config import parse_config
+    from noisypca.experiments import realize_model
+
+    cfg = parse_config(preset)[0]
+    monkeypatch.setattr(UncorrNoiseModel, "covariance", _no_covariance)
+    if preset == "fig1b":
+        model = realize_model(cfg)
+        assert model.noise.B is not None and model.spectra.lambda_vrest_plus > 0
+    else:
+        with pytest.raises(_CovarianceCalled):
+            realize_model(cfg)
