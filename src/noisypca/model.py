@@ -290,18 +290,16 @@ class DerivedSpectra:
     """Scalar spectra of one (signal, uncorrelated-noise) model pair.
 
     lambda_minus/lambda_plus/f describe the signal covariance restricted
-    to its subspace; the four noise quantities of Sigma_v = B S B' are,
-    with W = P'B and Q an orthonormal basis of a space containing
-    range([P B]) (`derived_spectra`),
+    to its subspace; the four noise quantities of Sigma_v = B S B'
+    (S = diag(sigma^2)) are, with W = P'B and Q of `derived_spectra`,
     lambda_v_plus   = ||Sigma_v||_2 = max(S),
     lambda_vP_minus = lambda_min(P' Sigma_v P) = lambda_min(W S W'),
-    lambda_vrest_plus = max(lambda_max(Sigma_v - P P' Sigma_v P P'), 0)
+    lambda_vrest_plus = lambda_max(Sigma_v - P P' Sigma_v P P')
                       = max(lambda_max(Q'(B S B' - P W S W' P')Q), 0),
     lambda_vPPperp  = ||P_perp' Sigma_v P||_2 = ||(B - P W) S W'||_2,
     and g = max(lambda_v_plus/lambda_minus,
                 sqrt(lambda_v_plus * f / lambda_minus)).
-    Full-dimension noise (B = None) takes the left-hand forms on the
-    n x n Sigma_v.
+    Full-dimension noise (B = None) takes the Sigma_v forms, n x n.
     """
 
     lambda_minus: float
@@ -325,15 +323,12 @@ class DerivedSpectra:
 def derived_spectra(signal, noise=None):
     """Exact model spectra from the signal and (optional) noise model, never from samples.
 
-    With a noise basis B, Sigma_v = B S B' (S = diag(sigma^2)) is never
-    formed: W = P'B gives P' Sigma_v P = W S W' and (I - PP') Sigma_v P =
-    (B - P W) S W' (n x r), and Sigma_v - PP' Sigma_v PP' is decomposed
-    as Q'(B S B' - P W S W' P')Q, (r + r_v)-square, with Q from a
-    Householder QR of [P B]. Q spans a space containing range([P B]), so
-    this holds for a rank-deficient [P B] or r + r_v >= n too; the
-    eigenvalues outside Q are 0, which the clamp at 0 covers (known-range
-    argument, Halko, Martinsson and Tropp, arXiv:0909.4061). Full-dimension
-    noise (B = None) uses the n x n Sigma_v. noise=None means Sigma_v = 0.
+    With a basis B the (W, Q) forms of `DerivedSpectra` never form the
+    n x n Sigma_v. Q, from a Householder QR of [P B], spans a space that
+    contains range([P B]) even when [P B] is rank-deficient or r + r_v >= n
+    (the known-range argument of Halko, Martinsson and Tropp,
+    arXiv:0909.4061); Sigma_v's eigenvalues outside it are 0, hence the
+    clamp. noise=None means Sigma_v = 0.
     """
     lam_minus = signal.lambda_minus
     lam_plus = signal.lambda_plus
@@ -368,10 +363,7 @@ def derived_spectra(signal, noise=None):
 
 
 def signal_noise_eigenvalues(signal, noise=None):
-    """Descending eigenvalues of Lambda + P' Sigma_v P = Lambda + W S W' (gap-condition input).
-
-    W = P'B, and W = P' for full-dimension noise (B = None, B = I).
-    """
+    """Descending eigenvalues of Lambda + W S W' = Lambda + P' Sigma_v P, W = P'B (B = None: P')."""
     lam = np.diag(signal.lambdas)
     if noise is not None:
         pe = signal.P.entries

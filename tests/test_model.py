@@ -657,16 +657,11 @@ def nxn_signal_noise_eigenvalues(signal, noise):
 def _spectra_case(kind, seed):
     """(signal, noise) of one oracle case; P and B are columns of one random orthogonal U."""
     rng = np.random.default_rng(seed)
-    n, r, r_v = {
-        "random": (int(rng.integers(2, 40)), None, None),
-        "r_plus_rv_ge_n": (6, 3, 5),
-        "shared_column": (30, 4, 6),
-        "orthogonal": (30, 4, 6),
-        "zero_scales": (30, 4, 6),
-        "full_dimension": (12, 3, 12),
-    }[kind]
     if kind == "random":
+        n = int(rng.integers(2, 40))
         r, r_v = int(rng.integers(1, n + 1)), int(rng.integers(1, n + 1))
+    else:
+        n, r, r_v = {"r_plus_rv_ge_n": (6, 3, 5), "full_dimension": (12, 3, 12)}.get(kind, (30, 4, 6))
     u = make_random_basis(n, n, rng).entries
     p = u[:, :r]
     if kind == "shared_column":  # B's first column is P's, so [P B] has rank r + r_v - 1
