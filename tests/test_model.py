@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisypca.config import parse_config
 from noisypca.errors import InvalidRank, InvalidSupport, SupportDegenerate, ValidationError
+from noisypca.experiments import realize_model
 from noisypca.linalg import BasisMatrix, orthogonal_complement, incoherence
 from noisypca.model import (
     DerivedSpectra,
@@ -712,9 +714,6 @@ def _no_covariance(self):
 def test_realize_model_forms_no_nxn_noise_covariance_with_a_basis(preset, monkeypatch):
     # fig1b's noise has a basis B (r_v = 5 of n = 1000): its spectra never
     # form Sigma_v. fig2d's is full-dimensional (B = None) and still does.
-    from noisypca.config import parse_config
-    from noisypca.experiments import realize_model
-
     cfg = parse_config(preset)[0]
     monkeypatch.setattr(UncorrNoiseModel, "covariance", _no_covariance)
     if preset == "fig1b":
