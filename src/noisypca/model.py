@@ -299,7 +299,7 @@ class DerivedSpectra:
     lambda_vPPperp  = ||P_perp' Sigma_v P||_2 = ||(B - P W) S W'||_2,
     and g = max(lambda_v_plus/lambda_minus,
                 sqrt(lambda_v_plus * f / lambda_minus)).
-    Full-dimension noise (B = None) takes the Sigma_v forms, n x n.
+    Full-dimension noise (B = None) takes the same forms with B = I.
     """
 
     lambda_minus: float
@@ -323,31 +323,24 @@ class DerivedSpectra:
 def derived_spectra(signal, noise=None):
     """Exact model spectra from the signal and (optional) noise model, never from samples.
 
-    With a basis B the (W, Q) forms of `DerivedSpectra` never form the
-    n x n Sigma_v. Q, from a Householder QR of [P B], spans a space that
-    contains range([P B]) even when [P B] is rank-deficient or r + r_v >= n
-    (the known-range argument of Halko, Martinsson and Tropp,
-    arXiv:0909.4061); Sigma_v's eigenvalues outside it are 0, hence the
-    clamp. noise=None means Sigma_v = 0.
+    The (W, Q) forms of `DerivedSpectra` never form Sigma_v. Q of the
+    Householder QR [P B] = Q R spans a space that contains range([P B]),
+    also when [P B] is rank-deficient or r + r_v >= n (Halko, Martinsson
+    and Tropp, arXiv:0909.4061); Sigma_v is 0 outside it, hence the clamp,
+    and Q'P, Q'B are R's column blocks. noise=None means Sigma_v = 0.
     """
     lam_minus = signal.lambda_minus
     lam_plus = signal.lambda_plus
     if noise is None or float(np.max(noise.sigma2, initial=0.0)) == 0.0:
         return DerivedSpectra(lam_minus, lam_plus, lam_plus / lam_minus)
-    pe = signal.P.entries
-    if noise.B is None:
-        sigma_v = noise.covariance()
-        pvp = pe.T @ sigma_v @ pe
-        rest = sigma_v - pe @ pvp @ pe.T
-        cross = sigma_v @ pe - pe @ pvp  # (I - PP') Sigma_v P
-    else:
-        b, s2 = noise.B.entries, noise.sigma2
-        w = pe.T @ b
-        pvp = (w * s2) @ w.T
-        q = np.linalg.qr(np.hstack([pe, b]))[0]
-        qb, qp = q.T @ b, q.T @ pe
-        rest = (qb * s2) @ qb.T - qp @ pvp @ qp.T
-        cross = ((b - pe @ w) * s2) @ w.T
+    pe, s2 = signal.P.entries, noise.sigma2
+    b = np.eye(noise.n) if noise.B is None else noise.B.entries
+    w = pe.T @ b
+    pvp = (w * s2) @ w.T
+    rr = np.linalg.qr(np.hstack([pe, b]), mode="r")  # Q'[P B] = R
+    qp, qb = rr[:, :pe.shape[1]], rr[:, pe.shape[1]:]
+    rest = (qb * s2) @ qb.T - qp @ pvp @ qp.T
+    cross = ((b - pe @ w) * s2) @ w.T
     lam_vp_minus = max(float(np.min(np.linalg.eigvalsh(pvp))), 0.0)
     lam_vrest = max(float(np.max(np.linalg.eigvalsh(rest))), 0.0)
     lam_cross = float(np.linalg.norm(cross, 2))
