@@ -39,7 +39,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from statistics import median
 
 import numpy as np
 
@@ -302,27 +301,27 @@ def _in_frame(frame, x):
     return np.vstack([x[frame[0]], frame[1].T @ x])
 
 
-def _signal(cfg, model, alpha, *key):
-    """The r x alpha signal coefficients a of a trial, or of a refine stage (key = trial, stage)."""
+def _signal(cfg, model, alpha, *key, out=None):
+    """The r x alpha signal coefficients a of a trial or of a refine stage (key = trial, stage), into out."""
     rng = substream(cfg.master_seed, STREAM_SIGNAL, model.n, model.r, alpha, *key)
-    return signal_coefficients(model.signal, rng, alpha)
+    return signal_coefficients(model.signal, rng, alpha, out=out)
 
 
 def _trial(cfg, cell, trial):
     """(D, x, blocks) of one trial, D in the cell's coordinates; x and blocks each from its own substream.
 
     x = [a; c] are the coefficients (l = P a, v = B c; no c rows without
-    noise) and blocks the cell's dwell blocks with their factors G, the
-    record (lo, hi, T, G), empty (nb = 0) without SDDN. The columns are
-    y = C x plus the block terms (`_covariance`).
+    noise), drawn in place into one array, and blocks the cell's dwell
+    blocks with their factors G, the record (lo, hi, T, G), empty (nb = 0)
+    without SDDN. The columns are y = C x plus the block terms (`_covariance`).
     """
     model, alpha = cell.model, cell.alpha
     n, r = model.n, model.r
     seed = cfg.master_seed
-    x = _signal(cfg, model, alpha, trial)
+    x = np.empty((cell.c.shape[1], alpha))
+    _signal(cfg, model, alpha, trial, out=x[:r])
     if model.noise is not None:
-        c = noise_coefficients(model.noise, substream(seed, STREAM_NOISE, n, r, alpha, trial), alpha)
-        x = np.vstack([x, c])
+        noise_coefficients(model.noise, substream(seed, STREAM_NOISE, n, r, alpha, trial), alpha, out=x[r:])
     blocks = (*cell.blocks, np.zeros((0, 0, r)))
     if model.sddn is not None:
         blocks = sample_sddn_batch(
@@ -347,14 +346,28 @@ def _covariance(c, x, blocks):
     """
     lo, hi, t, g = blocks
     r = g.shape[2]
-    k_a = np.array([x[:r, i:j] @ x[:, i:j].T for i, j in zip(lo, hi)]).reshape(len(lo), r, len(x))
-    gk = g @ k_a
+    gk = g @ _block_moments(x, lo, hi, r)
     h = c @ (x @ x.T) / 2.0
     np.add.at(h, t, gk)
     w = np.zeros((c.shape[0], c.shape[0]))
     np.add.at(w, (t[:, :, None], t[:, None, :]), gk[:, :, :r] @ g.swapaxes(1, 2))
     d = h @ c.T + w / 2.0
     return (d + d.T) / x.shape[1]
+
+
+def _block_moments(x, lo, hi, r):
+    """The (nb, r, len(x)) stack of x[:r, i:j] x[:, i:j]' over the dwell blocks [i, j) of (lo, hi).
+
+    Every block of a `support_sequence` schedule has the first one's length d except a shorter last
+    one (s = n is one block, no SDDN none), so one stacked matmul takes all the full blocks.
+    """
+    d = hi[0] - lo[0] if len(lo) else 0
+    full = np.count_nonzero(hi - lo == d)
+    xb = x[:, : full * d].reshape(len(x), full, d).swapaxes(0, 1)
+    k = xb[:, :r] @ xb.swapaxes(1, 2)
+    if full < len(lo):
+        k = np.concatenate([k, (x[:r, lo[-1] :] @ x[:, lo[-1] :].T)[None]])
+    return k
 
 
 def _checked_se(se):
@@ -409,7 +422,7 @@ def _deviation_measure(cfg, cell, trial):
     lo, hi, t, g = blocks
     if len(lo):
         dim = len(cell.c)
-        k_aa = np.array([x[:r, i:j] @ x[:r, i:j].T for i, j in zip(lo, hi)])
+        k_aa = _block_moments(x[:r], lo, hi, r)
         e = (k_aa - (hi - lo)[:, None, None] * np.diag(lambdas)) @ g.swapaxes(1, 2)
         lw, ww = np.zeros((r, dim)), np.zeros((dim, dim))
         np.add.at(lw, (slice(None), t), e.swapaxes(0, 1))
@@ -654,8 +667,7 @@ def concentration_check(cfg, workers=1):
         cfg, realize_model(cfg), _deviation_measure, concentration_bounds, workers
     ):
         for idx, term in enumerate(DEVIATION_TERMS):
-            med = median(t[idx] for t in norms)
-            rows.append((alpha, term, float(med), limits[term]))
+            rows.append((alpha, term, float(np.median([t[idx] for t in norms])), limits[term]))
     return GridResult(("alpha", "term_name", "empirical_median", "lemma_bound"), rows)
 
 
@@ -702,7 +714,9 @@ def adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussian"):
     for start in range(0, alpha, _ADVERSARIAL_CHUNK):
         count = min(_ADVERSARIAL_CHUNK, alpha - start)
         # In the coordinates of [P u], P = [I; 0] and u = e_{r+1}: y = [a; c].
-        y = np.vstack([signal_coefficients(signal, rng, count), noise_coefficients(noise, rng, count)])
+        y = np.empty((r + 1, count))
+        signal_coefficients(signal, rng, count, out=y[:r])
+        noise_coefficients(noise, rng, count, out=y[r:])
         d += y @ y.T
     d = (d + d.T) / (2.0 * alpha)
     se = subspace_error(top_r_eigvecs(d, r), signal.P)

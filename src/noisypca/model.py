@@ -94,13 +94,27 @@ class SignalModel:
         return 3.0 if self.distribution == "bounded_uniform" else 1.0
 
 
-def signal_coefficients(model, rng, count=1):
-    """Draw the (r, count) signal coefficients a; columns are independent draws."""
-    lam = model.lambdas
-    if model.distribution == "bounded_uniform":
-        half = np.sqrt(3.0 * lam)
-        return rng.uniform(-1.0, 1.0, size=(model.r, count)) * half[:, None]
-    return rng.standard_normal((model.r, count)) * np.sqrt(lam)[:, None]
+def _fill_coefficients(distribution, scale, rng, shape, out):
+    """Draws into out (a new array of shape when None), row i times scale[i]; returns out."""
+    out = np.empty(shape) if out is None else out
+    if distribution == "bounded_uniform":
+        rng.random(out=out)
+        out *= 2.0
+        out -= 1.0
+    else:
+        rng.standard_normal(out=out)
+    out *= scale[:, None]
+    return out
+
+
+def signal_coefficients(model, rng, count=1, out=None):
+    """Draw the (r, count) signal coefficients a, into out when given; columns are independent draws.
+
+    A bounded-uniform row j is sqrt(3 lambda_j) (-1 + 2U), U from `Generator.random`: uniform(-1, 1)
+    computes low + (high - low) U and 2U is exact, so doubling and subtracting 1 gives its doubles.
+    """
+    scale = np.sqrt(3.0 * model.lambdas if model.distribution == "bounded_uniform" else model.lambdas)
+    return _fill_coefficients(model.distribution, scale, rng, (model.r, count), out)
 
 
 def sample_signal(model, rng, count=1):
@@ -160,11 +174,12 @@ class UncorrNoiseModel:
         return float(np.max(self.sigma2)) if self.scales.size else 0.0
 
 
-def noise_coefficients(model, rng, count=1):
-    """Draw the (r_v, count) noise coefficients c, v = B c (v = c when B is None)."""
-    if model.distribution == "bounded_uniform":
-        return rng.uniform(-1.0, 1.0, size=(model.r_v, count)) * model.scales[:, None]
-    return rng.standard_normal((model.r_v, count)) * model.scales[:, None]
+def noise_coefficients(model, rng, count=1, out=None):
+    """Draw the (r_v, count) noise coefficients c, into out when given; v = B c (v = c when B is None).
+
+    A bounded-uniform row i is q_i (-1 + 2U), the doubles of uniform(-1, 1) (`signal_coefficients`).
+    """
+    return _fill_coefficients(model.distribution, model.scales, rng, (model.r_v, count), out)
 
 
 def sample_uncorr_noise(model, rng, count=1):

@@ -448,6 +448,23 @@ def test_cli_run_does_not_import_numpy_ma(tmp_path):
     assert proc.stdout.split() == [b"0", b"False"]
 
 
+def test_cli_run_does_not_import_statistics(tmp_path):
+    # The concentration medians come from numpy: a run does not import
+    # statistics, nor the fractions module it pulls in.
+    script = (
+        "import sys\n"
+        "from noisypca.cli import main\n"
+        "rc = main(['concentration', '--config', 'fig1a', '--trials', '2', '--workers', '1', '--out', 'out.csv'])\n"
+        "print(rc, 'statistics' in sys.modules, 'fractions' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SOURCE_ROOT), os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"0", b"False", b"False"]
+
+
 def _assert_usage_error(proc):
     assert proc.returncode == 1, proc.stderr
     assert b"usage" in proc.stderr.lower()

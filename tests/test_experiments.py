@@ -24,6 +24,7 @@ from noisypca.experiments import (
     ExperimentConfig,
     Cell,
     GridResult,
+    _block_moments,
     _cell,
     _covariance,
     _pca_se,
@@ -379,6 +380,61 @@ def test_measures_hold_no_n_by_alpha_columns(measure):
     finally:
         tracemalloc.stop()
     assert peak < n * alpha * 8 / 2
+
+
+def test_trials_stack_no_coefficient_copies(monkeypatch):
+    # x = [a; c] of a noisy fig2a trial, and y of an adversarial chunk, are
+    # drawn into their row blocks in place; the cell (whose C is stacked
+    # once) is built before the patch.
+    cfg = parse_config("fig2a")[0]
+    cell = _cell(realize_model(cfg), 2000)
+
+    def no_vstack(*args, **kwargs):
+        raise AssertionError("np.vstack on the trial path")
+
+    monkeypatch.setattr(np, "vstack", no_vstack)
+    experiments._se_measure(cfg, cell, 0)
+    experiments._deviation_measure(cfg, cell, 0)
+    adversarial_sigma(10, 3, 500, np.array([2.0, 2.0, 1.0]), np.random.default_rng(0))
+
+
+def test_se_trial_peaks_near_one_coefficient_array():
+    # At r = 20 and alpha = 20000, x = [a; c] (r + r_v = 40 rows) is the
+    # largest array of a fig2a trial; drawn in place it is the only one of
+    # its size, where scaled copies and a stacked x peaked at twice its bytes.
+    r, alpha = 20, 20000
+    cfg = parse_config("fig2a")[0]
+    cell = _cell(realize_model(cfg, r=r), alpha)
+    x_bytes = cell.c.shape[1] * alpha * 8
+    assert x_bytes == 40 * alpha * 8
+    experiments._se_measure(cfg, cell, 0)  # first-call allocations are not the trial's
+    tracemalloc.start()
+    try:
+        experiments._se_measure(cfg, cell, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * x_bytes
+
+
+@pytest.mark.parametrize(
+    "rows,r,alpha,d",
+    [(10, 5, 16000, 800), (40, 20, 20000, 1000), (105, 5, 4100, 205), (10, 5, 7068, 29), (200, 100, 1000, 1),
+     (6, 3, 1001, 50), (6, 3, 40, 40)],
+)
+def test_block_moments_equal_per_block_products(rows, r, alpha, d):
+    # One stacked product over the blocks of length d, plus the shorter last
+    # one, gives the bits of one product per block, for K_a = a x' and for
+    # K_aa = a a' (`_deviation_measure`'s form).
+    x = np.random.default_rng(alpha).standard_normal((rows, alpha))
+    lo = np.arange(0, alpha, d)
+    hi = np.minimum(lo + d, alpha)
+    with experiments._one_blas_thread():
+        k_a = np.array([x[:r, i:j] @ x[:, i:j].T for i, j in zip(lo, hi)])
+        k_aa = np.array([x[:r, i:j] @ x[:r, i:j].T for i, j in zip(lo, hi)])
+        assert np.array_equal(_block_moments(x, lo, hi, r), k_a)
+        assert np.array_equal(_block_moments(x[:r], lo, hi, r), k_aa)
+    assert _block_moments(x, lo[:0], hi[:0], r).shape == (0, r, rows)
 
 
 def test_range_frame_rank_deficient_is_none():

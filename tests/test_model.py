@@ -13,6 +13,7 @@ from noisypca.errors import InvalidRank, InvalidSupport, SupportDegenerate, Vali
 from noisypca.experiments import realize_model
 from noisypca.linalg import BasisMatrix, orthogonal_complement, incoherence
 from noisypca.model import (
+    SIGNAL_DISTRIBUTIONS,
     DerivedSpectra,
     SddnModel,
     SignalModel,
@@ -20,12 +21,14 @@ from noisypca.model import (
     derived_spectra,
     dwell_blocks,
     make_random_basis,
+    noise_coefficients,
     profile_scales,
     refine_blocks,
     row_occupancy,
     sample_sddn_batch,
     sample_signal,
     sample_uncorr_noise,
+    signal_coefficients,
     signal_noise_eigenvalues,
     substream,
     support_sequence,
@@ -156,6 +159,41 @@ def test_uncorr_noise_sample_covariance_converges():
     assert dev <= 0.05 * model.lambda_v_plus
 
 
+# --- coefficient draws ---------------------------------------------------------
+
+def _old_coefficients(distribution, scale, rng, shape):
+    """The draw as a new array, scaled copy of uniform(-1, 1) or of N(0, 1): the oracle."""
+    if distribution == "bounded_uniform":
+        return rng.uniform(-1.0, 1.0, size=shape) * scale[:, None]
+    return rng.standard_normal(shape) * scale[:, None]
+
+
+@pytest.mark.parametrize("offset", [0, 3])
+@pytest.mark.parametrize("distribution", SIGNAL_DISTRIBUTIONS)
+@pytest.mark.parametrize("kind", ["signal", "noise"])
+def test_coefficients_equal_the_scaled_copy_draws(basis100, kind, distribution, offset):
+    # -1 + 2U in place gives uniform(-1, 1)'s doubles from the same stream,
+    # in a new array and in a row block out= of a larger C array (x[:r], or
+    # a trailing block like x[r:]); the rows outside the block are untouched.
+    count = 1001
+    if kind == "signal":
+        model = SignalModel(basis100, np.array([9.0, 4.0, 4.0, 2.0, 0.5]), distribution)
+        draw, rows = signal_coefficients, model.r
+        scale = np.sqrt((3.0 if distribution == "bounded_uniform" else 1.0) * model.lambdas)
+    else:
+        b = make_random_basis(100, 6, np.random.default_rng(3))
+        model = UncorrNoiseModel(n=100, scales=profile_scales(6, 1.1, -0.4), distribution=distribution, B=b)
+        draw, rows, scale = noise_coefficients, model.r_v, model.scales
+    want = _old_coefficients(distribution, scale, np.random.default_rng(12), (rows, count))
+    assert np.array_equal(draw(model, np.random.default_rng(12), count), want)
+    x = np.random.default_rng(13).standard_normal((rows + 3, count))
+    others = np.delete(x, np.s_[offset : offset + rows], axis=0)
+    got = draw(model, np.random.default_rng(12), count, out=x[offset : offset + rows])
+    assert np.shares_memory(got, x)
+    assert np.array_equal(x[offset : offset + rows], want)
+    assert np.array_equal(np.delete(x, np.s_[offset : offset + rows], axis=0), others)
+
+
 def test_signal_noise_cross_covariance_decays(basis100):
     sig = SignalModel(basis100, np.full(5, 12.0))
     noise = UncorrNoiseModel(
@@ -223,6 +261,10 @@ def test_support_sequence_occupancy_within_cap(n, s_frac, b0, rho_frac, alpha):
     occupied = np.zeros((alpha, n), dtype=bool)
     occupied[np.arange(alpha)[:, None], supports] = True
     assert occupied.mean(axis=0).max() <= b0 + s / alpha + 1e-12
+    # `experiments._block_moments` relies on it: every dwell block has the
+    # first one's length, except the last, which may be shorter.
+    lo, hi, _ = dwell_blocks(supports)
+    assert np.all(hi[:-1] - lo[:-1] == hi[0] - lo[0]) and hi[-1] - lo[-1] <= hi[0] - lo[0]
 
 
 def test_support_sequence_rejects_oversized_block():
