@@ -358,8 +358,8 @@ def _covariance(c, x, blocks):
 def _block_moments(x, lo, hi, r):
     """The (nb, r, len(x)) stack of x[:r, i:j] x[:, i:j]' over the dwell blocks [i, j) of (lo, hi).
 
-    Every block of a `support_sequence` schedule has the first one's length d except a shorter last
-    one (s = n is one block, no SDDN none), so one stacked matmul takes all the full blocks.
+    Every block of a `support_sequence` schedule has the first one's length d, except possibly a
+    shorter last one (s = n gives one block, no SDDN none): one stacked matmul takes the full ones.
     """
     d = hi[0] - lo[0] if len(lo) else 0
     full = np.count_nonzero(hi - lo == d)
