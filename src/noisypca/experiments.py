@@ -261,6 +261,11 @@ class Cell:
     c: object = None  # C = [P B] in D's coordinates
     b: float = 0.0  # realized per-row occupancy, 0 without SDDN
 
+    @property
+    def p(self):
+        """F'P, the first r columns of C: orthonormal, as P lies in the frame (`_pca_se`)."""
+        return BasisMatrix(self.c[:, : self.model.r])
+
 
 def _cell(model, alpha):
     """The cell of (model, alpha): schedule, frame and C, built once.
@@ -277,10 +282,9 @@ def _cell(model, alpha):
     identity: U is all n rows and rest is n x 0. The size is checked before
     C_U is orthonormalized. Without SDDN the blocks are the empty record.
     """
-    n, noise = model.n, model.noise
-    c = model.signal.P.entries
-    if noise is not None:
-        c = np.hstack([c, np.eye(n) if noise.B is None else noise.B.entries])
+    n, c = model.n, model.signal.P.entries
+    if model.noise is not None:
+        c = np.hstack([c, model.noise.B.entries])
     blocks, rows, b = (np.zeros(0, int), np.zeros(0, int), np.zeros((0, 0), int)), [], 0.0
     if model.sddn is not None:
         supports = support_sequence(n, model.sddn, alpha)
@@ -377,27 +381,19 @@ def _checked_se(se):
     return se
 
 
-def _pca_se(d, model, frame):
-    """se of the top-r PCA estimate from the sample covariance D.
+def _pca_se(d, p):
+    """se of the top-r PCA estimate from the sample covariance D against the basis p, both in D's coordinates.
 
-    In a cell's frame (U, rest) (`_cell`), D is the k x k covariance in
-    frame coordinates (`_covariance`), which has the nonzero spectrum of
-    the n x n one; its top-r eigenvectors u map back as F u.
+    In a cell's frame F (`_cell`), D is F'DF, k x k, and p is F'P (`Cell.p`):
+    F is orthonormal and holds P and the estimate F u, so ||(I - uu')F'P||
+    is the n-dimensional se ||(I - Fuu'F')P||.
     """
-    return _estimate_se(top_r_eigvecs(d, model.r).entries, model, frame)
-
-
-def _estimate_se(u, model, frame):
-    """se of the estimate spanned by the top-r eigenvectors u of D (`_pca_se`)."""
-    rows, rest = frame
-    full = rest @ u[len(rows):]
-    full[rows] = u[: len(rows)]  # rest is zero on the rows U
-    return _checked_se(subspace_error(BasisMatrix(full), model.signal.P))
+    return _checked_se(subspace_error(top_r_eigvecs(d, p.r), p))
 
 
 def _se_measure(cfg, cell, trial):
     """Subspace error of one trial (bound tightness, phase transition)."""
-    return _pca_se(_trial(cfg, cell, trial)[0], cell.model, cell.frame)
+    return _pca_se(_trial(cfg, cell, trial)[0], cell.p)
 
 
 def _deviation_measure(cfg, cell, trial):
@@ -414,7 +410,7 @@ def _deviation_measure(cfg, cell, trial):
     model, alpha = cell.model, cell.alpha
     d, x, blocks = _trial(cfg, cell, trial)
     # Not reported, but every trial's estimate is checked.
-    _pca_se(d, model, cell.frame)
+    _pca_se(d, cell.p)
     r, lambdas = model.r, model.signal.lambdas
     k = x @ x.T / alpha
     dev_aa = np.linalg.norm(k[:r, :r] - np.diag(lambdas), 2)
@@ -441,38 +437,39 @@ def _rank_measure(cfg, cell, trial):
 
     D is k x k (k the frame size or n) and lacks the n - k zero eigenvalues
     of the n x n covariance; they are padded on. One `eigh` gives both the
-    spectrum and the estimate that `_estimate_se` checks.
+    spectrum and the top-r estimate, whose se is checked as `_pca_se` does.
     """
     model = cell.model
     w, v = np.linalg.eigh(_trial(cfg, cell, trial)[0])
-    _estimate_se(v[:, ::-1][:, : model.r], model, cell.frame)
+    _checked_se(subspace_error(BasisMatrix(v[:, ::-1][:, : model.r]), cell.p))
     w = np.concatenate([w[::-1], np.zeros(model.n - len(w))])
     return estimate_rank_threshold(w, model.signal.lambda_minus), estimate_rank_eigengap(w)
 
 
 def _missing_measure(cfg, cell, trial):
     """Subspace error of one trial with the support entries erased: G = -P_T, in D's coordinates."""
-    c = cell.c[:, : cell.model.r]
-    lo, hi, t = cell.blocks
+    p = cell.p
+    c, (lo, hi, t) = p.entries, cell.blocks
     d = _covariance(c, _signal(cfg, cell.model, cell.alpha, trial), (lo, hi, t, -c[t]))
-    return _pca_se(d, cell.model, cell.frame)
+    return _pca_se(d, p)
 
 
 def _refine_measure(cfg, cell, trial):
     """se after each stage of one refinement trajectory (`refinement_loop`), in D's coordinates.
 
-    P lies in the frame, so C = F'P (the cell's first r columns; model noise
-    plays no part) and Phat'P = (F'Phat)'C: the start, tilted from P by
-    q0 / 1.2, enters as F'Phat_0, and stage estimates u as F'(F u) = u.
+    P lies in the frame, so C = F'P (`Cell.p`; model noise plays no part)
+    and Phat'P = (F'Phat)'C: the start, tilted from P by q0 / 1.2, enters
+    as F'Phat_0, and each stage's estimate is D's top-r eigenvectors u.
     """
-    model, c = cell.model, cell.c[:, : cell.model.r]
-    p = model.signal.P
+    model, fp = cell.model, cell.p
+    p, c = model.signal.P, fp.entries
     start = _tilted_basis(p, cfg.refine_q0 / 1.2, substream(cfg.master_seed, STREAM_AUX, p.n, p.r, trial))
     phat, ses = _in_frame(cell.frame, start.entries), []
     for k in range(1, cfg.refine_stages + 1):
         d = _covariance(c, _signal(cfg, model, cell.alpha, trial, k), refine_blocks(c, phat, cell.blocks))
-        phat = top_r_eigvecs(d, p.r).entries
-        ses.append(_estimate_se(phat, model, cell.frame))
+        u = top_r_eigvecs(d, p.r)
+        phat = u.entries
+        ses.append(_checked_se(subspace_error(u, fp)))
     return ses
 
 

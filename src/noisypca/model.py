@@ -127,9 +127,9 @@ def sample_signal(model, rng, count=1):
 class UncorrNoiseModel:
     """Uncorrelated noise v_t = B c_t with per-coordinate amplitudes q_i.
 
-    B is an n x r_v basis, or None for full-dimension noise (r_v = n,
-    B = I). Coordinate i of c_t is uniform(-q_i, q_i) (variance q_i^2/3)
-    or N(0, q_i^2) depending on the distribution tag, so the implied
+    B is an n x r_v basis; B=None gives full-dimension noise, B = I (r_v =
+    n). Coordinate i of c_t is uniform(-q_i, q_i) (variance q_i^2/3) or
+    N(0, q_i^2) depending on the distribution tag, so the implied
     covariance is B diag(sigma_i^2) B'.
     """
 
@@ -144,17 +144,15 @@ class UncorrNoiseModel:
         if scales.ndim != 1 or not np.all((scales >= 0) & (scales < np.inf)):
             raise ValidationError("scales must be a 1-d finite non-negative sequence")
         if self.B is None:
-            if scales.size != self.n:
-                raise ValidationError("full-dimension noise needs n scales")
-        else:
-            if self.B.n != self.n or scales.size != self.B.r:
-                raise ValidationError("B and scales dimensions inconsistent")
+            object.__setattr__(self, "B", BasisMatrix(np.eye(self.n)))
+        if self.B.n != self.n or scales.size != self.B.r:
+            raise ValidationError("B and scales dimensions inconsistent")
         if self.distribution not in SIGNAL_DISTRIBUTIONS:
             raise ValidationError(f"unknown noise distribution {self.distribution!r}")
 
     @property
     def r_v(self):
-        return self.n if self.B is None else self.B.r
+        return self.B.r
 
     @property
     def sigma2(self):
@@ -164,8 +162,6 @@ class UncorrNoiseModel:
 
     def covariance(self):
         """Exact Sigma_v = B diag(sigma_i^2) B'."""
-        if self.B is None:
-            return np.diag(self.sigma2)
         b = self.B.entries
         return (b * self.sigma2) @ b.T
 
@@ -175,7 +171,7 @@ class UncorrNoiseModel:
 
 
 def noise_coefficients(model, rng, count=1, out=None):
-    """Draw the (r_v, count) noise coefficients c, into out when given; v = B c (v = c when B is None).
+    """Draw the (r_v, count) noise coefficients c, into out when given; v = B c.
 
     A bounded-uniform row i is q_i (-1 + 2U), the doubles of uniform(-1, 1) (`signal_coefficients`).
     """
@@ -185,7 +181,7 @@ def noise_coefficients(model, rng, count=1, out=None):
 def sample_uncorr_noise(model, rng, count=1):
     """Draw v = B c; independent of any signal stream by construction."""
     c = noise_coefficients(model, rng, count)
-    return c if model.B is None else model.B.entries @ c
+    return model.B.entries @ c
 
 
 def profile_scales(r_v, base, slope):
@@ -314,7 +310,6 @@ class DerivedSpectra:
     lambda_vPPperp  = ||P_perp' Sigma_v P||_2 = ||(B - P W) S W'||_2,
     and g = max(lambda_v_plus/lambda_minus,
                 sqrt(lambda_v_plus * f / lambda_minus)).
-    Full-dimension noise (B = None) takes the same forms with B = I.
     """
 
     lambda_minus: float
@@ -348,8 +343,7 @@ def derived_spectra(signal, noise=None):
     lam_plus = signal.lambda_plus
     if noise is None or float(np.max(noise.sigma2, initial=0.0)) == 0.0:
         return DerivedSpectra(lam_minus, lam_plus, lam_plus / lam_minus)
-    pe, s2 = signal.P.entries, noise.sigma2
-    b = np.eye(noise.n) if noise.B is None else noise.B.entries
+    pe, s2, b = signal.P.entries, noise.sigma2, noise.B.entries
     w = pe.T @ b
     pvp = (w * s2) @ w.T
     rr = np.linalg.qr(np.hstack([pe, b]), mode="r")  # Q'[P B] = R
@@ -371,10 +365,9 @@ def derived_spectra(signal, noise=None):
 
 
 def signal_noise_eigenvalues(signal, noise=None):
-    """Descending eigenvalues of Lambda + W S W' = Lambda + P' Sigma_v P, W = P'B (B = None: P')."""
+    """Descending eigenvalues of Lambda + W S W' = Lambda + P' Sigma_v P, W = P'B."""
     lam = np.diag(signal.lambdas)
     if noise is not None:
-        pe = signal.P.entries
-        w = pe.T if noise.B is None else pe.T @ noise.B.entries
+        w = signal.P.entries.T @ noise.B.entries
         lam = lam + (w * noise.sigma2) @ w.T
     return np.linalg.eigvalsh(lam)[::-1]

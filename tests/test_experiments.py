@@ -87,16 +87,6 @@ def small_cfg(**overrides):
     return ExperimentConfig(**base)
 
 
-def _reference_model(r, p):
-    """Stand-in model for _pca_se: the rank r and a basis to measure se against."""
-    return SimpleNamespace(r=r, signal=SimpleNamespace(P=p))
-
-
-def _identity_frame(n):
-    """The frame (U, rest) of an n x n D: U is all n rows and rest is n x 0."""
-    return np.arange(n), np.zeros((n, 0))
-
-
 def _frame_size(frame):
     """k = |U| + the columns of rest: D is k x k in the frame (U, rest)."""
     return len(frame[0]) + frame[1].shape[1]
@@ -177,7 +167,7 @@ def test_pca_se_gram_path_matches_pca_estimate(n, r_frac, alpha_frac, seed):
     u = y @ top_r_eigvecs(y.T @ y / alpha, r).entries
     reference = BasisMatrix(u / np.linalg.norm(u, axis=0))
     assert subspace_error(reference, pca_estimate(DataBatch(y), r)) <= 1e-10
-    se = _pca_se(sample_covariance(DataBatch(y)), _reference_model(r, reference), _identity_frame(n))
+    se = _pca_se(sample_covariance(DataBatch(y)), reference)
     assert se <= 1e-10
 
 
@@ -189,13 +179,14 @@ def test_pca_se_gram_path_matches_pca_estimate(n, r_frac, alpha_frac, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_pca_se_fewer_columns_than_rank_falls_back(n, r_frac, alpha_frac, seed):
-    # alpha < r: the n x n covariance is decomposed, and the r-dim estimate
-    # contains the span of the columns.
+    # alpha < r: the n x n covariance is decomposed, its top-alpha estimate
+    # is the span of the columns, and the r-dim estimate contains it.
     r = 2 + int(r_frac * (n - 2))
     alpha = 1 + int(alpha_frac * (r - 2))
     y = np.random.default_rng(seed).standard_normal((n, alpha))
-    se = _pca_se(sample_covariance(DataBatch(y)), _reference_model(r, orthonormalize(y)), _identity_frame(n))
-    assert se <= 1e-10
+    d = sample_covariance(DataBatch(y))
+    assert _pca_se(d, orthonormalize(y)) <= 1e-10
+    assert subspace_error(top_r_eigvecs(d, r), orthonormalize(y)) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -240,7 +231,7 @@ FRAME_CASES = ("sddn with B", "sddn, no noise", "missing data", "no sddn")
 
 
 def _frame_trial(case, trial=0):
-    """(model, columns, frame, D in frame coordinates) of one trial whose frame has k < alpha < n."""
+    """(model, columns, cell, D in frame coordinates) of one trial whose frame has k < alpha < n."""
     cfg, alpha, missing = {
         "sddn with B": (small_cfg(n=400), 600, False),
         "sddn, no noise": (small_cfg(n=400, noise_rv=None), 600, False),
@@ -251,7 +242,7 @@ def _frame_trial(case, trial=0):
     y = _reference_columns(cfg, model, alpha, trial, _supports(model, alpha), missing)[0]
     cell = _cell(model, alpha)
     d = _covariance(*_moment_parts(cfg, cell, trial, missing))
-    return model, y, cell.frame, d
+    return model, y, cell, d
 
 
 def _dense_frame(n, frame):
@@ -262,7 +253,8 @@ def _dense_frame(n, frame):
 
 @pytest.mark.parametrize("case", FRAME_CASES)
 def test_range_frame_holds_every_column(case):
-    model, y, frame, _ = _frame_trial(case)
+    model, y, cell, _ = _frame_trial(case)
+    frame = cell.frame
     assert _frame_size(frame) < model.n
     f = _dense_frame(model.n, frame)
     assert f.shape[1] < y.shape[1]
@@ -272,11 +264,15 @@ def test_range_frame_holds_every_column(case):
 
 @pytest.mark.parametrize("case", FRAME_CASES)
 def test_pca_se_in_frame_matches_full_dimension(case):
-    model, y, frame, d_frame = _frame_trial(case)
+    # se against F'P (`Cell.p`) in D's coordinates is the se of the estimate
+    # F u against P; the n x n D and the n-row P are the oracle.
+    model, y, cell, d_frame = _frame_trial(case)
     d = sample_covariance(DataBatch(y))
-    se_frame = _pca_se(d_frame, model, frame)
-    se_full = _pca_se(d, model, _identity_frame(model.n))
-    k = _frame_size(frame)
+    p = model.signal.P.entries
+    assert np.max(np.abs(cell.p.entries - _dense_frame(model.n, cell.frame).T @ p)) <= 1e-14
+    se_frame = _pca_se(d_frame, cell.p)
+    se_full = _pca_se(d, model.signal.P)
+    k = _frame_size(cell.frame)
     assert d_frame.shape == (k, k)
     assert se_frame == pytest.approx(se_full, rel=1e-12, abs=0.0)
     # The k x k spectrum padded with n - k zeros is that of the n x n D.
@@ -285,7 +281,7 @@ def test_pca_se_in_frame_matches_full_dimension(case):
 
 
 def test_range_frame_none_cases_keep_gram_shapes(monkeypatch):
-    # Full-dimensional noise (B is None): the identity frame, and D is n x n
+    # Full-dimensional noise (B = I): the identity frame, and D is n x n
     # at any alpha (there is no alpha x alpha Gram matrix any more).
     cfg = small_cfg(n=400, noise_rv="n")
     model = realize_model(cfg)

@@ -125,6 +125,22 @@ def test_uncorr_noise_model_validation():
             UncorrNoiseModel(n=3, scales=np.array([1.0, bad, 1.0]))
 
 
+def test_full_dimension_noise_is_the_identity_basis():
+    # B=None is full-dimension noise, held as B = I (r_v = n); the B = None
+    # forms that B = I replaced are the oracle: Sigma_v = diag(sigma^2) to the
+    # byte, and v = c from the same stream.
+    n = 7
+    scales = profile_scales(n, 0.9, -0.4)
+    for distribution in SIGNAL_DISTRIBUTIONS:
+        model = UncorrNoiseModel(n=n, scales=scales, distribution=distribution, B=None)
+        assert np.array_equal(model.B.entries, np.eye(n)) and model.r_v == n
+        assert model.covariance().tobytes() == np.diag(model.sigma2).tobytes()
+        v = sample_uncorr_noise(model, np.random.default_rng(3), 50)
+        assert np.array_equal(v, noise_coefficients(model, np.random.default_rng(3), 50))
+    with pytest.raises(ValidationError):
+        UncorrNoiseModel(n=n, scales=scales[:-1])
+
+
 # --- uncorrelated noise ------------------------------------------------------
 
 def test_uncorr_noise_amplitude_bound():
