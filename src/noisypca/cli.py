@@ -146,8 +146,9 @@ def _print_bound(cfg, alpha, out_path):
         ("se_bound", report.se_bound),
         ("delta", delta),
     ]
-    for key, value in pairs:
-        sys.stdout.write(f"{key}={exp._format_cell(value)}\n")
+    if out_path != "-":  # with --out -, stdout holds the CSV alone, as for every other command
+        for key, value in pairs:
+            sys.stdout.write(f"{key}={exp._format_cell(value)}\n")
     result = exp.GridResult(
         tuple(k for k, _ in pairs), [tuple(v for _, v in pairs)]
     )

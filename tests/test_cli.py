@@ -347,6 +347,17 @@ def test_cli_bound_matches_library(tmp_path, capsys):
     assert int(values["feasible"]) == int(report.feasible)
 
 
+def test_cli_bound_out_dash_prints_the_csv_alone(tmp_path, capsys):
+    # `--out -` means stdout, as for every other command: the CSV once, not
+    # the key=value block followed by the CSV.
+    path = write_cfg(tmp_path)
+    out_csv = tmp_path / "bound.csv"
+    assert main(["bound", "--config", path, "--alpha", "400", "--out", str(out_csv)]) == 0
+    capsys.readouterr()
+    assert main(["bound", "--config", path, "--alpha", "400", "--out", "-"]) == 0
+    assert capsys.readouterr().out.encode("ascii") == out_csv.read_bytes()
+
+
 def test_cli_bound_tightness_writes_csv(tmp_path, capsys):
     path = write_cfg(tmp_path)
     out_csv = str(tmp_path / "out.csv")
