@@ -448,9 +448,8 @@ def _rank_measure(cfg, cell, trial):
 
 def _missing_measure(cfg, cell, trial):
     """Subspace error of one trial with the support entries erased: G = -P_T, in D's coordinates."""
-    p = cell.p
-    c, (lo, hi, t) = p.entries, cell.blocks
-    d = _covariance(c, _signal(cfg, cell.model, cell.alpha, trial), (lo, hi, t, -c[t]))
+    p, (lo, hi, t) = cell.p, cell.blocks
+    d = _covariance(p.entries, _signal(cfg, cell.model, cell.alpha, trial), (lo, hi, t, -p.entries[t]))
     return _pca_se(d, p)
 
 

@@ -268,8 +268,8 @@ def test_pca_se_in_frame_matches_full_dimension(case):
     # F u against P; the n x n D and the n-row P are the oracle.
     model, y, cell, d_frame = _frame_trial(case)
     d = sample_covariance(DataBatch(y))
-    p = model.signal.P.entries
-    assert np.max(np.abs(cell.p.entries - _dense_frame(model.n, cell.frame).T @ p)) <= 1e-14
+    f = _dense_frame(model.n, cell.frame)
+    assert np.max(np.abs(cell.p.entries - f.T @ model.signal.P.entries)) <= 1e-14
     se_frame = _pca_se(d_frame, cell.p)
     se_full = _pca_se(d, model.signal.P)
     k = _frame_size(cell.frame)
