@@ -129,10 +129,11 @@ def _noise_rv(value, key):
 
 
 def _epsilon_rule(value, key):
+    """The fixed success target, or None for the floor rule (`experiments.success_epsilon`)."""
     if value == "floor":
-        return "floor_factor_1_5", None
+        return None
     if value.startswith("fixed:"):
-        return "fixed", _as_float(value.split(":", 1)[1], key)
+        return _as_float(value.split(":", 1)[1], key)
     raise ConfigError(f"epsilon_rule must be 'floor' or 'fixed:<value>', got {value!r}")
 
 
@@ -174,7 +175,7 @@ _KEYS = (
     ("experiment", "c", "c", _as_float, "optional"),
     ("experiment", "r_grid", "r_grid", _int_list, "optional"),
     ("experiment", "n_grid", "n_grid", _int_list, "optional"),
-    ("experiment", "epsilon_rule", ("epsilon_rule", "epsilon_value"), _epsilon_rule, "optional"),
+    ("experiment", "epsilon_rule", "epsilon", _epsilon_rule, "optional"),
     ("refine", "q0", "refine_q0", _as_float, "refine"),
     ("refine", "stages", "refine_stages", _as_int, "refine"),
 )
@@ -201,8 +202,7 @@ def parse_config_text(text, source="<config>"):
             continue
         if key not in section:
             raise ConfigError(f"missing key {key!r} in [{name}]")
-        value = convert(section[key], key)
-        kwargs.update(zip(field, value) if isinstance(field, tuple) else [(field, value)])
+        kwargs[field] = convert(section[key], key)
     config_seed = kwargs.pop("master_seed", None)  # None: resolved by seed precedence later
     cfg = ExperimentConfig(master_seed=config_seed if config_seed is not None else 0, **kwargs)
     return cfg, config_seed

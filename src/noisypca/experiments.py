@@ -20,13 +20,14 @@ missing_data_experiment PCA on columns with erased blocks vs. the
 
 Every experiment that runs trials runs them through one runner,
 `_run_trials`, which applies the experiment's measure to each (grid cell,
-trial); a cell (`Cell`) is built once, so all its trials share its
-schedule, range frame and C. Each (grid point, trial) owns an independent
-RNG substream, aggregation is order-independent, and every trial runs at
-one BLAS thread in whichever process runs it, so the CSV bytes are a pure
-function of (config, master_seed): identical across reruns, for any worker
-count and for any OPENBLAS_NUM_THREADS, as long as numpy's bundled
-OpenBLAS is found. The model realization, the cells and the bounds run at
+trial). One sweep, `_sweep`, builds every grid but the adversarial one:
+each cell (`Cell`) once, so all its trials share its schedule, range
+frame and C, then each cell's bound, then one runner call. Each (grid
+point, trial) owns an independent RNG substream, aggregation is
+order-independent, and every trial runs at one BLAS thread in whichever
+process runs it, so the CSV bytes are a pure function of (config,
+master_seed): identical across reruns, for any worker count and for any
+OPENBLAS_NUM_THREADS, as long as numpy's bundled OpenBLAS is found. The model realization, the cells and the bounds run at
 the caller's thread count.
 """
 
@@ -75,14 +76,12 @@ from .model import (
     noise_coefficients,
     profile_scales,
     refine_blocks,
-    row_occupancy,
     sample_sddn_batch,
     signal_coefficients,
     substream,
     support_sequence,
 )
 
-EPSILON_RULES = ("floor_factor_1_5", "fixed")
 DEVIATION_TERMS = ("aa", "lw", "ww", "lv", "vv")
 
 
@@ -113,8 +112,7 @@ class ExperimentConfig:
     n_trials: int = 100
     master_seed: int = 0
     c: float = 1.0
-    epsilon_rule: str = "floor_factor_1_5"
-    epsilon_value: float = None
+    epsilon: float = None  # the success target; None: 1.5 times the success floor
     refine_q0: float = None
     refine_stages: int = None
 
@@ -135,10 +133,6 @@ class ExperimentConfig:
             raise ValidationError("sddn q must lie in [0, 1)")
         if self.sddn_enabled and not 0 < self.sddn_b0 <= 1:
             raise ValidationError("sddn b0 must lie in (0, 1]")
-        if self.epsilon_rule not in EPSILON_RULES:
-            raise ValidationError(f"unknown epsilon rule {self.epsilon_rule!r}")
-        if self.epsilon_rule == "fixed" and self.epsilon_value is None:
-            raise ValidationError("fixed epsilon rule needs a value")
         if not 0 < self.c < math.inf:
             raise ValidationError("c must be finite and positive")
         if self.master_seed < 0:
@@ -147,8 +141,8 @@ class ExperimentConfig:
             raise ValidationError("r_grid and n_grid entries must be >= 1")
         if isinstance(self.noise_rv, int) and self.noise_rv < 1:
             raise ValidationError(f"noise_rv must be >= 1, got {self.noise_rv}")
-        if self.epsilon_rule == "fixed" and not 0 < self.epsilon_value < math.inf:
-            raise ValidationError(f"fixed epsilon must be finite and positive, got {self.epsilon_value}")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise ValidationError(f"fixed epsilon must be finite and positive, got {self.epsilon}")
         # q0 / 1.2 is the sine of the starting estimate's largest angle.
         if self.refine_q0 is not None and not 0 <= self.refine_q0 <= 1.2:
             raise ValidationError(f"refine q0 must lie in [0, 1.2], got {self.refine_q0}")
@@ -288,8 +282,8 @@ def _cell(model, alpha):
     blocks, rows, b = (np.zeros(0, int), np.zeros(0, int), np.zeros((0, 0), int)), [], 0.0
     if model.sddn is not None:
         supports = support_sequence(n, model.sddn, alpha)
-        blocks, b = dwell_blocks(supports), row_occupancy(supports, n)
-        rows = np.flatnonzero(np.bincount(supports.ravel(), minlength=n))
+        counts = np.bincount(supports.ravel(), minlength=n)
+        blocks, b, rows = dwell_blocks(supports), float(np.max(counts) / alpha), np.flatnonzero(counts)
     frame = np.arange(n), np.zeros((n, 0))
     if len(rows) + c.shape[1] < n:
         c_u = c.copy()
@@ -312,12 +306,13 @@ def _signal(cfg, model, alpha, *key, out=None):
 
 
 def _trial(cfg, cell, trial):
-    """(D, x, blocks) of one trial, D in the cell's coordinates; x and blocks each from its own substream.
+    """(D, K, G K_a, blocks) of one trial, D in the cell's coordinates (`_covariance`).
 
-    x = [a; c] are the coefficients (l = P a, v = B c; no c rows without
-    noise), drawn in place into one array, and blocks the cell's dwell
+    The coefficients x = [a; c] (l = P a, v = B c; no c rows without noise)
+    are drawn in place into one array, and blocks are the cell's dwell
     blocks with their factors G, the record (lo, hi, T, G), empty (nb = 0)
-    without SDDN. The columns are y = C x plus the block terms (`_covariance`).
+    without SDDN; each from its own substream. The columns are y = C x plus
+    the block terms.
     """
     model, alpha = cell.model, cell.alpha
     n, r = model.n, model.r
@@ -331,11 +326,11 @@ def _trial(cfg, cell, trial):
         blocks = sample_sddn_batch(
             model.sddn, model.signal.P, cell.blocks, substream(seed, STREAM_SDDN, n, r, alpha, trial)
         )
-    return _covariance(cell.c, x, blocks), x, blocks
+    return (*_covariance(cell.c, x, blocks), blocks)
 
 
 def _covariance(c, x, blocks):
-    """Sample covariance D of the columns y = C x + block terms, without forming them.
+    """(D, K, G K_a): the sample covariance D of the columns y = C x + block terms, without forming them.
 
     In block i of the record (lo, hi, T, G), column t is y_t = C x_t +
     I_T[i] G[i] a_t, with a_t the first r = G.shape[2] rows of x_t. So,
@@ -346,17 +341,18 @@ def _covariance(c, x, blocks):
     formed as H C' + C H' + W with H = C K / 2 + sum_blk I_T G K_a (so the
     B-part of C is multiplied once, not per block) and W the (T, T) sums,
     each scattered by one `np.add.at` in block order. C and T are in D's
-    coordinates: in a cell's frame (`_cell`), D is F'DF.
+    coordinates: in a cell's frame (`_cell`), D is F'DF. K and the (nb, s,
+    len(x)) stack G K_a are returned with D, for the deviation norms.
     """
     lo, hi, t, g = blocks
     r = g.shape[2]
-    gk = g @ _block_moments(x, lo, hi, r)
-    h = c @ (x @ x.T) / 2.0
+    k, gk = x @ x.T, g @ _block_moments(x, lo, hi, r)
+    h = c @ k / 2.0
     np.add.at(h, t, gk)
     w = np.zeros((c.shape[0], c.shape[0]))
     np.add.at(w, (t[:, :, None], t[:, None, :]), gk[:, :, :r] @ g.swapaxes(1, 2))
     d = h @ c.T + w / 2.0
-    return (d + d.T) / x.shape[1]
+    return (d + d.T) / x.shape[1], k, gk
 
 
 def _block_moments(x, lo, hi, r):
@@ -397,32 +393,31 @@ def _se_measure(cfg, cell, trial):
 
 
 def _deviation_measure(cfg, cell, trial):
-    """The five batch deviation norms (aa, lw, ww, lv, vv) of one trial.
+    """The five batch deviation norms (aa, lw, ww, lv, vv) of one trial, read off the moments of D.
 
     l = P a and v = B c with orthonormal P and B, and ||P X|| = ||X||, so aa,
-    lv and vv are the norms of the blocks of x x'/alpha less their
+    lv and vv are the norms of the blocks of K/alpha = x x'/alpha less their
     expectations. A block (lo, hi, T, G) adds w = I_T G a, so alpha times
-    a w'/alpha - Lambda P' mean_m' (r x n) adds (K_aa - (hi - lo) Lambda) G'
-    on columns T, and alpha times w w'/alpha - mean_mlm adds G times that
-    on (T, T). Both are taken in D's coordinates, whose frame holds their
-    rows and columns, so the norms are those of the n-dimensional ones.
+    a w'/alpha - Lambda P' mean_m' (r x n) adds E' on columns T, with E =
+    G K_aa - (hi - lo) G Lambda and G K_aa the first r columns of G K_a,
+    and alpha times w w'/alpha - mean_mlm adds E G' on (T, T). Both are
+    taken in D's coordinates, whose frame holds their rows and columns, so
+    the norms are those of the n-dimensional ones.
     """
     model, alpha = cell.model, cell.alpha
-    d, x, blocks = _trial(cfg, cell, trial)
+    d, k, gk, (lo, hi, t, g) = _trial(cfg, cell, trial)
     # Not reported, but every trial's estimate is checked.
     _pca_se(d, cell.p)
     r, lambdas = model.r, model.signal.lambdas
-    k = x @ x.T / alpha
+    k = k / alpha
     dev_aa = np.linalg.norm(k[:r, :r] - np.diag(lambdas), 2)
     dev_lw = dev_ww = 0.0
-    lo, hi, t, g = blocks
     if len(lo):
         dim = len(cell.c)
-        k_aa = _block_moments(x[:r], lo, hi, r)
-        e = (k_aa - (hi - lo)[:, None, None] * np.diag(lambdas)) @ g.swapaxes(1, 2)
+        e = gk[:, :, :r] - (hi - lo)[:, None, None] * (g * lambdas)
         lw, ww = np.zeros((r, dim)), np.zeros((dim, dim))
-        np.add.at(lw, (slice(None), t), e.swapaxes(0, 1))
-        np.add.at(ww, (t[:, :, None], t[:, None, :]), g @ e)
+        np.add.at(lw, (slice(None), t), e.transpose(2, 0, 1))
+        np.add.at(ww, (t[:, :, None], t[:, None, :]), e @ g.swapaxes(1, 2))
         dev_lw = np.linalg.norm(lw / alpha, 2)
         dev_ww = np.linalg.norm(ww / alpha, 2)
     dev_lv = dev_vv = 0.0
@@ -449,7 +444,7 @@ def _rank_measure(cfg, cell, trial):
 def _missing_measure(cfg, cell, trial):
     """Subspace error of one trial with the support entries erased: G = -P_T, in D's coordinates."""
     p, (lo, hi, t) = cell.p, cell.blocks
-    d = _covariance(p.entries, _signal(cfg, cell.model, cell.alpha, trial), (lo, hi, t, -p.entries[t]))
+    d = _covariance(p.entries, _signal(cfg, cell.model, cell.alpha, trial), (lo, hi, t, -p.entries[t]))[0]
     return _pca_se(d, p)
 
 
@@ -465,7 +460,7 @@ def _refine_measure(cfg, cell, trial):
     start = _tilted_basis(p, cfg.refine_q0 / 1.2, substream(cfg.master_seed, STREAM_AUX, p.n, p.r, trial))
     phat, ses = _in_frame(cell.frame, start.entries), []
     for k in range(1, cfg.refine_stages + 1):
-        d = _covariance(c, _signal(cfg, model, cell.alpha, trial, k), refine_blocks(c, phat, cell.blocks))
+        d = _covariance(c, _signal(cfg, model, cell.alpha, trial, k), refine_blocks(c, phat, cell.blocks))[0]
         u = top_r_eigvecs(d, p.r)
         phat = u.entries
         ses.append(_checked_se(subspace_error(u, fp)))
@@ -565,14 +560,20 @@ def _run_trials(cfg, cells, measure, workers=1):
     return [results[i : i + n] for i in range(0, len(results), n)]
 
 
-def _alpha_sweep(cfg, model, measure, bound, workers):
-    """(alpha, bound(inputs), trial results) at each alpha of cfg's grid for one model.
+def _sweep(cfg, models, measure, bound, workers):
+    """(cell, bound(cell), trial results) for each (model, alpha) of the grid, models outermost.
 
-    Every cell and bound is built first: a bad alpha or model fails before any trial.
+    Every cell is built first, then every bound, and then one `_run_trials`
+    call runs the whole grid: a bad alpha or model fails before any trial.
     """
-    cells = [_cell(model, alpha) for alpha in cfg.alpha_grid]
-    bounds = [bound(bound_inputs(cfg, model, cell.alpha, cell.b)) for cell in cells]
-    return list(zip(cfg.alpha_grid, bounds, _run_trials(cfg, cells, measure, workers)))
+    cells = [_cell(model, alpha) for model in models for alpha in cfg.alpha_grid]
+    bounds = [bound(cell) for cell in cells]
+    return list(zip(cells, bounds, _run_trials(cfg, cells, measure, workers)))
+
+
+def _on_inputs(cfg, bound):
+    """The sweep bound bound(inputs) on a cell's `BoundInputs`, at its realized occupancy b."""
+    return lambda cell: bound(bound_inputs(cfg, cell.model, cell.alpha, cell.b))
 
 
 # ---------------------------------------------------------------------------
@@ -621,19 +622,20 @@ class GridResult:
 
 def bound_tightness(cfg, workers=1):
     """Mean/max subspace error and the c-calibrated bound per alpha."""
-    sweep = _alpha_sweep(cfg, realize_model(cfg), _se_measure, lambda i: general_bound(i).se_bound, workers)
-    rows = [(alpha, float(np.mean(ses)), float(np.max(ses)), bound) for alpha, bound, ses in sweep]
+    se_bound = _on_inputs(cfg, lambda inputs: general_bound(inputs).se_bound)
+    sweep = _sweep(cfg, [realize_model(cfg)], _se_measure, se_bound, workers)
+    rows = [(cell.alpha, float(np.mean(ses)), float(np.max(ses)), bound) for cell, bound, ses in sweep]
     return GridResult(("alpha", "mean_se", "max_se", "bound"), rows)
 
 
 def success_epsilon(cfg, model):
     """Error target for phase-transition success counting.
 
-    The fixed rule returns its value; the default rule is 1.5 times the
-    population floor `bounds.success_floor`.
+    A fixed cfg.epsilon is returned as it is; by default the target is 1.5
+    times the population floor `bounds.success_floor`.
     """
-    if cfg.epsilon_rule == "fixed":
-        return float(cfg.epsilon_value)
+    if cfg.epsilon is not None:
+        return float(cfg.epsilon)
     sddn = model.sddn
     q, b0 = (sddn.q, sddn.b0) if sddn is not None else (0.0, 0.0)
     return 1.5 * success_floor(model.spectra, q, b0)
@@ -645,35 +647,30 @@ def phase_transition(cfg, workers=1):
         raise ValidationError("set exactly one of r_grid / n_grid")
     axis_name = "r" if cfg.r_grid is not None else "n"
     values = cfg.r_grid if cfg.r_grid is not None else cfg.n_grid
-    models = {v: realize_model(cfg, *((cfg.n, v) if axis_name == "r" else (v, cfg.r))) for v in values}
-    eps = {v: success_epsilon(cfg, model) for v, model in models.items()}
-    cells = [_cell(models[v], alpha) for v in values for alpha in cfg.alpha_grid]
-    rows = []
-    for cell, ses in zip(cells, _run_trials(cfg, cells, _se_measure, workers)):
-        value = getattr(cell.model, axis_name)
-        prob = np.mean([se <= eps[value] for se in ses])
-        rows.append((value, cell.alpha, float(prob)))
+    models = [realize_model(cfg, *((cfg.n, v) if axis_name == "r" else (v, cfg.r))) for v in values]
+    sweep = _sweep(cfg, models, _se_measure, lambda cell: success_epsilon(cfg, cell.model), workers)
+    rows = [(getattr(cell.model, axis_name), cell.alpha, float(np.mean([se <= eps for se in ses])))
+            for cell, eps, ses in sweep]
     return GridResult((axis_name, "alpha", "probability"), rows)
 
 
 def concentration_check(cfg, workers=1):
     """Median of each batch deviation norm against its concentration bound."""
-    rows = []
-    for alpha, limits, norms in _alpha_sweep(
-        cfg, realize_model(cfg), _deviation_measure, concentration_bounds, workers
-    ):
-        for idx, term in enumerate(DEVIATION_TERMS):
-            rows.append((alpha, term, float(np.median([t[idx] for t in norms])), limits[term]))
+    lemma_bounds = _on_inputs(cfg, concentration_bounds)
+    sweep = _sweep(cfg, [realize_model(cfg)], _deviation_measure, lemma_bounds, workers)
+    rows = [(cell.alpha, term, float(np.median([t[idx] for t in norms])), limits[term])
+            for cell, limits, norms in sweep for idx, term in enumerate(DEVIATION_TERMS)]
     return GridResult(("alpha", "term_name", "empirical_median", "lemma_bound"), rows)
 
 
 def rank_estimation(cfg, workers=1):
     """Fraction of trials in which each rank estimator recovers the true r."""
     rows = []
-    for alpha, delta, ranks in _alpha_sweep(cfg, realize_model(cfg), _rank_measure, rank_delta, workers):
+    sweep = _sweep(cfg, [realize_model(cfg)], _rank_measure, _on_inputs(cfg, rank_delta), workers)
+    for cell, delta, ranks in sweep:
         p_thr = np.mean([thr == cfg.r for thr, _ in ranks])
         p_gap = np.mean([gap == cfg.r for _, gap in ranks])
-        rows.append((alpha, delta, float(p_thr), float(p_gap)))
+        rows.append((cell.alpha, delta, float(p_thr), float(p_gap)))
     return GridResult(("alpha", "delta", "p_threshold", "p_gap"), rows)
 
 
@@ -764,12 +761,13 @@ def refinement_loop(cfg, workers=1):
         raise ValidationError("refinement needs the sparse support model")
     if len(cfg.alpha_grid) != 1:
         raise ValidationError(f"refine takes one alpha, got alpha_grid={cfg.alpha_grid}")
-    model = realize_model(cfg)
-    cell = _cell(model, cfg.alpha_grid[0])
-    if 3.0 * np.sqrt(cell.b) * model.signal.f >= 0.2:
-        raise InfeasibleModel(f"refinement contraction requires 3 sqrt(b) f < 0.2, got b = {cell.b:.6f}")
-    (results,) = _run_trials(cfg, [cell], _refine_measure, workers)
-    bounds = [0.25 * cfg.refine_q0 * 0.3**k for k in range(cfg.refine_stages)]
+
+    def stage_bounds(cell):
+        if 3.0 * np.sqrt(cell.b) * cell.model.signal.f >= 0.2:
+            raise InfeasibleModel(f"refinement contraction requires 3 sqrt(b) f < 0.2, got b = {cell.b:.6f}")
+        return [0.25 * cfg.refine_q0 * 0.3**k for k in range(cfg.refine_stages)]
+
+    ((_, bounds, results),) = _sweep(cfg, [realize_model(cfg)], _refine_measure, stage_bounds, workers)
     rows = [(trial, k + 1, se, bounds[k]) for trial, ses in enumerate(results) for k, se in enumerate(ses)]
     return GridResult(("trial", "stage", "se", "stage_bound"), rows)
 
@@ -779,10 +777,8 @@ def missing_data_experiment(cfg, workers=1):
     if not cfg.sddn_enabled:
         raise ValidationError("missing-data experiment needs the support model")
     model = realize_model(cfg)
-    mu = incoherence(model.signal.P)
-    q = missing_q(mu, model.r, cfg.sddn_s, model.n)
-    sweep = _alpha_sweep(
-        cfg, model, _missing_measure, lambda inputs: sddn_bound(replace(inputs, q=q)).se_bound, workers
-    )
-    rows = [(alpha, float(np.mean(ses)), float(np.max(ses)), bound) for alpha, bound, ses in sweep]
+    q = missing_q(incoherence(model.signal.P), model.r, cfg.sddn_s, model.n)
+    se_bound = _on_inputs(cfg, lambda inputs: sddn_bound(replace(inputs, q=q)).se_bound)
+    sweep = _sweep(cfg, [model], _missing_measure, se_bound, workers)
+    rows = [(cell.alpha, float(np.mean(ses)), float(np.max(ses)), bound) for cell, bound, ses in sweep]
     return GridResult(("alpha", "mean_se", "max_se", "bound"), rows)

@@ -268,20 +268,19 @@ def test_criterion_10_property_suites():
 
 def test_criterion_11_phase_transition_in_log_n():
     # Noise in an r_v = r dimensional subspace needs alpha* growing only like
-    # log n. The threshold T = 2 is fixed from the theory before the run:
-    # log 400 / log 100 = 1.30 and one grid step is x1.67, while a
-    # linear-in-n frontier (criterion 4's regime) would give 4. The n = 200
-    # and 400 cells run a range frame, so their se is taken against F'P.
-    cfg, _ = parse_config("fig2b")
-    assert cfg.n_grid == (100, 200, 400) and cfg.noise_rv == "r"
-    result = phase_transition(cfg)
-    astar = {n: first_alpha_at_090(result.rows, n) for n in (100, 200, 400)}
-    found = all(a is not None for a in astar.values())
-    ratio = astar[400] / astar[100] if found else math.inf
-    ok = found and ratio <= 2.0
-    report(
-        11,
-        ok,
-        "phase transition in log n: alpha* = %s, alpha*(400)/alpha*(100) = %.2f <= 2"
-        % (astar, ratio),
-    )
+    # log n, for the bounded (fig2b) and the Gaussian (fig2c) model. The
+    # threshold T = 2 is fixed from the theory before the run: log 400 /
+    # log 100 = 1.30 and one grid step is x1.67, while a linear-in-n frontier
+    # (criterion 4's regime) would give 4. The n = 200 and 400 cells run a
+    # range frame, so their se is taken against F'P.
+    details, ok = [], True
+    for preset in ("fig2b", "fig2c"):
+        cfg, _ = parse_config(preset)
+        assert cfg.n_grid == (100, 200, 400) and cfg.noise_rv == "r"
+        result = phase_transition(cfg)
+        astar = {n: first_alpha_at_090(result.rows, n) for n in (100, 200, 400)}
+        found = all(a is not None for a in astar.values())
+        ratio = astar[400] / astar[100] if found else math.inf
+        ok &= found and ratio <= 2.0
+        details.append("%s alpha* = %s, alpha*(400)/alpha*(100) = %.2f" % (preset, astar, ratio))
+    report(11, ok, "phase transition in log n: %s <= 2" % "; ".join(details))

@@ -235,10 +235,9 @@ def _reference_parse_config_text(text, source="<config>"):
     if "epsilon_rule" in experiment:
         rule = experiment["epsilon_rule"]
         if rule == "floor":
-            kwargs["epsilon_rule"] = "floor_factor_1_5"
+            kwargs["epsilon"] = None
         elif rule.startswith("fixed:"):
-            kwargs["epsilon_rule"] = "fixed"
-            kwargs["epsilon_value"] = _as_float(rule.split(":", 1)[1], "epsilon_rule")
+            kwargs["epsilon"] = _as_float(rule.split(":", 1)[1], "epsilon_rule")
         else:
             raise ConfigError(f"epsilon_rule must be 'floor' or 'fixed:<value>', got {rule!r}")
 

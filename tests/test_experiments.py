@@ -15,6 +15,7 @@ from noisypca.errors import (
     CorollaryInapplicable,
     InfeasibleModel,
     InvalidExample,
+    InvalidSupport,
     NoComplement,
     ValidationError,
 )
@@ -53,6 +54,7 @@ from noisypca.model import (
     UncorrNoiseModel,
     make_random_basis,
     dwell_blocks,
+    noise_coefficients,
     refine_blocks,
     sample_sddn_batch,
     sample_signal,
@@ -132,16 +134,25 @@ def _supports(model, alpha):
 def _moment_parts(cfg, cell, trial, missing=False):
     """(C, x, blocks) of one trial in the cell's coordinates, as `_covariance` takes them.
 
+    x = [a; c] and the SDDN factors are drawn here from the trial's
+    substreams, apart from `_trial`, which hands on only the moments of x.
     Missing data is G = -P_T; with a noise-free model C is P in the cell's
     coordinates, so P_T is C[T].
     """
+    model, alpha = cell.model, cell.alpha
+    n, r, seed = model.n, model.r, cfg.master_seed
+    x = signal_coefficients(model.signal, substream(seed, STREAM_SIGNAL, n, r, alpha, trial), alpha)
     if missing:
-        model, alpha = cell.model, cell.alpha
-        rng = substream(cfg.master_seed, STREAM_SIGNAL, model.n, model.r, alpha, trial)
-        a = signal_coefficients(model.signal, rng, alpha)
         lo, hi, t = cell.blocks
-        return cell.c, a, (lo, hi, t, -cell.c[t])
-    return (cell.c, *_trial(cfg, cell, trial)[1:])
+        return cell.c, x, (lo, hi, t, -cell.c[t])
+    if model.noise is not None:
+        c = noise_coefficients(model.noise, substream(seed, STREAM_NOISE, n, r, alpha, trial), alpha)
+        x = np.concatenate([x, c])
+    blocks = (*cell.blocks, np.zeros((0, 0, r)))
+    if model.sddn is not None:
+        rng = substream(seed, STREAM_SDDN, n, r, alpha, trial)
+        blocks = sample_sddn_batch(model.sddn, model.signal.P, cell.blocks, rng)
+    return cell.c, x, blocks
 
 
 # --- subspace estimate from the sample covariance ------------------------------
@@ -213,17 +224,31 @@ def test_rank_measure_matches_full_covariance(n, alpha):
 
 
 
-def test_rank_measure_decomposes_once(monkeypatch):
-    # One eigh gives both the spectrum for the rank rules and the checked
-    # estimate; the SDDN norms and the frame take SVDs, not eigensolves.
-    cfg = small_cfg(n=400, alpha_grid=(600,))
-    cell = _cell(realize_model(cfg), 600)
+@pytest.mark.parametrize("case", ["rank", "se", "deviation", "missing", "refine"])
+def test_rank_measure_decomposes_once(case, monkeypatch):
+    # One eigh of D per trial, or per stage of a refine trajectory. For the
+    # rank measure it gives both the spectrum for the rank rules and the
+    # checked estimate. The SDDN norms and the frame take SVDs, not
+    # eigensolves; a refine stage's one eigvalsh is `refine_blocks`' check of
+    # its s x s matrices B_T.
+    if case == "refine":
+        cfg = replace(parse_config("refine")[0], n_trials=1)
+    else:
+        cfg = (missing_cfg if case == "missing" else small_cfg)(n=400, alpha_grid=(600,))
+    stages = cfg.refine_stages if case == "refine" else 1
+    cell = _cell(realize_model(cfg), cfg.alpha_grid[0])
     calls = []
     for name in ("eigh", "eigvalsh"):
         solve = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *args, _f=solve, _n=name: calls.append(_n) or _f(*args))
-    _rank_measure(cfg, cell, 0)
-    assert calls == ["eigh"]
+        monkeypatch.setattr(
+            np.linalg, name, lambda a, *args, _f=solve, _n=name: calls.append((_n, np.shape(a))) or _f(a, *args)
+        )
+    getattr(experiments, f"_{case}_measure")(cfg, cell, 0)
+    dim = len(cell.c)
+    assert [shape for name, shape in calls if name == "eigh"] == [(dim, dim)] * stages
+    checks = [shape for name, shape in calls if name == "eigvalsh"]
+    assert len(checks) == (stages if case == "refine" else 0)
+    assert all(shape[1:] == (cfg.sddn_s, cfg.sddn_s) for shape in checks)
 
 # --- estimate in an orthonormal frame of the exact range ----------------------
 
@@ -241,7 +266,7 @@ def _frame_trial(case, trial=0):
     model = realize_model(cfg)
     y = _reference_columns(cfg, model, alpha, trial, _supports(model, alpha), missing)[0]
     cell = _cell(model, alpha)
-    d = _covariance(*_moment_parts(cfg, cell, trial, missing))
+    d = _covariance(*_moment_parts(cfg, cell, trial, missing))[0]
     return model, y, cell, d
 
 
@@ -347,8 +372,10 @@ def test_covariance_matches_explicit_columns(case, monkeypatch):
     cell = _cell(model, alpha)
     d_ref = sample_covariance(DataBatch(y))
     tol = 1e-12 * np.linalg.norm(d_ref, 2)
-    d = _covariance(*_moment_parts(cfg, cell, 0, missing))
+    d = _covariance(*_moment_parts(cfg, cell, 0, missing))[0]
     assert np.array_equal(d, d.T)
+    if not missing:  # the trial's D, from the same draws
+        assert np.array_equal(_trial(cfg, cell, 0)[0], d)
     assert (not _is_identity(cell.frame, model.n)) == has_frame
     if not has_frame:
         assert d.shape == (model.n, model.n)
@@ -421,7 +448,8 @@ def test_se_trial_peaks_near_one_coefficient_array():
 def test_block_moments_equal_per_block_products(rows, r, alpha, d):
     # One stacked product over the blocks of length d, plus the shorter last
     # one, gives the bits of one product per block, for K_a = a x' and for
-    # K_aa = a a' (`_deviation_measure`'s form).
+    # K_aa = a a'. The deviation norms read K_aa off K_a's first r columns,
+    # which agree with a a' to rounding.
     x = np.random.default_rng(alpha).standard_normal((rows, alpha))
     lo = np.arange(0, alpha, d)
     hi = np.minimum(lo + d, alpha)
@@ -430,6 +458,7 @@ def test_block_moments_equal_per_block_products(rows, r, alpha, d):
         k_aa = np.array([x[:r, i:j] @ x[:r, i:j].T for i, j in zip(lo, hi)])
         assert np.array_equal(_block_moments(x, lo, hi, r), k_a)
         assert np.array_equal(_block_moments(x[:r], lo, hi, r), k_aa)
+    assert np.max(np.abs(k_a[:, :, :r] - k_aa)) <= 1e-13 * np.max(np.abs(k_aa))
     assert _block_moments(x, lo[:0], hi[:0], r).shape == (0, r, rows)
 
 
@@ -487,7 +516,10 @@ def test_cell_without_sddn_has_an_empty_record():
         c, x, blocks = _moment_parts(cfg, cell, 0)
         assert blocks[3].shape == (0, 0, cfg.r)
         d_ref = c @ (x @ x.T) @ c.T / 300
-        assert np.max(np.abs(_covariance(c, x, blocks) - d_ref)) <= 1e-12 * np.linalg.norm(d_ref, 2)
+        d, k, gk, trial_blocks = _trial(cfg, cell, 0)
+        assert np.max(np.abs(d - d_ref)) <= 1e-12 * np.linalg.norm(d_ref, 2)
+        assert np.array_equal(k, x @ x.T) and gk.shape == (0, 0, len(x))
+        assert trial_blocks[3].shape == (0, 0, cfg.r)
         assert experiments._deviation_measure(cfg, cell, 0)[1:3] == (0.0, 0.0)
 
 
@@ -584,8 +616,7 @@ def test_phase_transition_probabilities_valid():
 
 
 def test_phase_transition_fixed_epsilon_rule():
-    cfg = small_cfg(epsilon_rule="fixed", epsilon_value=0.05, r_grid=(3,),
-                    alpha_grid=(200, 1600), n_trials=4)
+    cfg = small_cfg(epsilon=0.05, r_grid=(3,), alpha_grid=(200, 1600), n_trials=4)
     model = realize_model(cfg, cfg.n, 3)
     assert success_epsilon(cfg, model) == 0.05
     res = phase_transition(cfg)
@@ -919,7 +950,7 @@ def _reference_refinement(cfg, trial):
     ses = []
     for k in range(1, cfg.refine_stages + 1):
         a = _stage_coefficients(cfg, model, alpha, trial, k)
-        phat = top_r_eigvecs(_covariance(p.entries, a, refine_blocks(p.entries, phat.entries, blocks)), cfg.r)
+        phat = top_r_eigvecs(_covariance(p.entries, a, refine_blocks(p.entries, phat.entries, blocks))[0], cfg.r)
         ses.append(subspace_error(phat, p))
     return ses
 
@@ -967,13 +998,13 @@ def test_refinement_stage_matches_column_form(trial):
     d_ref = sample_covariance(columns)
     a = _stage_coefficients(cfg, model, alpha, trial, 1)
     blocks = dwell_blocks(support_sequence(cfg.n, model.sddn, alpha))
-    d = _covariance(p.entries, a, refine_blocks(p.entries, phat.entries, blocks))
+    d = _covariance(p.entries, a, refine_blocks(p.entries, phat.entries, blocks))[0]
     assert np.max(np.abs(d - d_ref)) <= 1e-12 * np.linalg.norm(d_ref, 2)
     cell = _cell(model, alpha)
     rows, rest = cell.frame
     f = np.hstack([np.eye(cfg.n)[:, rows], rest])
     np.testing.assert_allclose(cell.c, f.T @ p.entries, rtol=0.0, atol=1e-14)
-    d_frame = _covariance(cell.c, a, refine_blocks(cell.c, f.T @ phat.entries, cell.blocks))
+    d_frame = _covariance(cell.c, a, refine_blocks(cell.c, f.T @ phat.entries, cell.blocks))[0]
     assert np.max(np.abs(d_frame - f.T @ d_ref @ f)) <= 1e-12 * np.linalg.norm(d_ref, 2)
     se_ref = subspace_error(pca_estimate(columns, cfg.r), p)
     assert _trajectory(refinement_loop(cfg), trial) == [pytest.approx(se_ref, rel=1e-12, abs=0.0)]
@@ -1037,6 +1068,17 @@ def test_bad_bound_inputs_fail_before_any_trial(measure, monkeypatch):
     make_cfg = missing_cfg if measure == "_missing_measure" else small_cfg
     with pytest.raises(ValidationError, match=r"b must lie in \[0, 1\)"):
         EXPERIMENT_OF_MEASURE[measure](make_cfg(alpha_grid=(300, 1)))
+    assert calls == []
+
+
+def test_bad_phase_transition_cell_fails_before_any_trial(monkeypatch):
+    # At n = 10 the support block sweeps the rows every 5 dwells, so the last
+    # cell (n = 10, alpha = 300) exceeds the occupancy cap b0 + s/alpha; every
+    # cell is built before the first trial runs.
+    calls = []
+    monkeypatch.setattr(experiments, "_se_measure", lambda *args: calls.append(args))
+    with pytest.raises(InvalidSupport, match="exceeds b0"):
+        phase_transition(small_cfg(n_grid=(40, 10), alpha_grid=(10, 300)))
     assert calls == []
 
 
@@ -1179,8 +1221,6 @@ def test_experiment_config_validation():
     with pytest.raises(ValidationError):
         small_cfg(sddn_q=1.2)
     with pytest.raises(ValidationError):
-        small_cfg(epsilon_rule="fixed")  # missing value
-    with pytest.raises(ValidationError):
         small_cfg(r=50)  # r > n
     with pytest.raises(ValidationError):
         bound_tightness(small_cfg(), workers=0)
@@ -1195,9 +1235,7 @@ def test_experiment_config_validation():
     with pytest.raises(ValidationError, match="noise_rv=50 exceeds n=45"):
         phase_transition(small_cfg(noise_rv=50, n_grid=(60, 45)))
     for bad in (dict(r_grid=(0,)), dict(n_grid=(2, -3)), dict(noise_rv=0), dict(noise_rv=-1),
-                dict(epsilon_rule="fixed", epsilon_value=float("nan")),
-                dict(epsilon_rule="fixed", epsilon_value=0.0),
-                dict(epsilon_rule="fixed", epsilon_value=float("inf")),
+                dict(epsilon=float("nan")), dict(epsilon=0.0), dict(epsilon=float("inf")),
                 # q0 / 1.2 is a sine; stages >= 1.
                 dict(refine_q0=2.0), dict(refine_q0=float("nan")), dict(refine_q0=-0.5),
                 dict(refine_q0=float("inf")), dict(refine_stages=0), dict(refine_stages=-1)):
