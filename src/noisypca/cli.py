@@ -165,7 +165,7 @@ def _dispatch(args):
     sys.stderr.write("# resolved config\n")
     for line in describe(cfg).splitlines():
         sys.stderr.write(f"# {line}\n")
-    start = time.time()
+    start = time.perf_counter()
     function, _ = COMMANDS[args.command]
     if function is None:
         alpha = args.alpha if args.alpha is not None else cfg.alpha_grid[0]
@@ -173,16 +173,11 @@ def _dispatch(args):
     else:
         result = getattr(exp, function)(cfg, workers=args.workers)
         result.write(args.out)
-    wall = time.time() - start
-    # Every command but `bound` runs at one BLAS thread.
-    threads = exp.blas_threads()
-    if threads is None:
-        threads = "unpinned"
-    elif function is not None:
-        threads = 1
+    wall = time.perf_counter() - start
+    threads = exp.blas_threads()  # 1 inside main's one-thread scope, None without the library
     sys.stderr.write(
-        f"# rows={len(result.rows)} trials={cfg.n_trials} seed={cfg.master_seed} "
-        f"workers={args.workers} blas_threads={threads} wall={wall:.2f}s\n"
+        f"# rows={len(result.rows)} trials={cfg.n_trials} seed={cfg.master_seed} workers={args.workers} "
+        f"blas_threads={'unpinned' if threads is None else threads} wall={wall:.2f}s\n"
     )
     return 0
 
@@ -194,7 +189,9 @@ def main(argv=None):
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return _dispatch(args)
+        # One BLAS thread for all of the command: no OpenBLAS server thread is left spinning.
+        with exp._one_blas_thread():
+            return _dispatch(args)
     except (InfeasibleModel, CorollaryInapplicable) as err:
         sys.stderr.write(f"infeasible: {err}\n")
         return 2

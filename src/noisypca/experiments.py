@@ -25,10 +25,10 @@ each cell (`Cell`) once, so all its trials share its schedule, range
 frame and C, then each cell's bound, then one runner call. Each (grid
 point, trial) owns an independent RNG substream, aggregation is
 order-independent, and every trial runs at one BLAS thread in whichever
-process runs it, so the CSV bytes are a pure function of (config,
-master_seed): identical across reruns, for any worker count and for any
-OPENBLAS_NUM_THREADS, as long as numpy's bundled OpenBLAS is found. The model realization, the cells and the bounds run at
-the caller's thread count.
+process runs it (the CLI runs its whole command so), so the CSV bytes are a
+pure function of (config, master_seed): identical across reruns, for any
+worker count and any OPENBLAS_NUM_THREADS, as long as numpy's bundled
+OpenBLAS is found.
 """
 
 import contextlib
@@ -501,9 +501,10 @@ def blas_threads():
 
 
 def _set_blas_threads(count):
-    """Set the BLAS thread count; a no-op when the library is not found."""
+    """Set the BLAS thread count unless it is in effect: the setter restarts the thread
+    server OpenBLAS stops at fork, which then spins beside the trials. No-op without the library."""
     lib = _openblas()
-    if lib is not None:
+    if lib is not None and lib[0]() != count:
         lib[1](count)
 
 
@@ -542,7 +543,9 @@ def _run_trials(cfg, cells, measure, workers=1):
     size); a chunk may span two cells. Each trial draws only from its own
     substreams, so the results do not depend on the worker count. Every
     trial runs at one BLAS thread, so they do not depend on the caller's
-    thread count either; the caller's count is restored on return.
+    thread count either; the caller's count is restored on return. A forked
+    worker inherits the count of 1, so its initializer sets nothing; one
+    started by spawn or forkserver is set to 1.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")

@@ -653,24 +653,56 @@ def test_cli_worker_count_does_not_change_bytes(tmp_path):
 
 
 def test_cli_blas_thread_count_does_not_change_bytes(tmp_path):
-    # Trials and refinement stages run at one BLAS thread whatever the
-    # caller's count, so the bytes do not depend on OPENBLAS_NUM_THREADS.
-    # At the caller's count the alpha = 1000 row of bound-tightness moved in
-    # the last digits, and refine from stage 2 on (rel 1e-6 at stage 4); the
-    # concentration case guards the per-block BLAS products of its moments.
-    for name in ("bound-tightness-fig1a", "concentration", "refine"):
-        preset, command, experiment, _ = golden_cases[name]
+    # Every command runs at one BLAS thread whatever the caller's count, so
+    # the bytes do not depend on OPENBLAS_NUM_THREADS. At the caller's count
+    # the alpha = 1000 row of bound-tightness moved in the last digits, and
+    # refine from stage 2 on (rel 1e-6 at stage 4); the concentration case
+    # guards the per-block BLAS products of its moments, bound and fig1b's
+    # n = 1000 realization the work done before any trial.
+    for name in ("bound-tightness-fig1a", "concentration", "refine", "bound", "bound-tightness-fig1b"):
+        preset, command, experiment, extra = golden_cases[name]
         path = write_cfg(tmp_path, case_config_text(preset, experiment), f"{name}.cfg")
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"{name}-threads{threads}.csv"
-            proc = _run_cli([command, "--config", path, "--out", str(out)], str(tmp_path),
+            proc = _run_cli([command, "--config", path, "--out", str(out), *extra], str(tmp_path),
                             OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
             assert b" blas_threads=1 " in proc.stderr, name
             outputs.append(out.read_bytes())
         assert outputs[0].count(b"\n") > 1, name
         assert outputs[0] == outputs[1], name
+
+
+@pytest.mark.parametrize("command, module", [("bound", "noisypca.cli"), ("bound-tightness", "noisypca.experiments")])
+def test_cli_runs_the_whole_command_at_one_blas_thread(command, module, tmp_path, capsys, monkeypatch):
+    # The realization and the bounds, not only the trials, run at one thread.
+    if noisypca.experiments.blas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found")
+    seen = []
+
+    def at_one_thread(name):
+        function = getattr(sys.modules[module], name)
+
+        def wrapped(*args, **kwargs):
+            seen.append((name, noisypca.experiments.blas_threads()))
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(sys.modules[module], name, wrapped)
+
+    at_one_thread("realize_model")
+    at_one_thread("general_bound")
+    previous = noisypca.experiments.blas_threads()
+    noisypca.experiments._set_blas_threads(2)
+    try:
+        out = str(tmp_path / f"{command}.csv")
+        assert main([command, "--config", write_cfg(tmp_path), "--out", out]) == 0
+        assert noisypca.experiments.blas_threads() == 2
+    finally:
+        noisypca.experiments._set_blas_threads(previous)
+    assert {name for name, _ in seen} == {"realize_model", "general_bound"}
+    assert {threads for _, threads in seen} == {1}
+    assert " blas_threads=1 " in capsys.readouterr().err
 
 
 def test_cli_runs_unpinned_without_the_blas_library(tmp_path, capsys, monkeypatch):

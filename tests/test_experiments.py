@@ -1,5 +1,6 @@
 """Experiment-engine tests: determinism, parallel equivalence, small runs."""
 
+import os
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -1169,6 +1170,41 @@ def test_run_trials_runs_at_one_blas_thread_and_restores_the_count():
         assert experiments.blas_threads() == 2
     finally:
         experiments._set_blas_threads(previous)
+
+
+def _worker_threads_measure(cfg, cell, trial):
+    a = np.random.default_rng(trial).standard_normal((200, 200))
+    np.linalg.eigh(a + a.T)
+    return experiments.blas_threads(), len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count threads")
+def test_pool_workers_run_on_one_thread(monkeypatch):
+    # A forked worker inherits the count of 1; setting it again would restart
+    # OpenBLAS's thread server, a second thread that spins beside the trials.
+    if experiments.blas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS is not found")
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    got = experiments._run_trials(small_cfg(n_trials=4), [Cell(None, 100)], _worker_threads_measure, 2)
+    assert got == [[(1, 1)] * 4]
+
+
+def test_set_blas_threads_calls_the_setter_only_to_change_the_count(monkeypatch):
+    count, calls = [1], []
+
+    def put(c):
+        calls.append(c)
+        count[0] = c
+
+    monkeypatch.setattr(experiments, "_openblas", lambda: (lambda: count[0], put))
+    experiments._set_blas_threads(1)
+    assert calls == []
+    experiments._set_blas_threads(2)
+    experiments._set_blas_threads(2)
+    assert calls == [2]
+    with experiments._one_blas_thread():
+        assert count == [1]
+    assert calls == [2, 1, 2]
 
 
 class _RecordingPool:
