@@ -539,13 +539,16 @@ def _run_trials(cfg, cells, measure, workers=1):
     The trials run in a process pool of min(workers, trials of the run,
     usable CPUs) processes, or in the calling process when that is 1: a
     pool starts all its processes at the first task, so more would only
-    idle. The pool hands the trials out in chunks of ceil(n_trials / pool
-    size); a chunk may span two cells. Each trial draws only from its own
+    idle. Each worker gets the measure and the whole task table once,
+    through the pool initializer (`_start_worker`): a forked worker has them
+    in its forked memory, one started by spawn or forkserver unpickles them
+    once, and only share numbers and results cross the pipes. There are
+    size shares, share k the tasks k, k + size, ... (`_run_share`): the
+    tasks are cell-major and a trial costs more at larger alpha, so
+    interleaving balances the shares. Each trial draws only from its own
     substreams, so the results do not depend on the worker count. Every
     trial runs at one BLAS thread, so they do not depend on the caller's
-    thread count either; the caller's count is restored on return. A forked
-    worker inherits the count of 1, so its initializer sets nothing; one
-    started by spawn or forkserver is set to 1.
+    thread count either; the caller's count is restored on return.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
@@ -556,11 +559,30 @@ def _run_trials(cfg, cells, measure, workers=1):
         if size <= 1:
             results = list(map(measure, *zip(*tasks)))
         else:
+            results = [None] * len(tasks)
             with ProcessPoolExecutor(
-                max_workers=size, initializer=_set_blas_threads, initargs=(1,)
+                max_workers=size, initializer=_start_worker, initargs=(measure, tasks)
             ) as pool:
-                results = list(pool.map(measure, *zip(*tasks), chunksize=-(-n // size)))
+                for k, share in enumerate(pool.map(_run_share, range(size), [size] * size)):
+                    results[k::size] = share
     return [results[i : i + n] for i in range(0, len(results), n)]
+
+
+# (measure, tasks) of the run in a pool worker, set once by `_start_worker`.
+_WORKER = None
+
+
+def _start_worker(measure, tasks):
+    """Pool initializer: keep the run's measure and task table, at one BLAS thread (a forked worker inherits it)."""
+    global _WORKER
+    _set_blas_threads(1)
+    _WORKER = measure, tasks
+
+
+def _run_share(k, size):
+    """The results of tasks k, k + size, ... of the run's table, in a pool worker (`_start_worker`)."""
+    measure, tasks = _WORKER
+    return [measure(*task) for task in tasks[k::size]]
 
 
 def _sweep(cfg, models, measure, bound, workers):

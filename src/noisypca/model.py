@@ -236,9 +236,9 @@ def support_sequence(n, model, alpha):
         raise InvalidSupport(f"support size {s} exceeds dimension {n}")
     dwell = model.rho * int(np.ceil(model.b0 * alpha / model.rho))
     dwell = max(dwell, 1)
-    t = np.arange(alpha)
-    starts = (t // dwell) * s % n
-    supports = (starts[:, None] + np.arange(s)[None, :]) % n
+    # One row per dwell block, each repeated dwell times: block j starts at j s mod n.
+    starts = np.arange(-(-alpha // dwell)) * s % n
+    supports = np.repeat((starts[:, None] + np.arange(s)) % n, dwell, axis=0)[:alpha]
     occupancy = row_occupancy(supports, n)
     if occupancy > model.b0 + s / alpha + 1e-12:
         raise InvalidSupport(

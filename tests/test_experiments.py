@@ -1,8 +1,11 @@
 """Experiment-engine tests: determinism, parallel equivalence, small runs."""
 
+import functools
 import os
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from multiprocessing import get_all_start_methods, get_context
 from types import SimpleNamespace
 
 import numpy as np
@@ -1150,8 +1153,8 @@ def _cell_measure(cfg, cell, trial):
 
 
 def test_run_trials_runs_at_one_blas_thread_and_restores_the_count():
-    # One list per cell in trial order, also when a pool chunk (2 trials at
-    # 2 workers) spans two cells.
+    # One list per cell in trial order, also when a worker's interleaved
+    # share takes trials of several cells.
     cells = [Cell(None, alpha) for alpha in (100, 200, 300)]
     for workers in (1, 2, 4):
         got = experiments._run_trials(small_cfg(n_trials=3), cells, _cell_measure, workers)
@@ -1208,12 +1211,17 @@ def test_set_blas_threads_calls_the_setter_only_to_change_the_count(monkeypatch)
 
 
 class _RecordingPool:
-    """Stand-in for ProcessPoolExecutor that records its size and starts no process."""
+    """Stand-in for ProcessPoolExecutor that records its size and starts no process.
+
+    It runs the initializer in the calling process, as each worker does.
+    """
 
     sizes = []
 
     def __init__(self, max_workers, initializer=None, initargs=()):
         self.sizes.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -1238,11 +1246,57 @@ class _RecordingPool:
 def test_run_trials_caps_the_pool(workers, trials, cells, cpus, size, monkeypatch):
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(experiments, "_WORKER", None)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
     cells = [Cell(None, 100 * (i + 1)) for i in range(cells)]
     got = experiments._run_trials(small_cfg(n_trials=trials), cells, _cell_measure, workers)
     assert got == [[(cell.alpha, t) for t in range(trials)] for cell in cells]
     assert _RecordingPool.sizes == ([] if size is None else [size])
+
+
+def _raise_on_pickle(self, protocol):
+    raise AssertionError("a Cell was pickled")
+
+
+@pytest.mark.skipif("fork" not in get_all_start_methods(), reason="no fork start method")
+def test_forked_pool_pickles_no_cell(monkeypatch):
+    # Forked workers hold the task table in their forked memory: only share
+    # numbers and results cross the pipes.
+    cfg = small_cfg(r_grid=(2, 3), alpha_grid=(200, 800), n_trials=3)
+    cells = [_cell(realize_model(cfg, r=r), alpha) for r in cfg.r_grid for alpha in cfg.alpha_grid]
+    serial = experiments._run_trials(cfg, cells, experiments._se_measure)
+    monkeypatch.setattr(Cell, "__reduce_ex__", _raise_on_pickle)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(
+        experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=get_context("fork"))
+    )
+    assert experiments._run_trials(cfg, cells, experiments._se_measure, 2) == serial
+
+
+def test_spawned_pool_equals_serial(monkeypatch):
+    # Workers started by spawn (or forkserver) unpickle the task table once,
+    # through the initializer, and set their own BLAS count.
+    cfg = small_cfg(r_grid=(2, 3), alpha_grid=(200, 800), n_trials=3)
+    cells = [_cell(realize_model(cfg, r=r), alpha) for r in cfg.r_grid for alpha in cfg.alpha_grid]
+    serial = experiments._run_trials(cfg, cells, experiments._se_measure)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(
+        experiments, "ProcessPoolExecutor", functools.partial(ProcessPoolExecutor, mp_context=get_context("spawn"))
+    )
+    assert experiments._run_trials(cfg, cells, experiments._se_measure, 2) == serial
+
+
+def test_pooled_measure_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    previous = experiments.blas_threads()
+    cfg, cells = small_cfg(n_trials=3), [Cell(None, 100)]
+    experiments._set_blas_threads(2)
+    try:
+        with pytest.raises(InvalidExample, match="measure failed"):
+            experiments._run_trials(cfg, cells, _failing_measure, 2)
+        assert experiments.blas_threads() == (None if previous is None else 2)
+    finally:
+        experiments._set_blas_threads(previous)
 
 
 def test_usable_cpus_is_positive():

@@ -283,6 +283,36 @@ def test_support_sequence_occupancy_within_cap(n, s_frac, b0, rho_frac, alpha):
     assert np.all(hi[:-1] - lo[:-1] == hi[0] - lo[0]) and hi[-1] - lo[-1] <= hi[0] - lo[0]
 
 
+def _reference_support_sequence(n, model, alpha):
+    """The schedule frame by frame: frame t lies in dwell block t // dwell, which starts at row (t // dwell) s mod n."""
+    dwell = max(model.rho * int(np.ceil(model.b0 * alpha / model.rho)), 1)
+    starts = (np.arange(alpha) // dwell) * model.s % n
+    return (starts[:, None] + np.arange(model.s)[None, :]) % n
+
+
+@pytest.mark.parametrize(
+    "n, s, b0, rho, alpha",
+    [
+        (100, 5, 0.05, 1, 1),  # one frame
+        (100, 5, 0.05, 1, 7),
+        (100, 5, 0.05, 1, 500),
+        (100, 5, 0.05, 1, 2010),  # alpha not a multiple of dwell (101)
+        (100, 5, 0.05, 1, 20000),
+        (10, 4, 0.3, 1, 3),  # the third block wraps around n: rows 8, 9, 0, 1
+        (12, 12, 1.0, 1, 50),  # s = n
+        (60, 6, 0.1, 4, 250),  # rho > 1: dwell a multiple of rho
+        (60, 6, 0.1, 4, 2),  # rho > 1 and alpha < dwell (4)
+    ],
+)
+def test_support_sequence_matches_frame_by_frame_reference(n, s, b0, rho, alpha):
+    model = SddnModel(s=s, b0=b0, rho=rho, q=0.0)
+    supports = support_sequence(n, model, alpha)
+    expected = _reference_support_sequence(n, model, alpha)
+    assert supports.dtype == expected.dtype
+    assert supports.shape == (alpha, s)
+    np.testing.assert_array_equal(supports, expected)
+
+
 def test_support_sequence_rejects_oversized_block():
     with pytest.raises(InvalidSupport):
         support_sequence(4, SddnModel(s=5, b0=0.5, q=0.0), 10)
