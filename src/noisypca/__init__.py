@@ -83,6 +83,7 @@ from .model import (
     sample_uncorr_noise,
     signal_noise_eigenvalues,
     substream,
+    support_blocks,
     support_sequence,
 )
 

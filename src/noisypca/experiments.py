@@ -71,7 +71,6 @@ from .model import (
     SignalModel,
     UncorrNoiseModel,
     derived_spectra,
-    dwell_blocks,
     make_random_basis,
     noise_coefficients,
     profile_scales,
@@ -79,7 +78,7 @@ from .model import (
     sample_sddn_batch,
     signal_coefficients,
     substream,
-    support_sequence,
+    support_blocks,
 )
 
 DEVIATION_TERMS = ("aa", "lw", "ww", "lv", "vv")
@@ -281,9 +280,8 @@ def _cell(model, alpha):
         c = np.hstack([c, model.noise.B.entries])
     blocks, rows, b = (np.zeros(0, int), np.zeros(0, int), np.zeros((0, 0), int)), [], 0.0
     if model.sddn is not None:
-        supports = support_sequence(n, model.sddn, alpha)
-        counts = np.bincount(supports.ravel(), minlength=n)
-        blocks, b, rows = dwell_blocks(supports), float(np.max(counts) / alpha), np.flatnonzero(counts)
+        blocks, counts = support_blocks(n, model.sddn, alpha)
+        b, rows = float(np.max(counts) / alpha), np.flatnonzero(counts)
     frame = np.arange(n), np.zeros((n, 0))
     if len(rows) + c.shape[1] < n:
         c_u = c.copy()
@@ -358,7 +356,7 @@ def _covariance(c, x, blocks):
 def _block_moments(x, lo, hi, r):
     """The (nb, r, len(x)) stack of x[:r, i:j] x[:, i:j]' over the dwell blocks [i, j) of (lo, hi).
 
-    Every block of a `support_sequence` schedule has the first one's length d, except possibly a
+    Every block of a `support_blocks` schedule has the first one's length d, except possibly a
     shorter last one (s = n gives one block, no SDDN none): one stacked matmul takes the full ones.
     """
     d = hi[0] - lo[0] if len(lo) else 0

@@ -223,29 +223,35 @@ class SddnModel:
             raise ValidationError("q must lie in [0, 1)")
 
 
-def support_sequence(n, model, alpha):
-    """Moving-block support schedule T_1..T_alpha as an (alpha, s) index array.
+def support_blocks(n, model, alpha):
+    """The moving-block support schedule as its dwell blocks: ((lo, hi, T), counts).
 
-    The realized per-row occupancy is checked against b0 + s/alpha;
-    parameter combinations that cannot honor that cap (for example
-    b0 much smaller than s/n with alpha spanning many sweeps) raise
-    InvalidSupport.
+    Block j holds frames [j dwell, min((j + 1) dwell, alpha)) on the rows T[j] = (j s + 0..s-1) mod n,
+    dwell = rho ceil(b0 alpha / rho), and s = n is one block; counts[i] is how many frames occupy
+    row i. The occupancy max(counts)/alpha is checked against b0 + s/alpha: combinations that cannot
+    honor it (b0 much smaller than s/n with alpha spanning many sweeps) raise InvalidSupport.
     """
     s = model.s
     if s > n:
         raise InvalidSupport(f"support size {s} exceeds dimension {n}")
-    dwell = model.rho * int(np.ceil(model.b0 * alpha / model.rho))
-    dwell = max(dwell, 1)
-    # One row per dwell block, each repeated dwell times: block j starts at j s mod n.
-    starts = np.arange(-(-alpha // dwell)) * s % n
-    supports = np.repeat((starts[:, None] + np.arange(s)) % n, dwell, axis=0)[:alpha]
-    occupancy = row_occupancy(supports, n)
+    dwell = max(model.rho * int(np.ceil(model.b0 * alpha / model.rho)), 1) if s < n else alpha
+    lo = np.arange(0, alpha, dwell)
+    hi = np.minimum(lo + dwell, alpha)
+    rows = (np.arange(len(lo))[:, None] * s + np.arange(s)) % n
+    counts = np.bincount(rows.ravel(), np.repeat(hi - lo, s), n)
+    occupancy = float(np.max(counts) / alpha)
     if occupancy > model.b0 + s / alpha + 1e-12:
         raise InvalidSupport(
             f"realized occupancy {occupancy:.4f} exceeds b0 + s/alpha "
             f"= {model.b0 + s / alpha:.4f}; shrink alpha or raise b0"
         )
-    return supports
+    return (lo, hi, rows), counts
+
+
+def support_sequence(n, model, alpha):
+    """The support schedule T_1..T_alpha as an (alpha, s) index array: `support_blocks`, frame by frame."""
+    (lo, hi, rows), _ = support_blocks(n, model, alpha)
+    return np.repeat(rows, hi - lo, axis=0)
 
 
 def row_occupancy(supports, n):
@@ -256,17 +262,11 @@ def row_occupancy(supports, n):
     return float(np.max(counts) / alpha)
 
 
-def dwell_blocks(supports):
-    """Dwell blocks (lo, hi, T): frames [lo[i], hi[i]) share rows T[i], T a copied (nb, s) array."""
-    lo = np.r_[0, np.flatnonzero(np.any(supports[1:] != supports[:-1], axis=1)) + 1]
-    return lo, np.r_[lo[1:], len(supports)], supports[lo]
-
-
 def sample_sddn_batch(model, p, blocks, rng):
     """SDDN factors for a whole batch, one dependency matrix per dwell block.
 
     One draw of nb s x n matrices M of |N(0,1)| entries from rng serves the nb
-    dwell blocks (lo, hi, T) (`dwell_blocks`); returns (lo, hi, T, G) with the
+    dwell blocks (lo, hi, T) (`support_blocks`); returns (lo, hi, T, G) with the
     (nb, s, r) factors G = q M P / ||M P||, so that w_t = I_T G a_t for the
     frames of a block (w_t = M_t l_t with l_t = P a_t and ||G|| = q).
     """

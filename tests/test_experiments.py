@@ -57,7 +57,6 @@ from noisypca.model import (
     SignalModel,
     UncorrNoiseModel,
     make_random_basis,
-    dwell_blocks,
     noise_coefficients,
     refine_blocks,
     sample_sddn_batch,
@@ -65,9 +64,10 @@ from noisypca.model import (
     sample_uncorr_noise,
     signal_coefficients,
     substream,
+    support_blocks,
     support_sequence,
 )
-from test_model import _reference_sddn_batch
+from test_model import _reference_sddn_batch, dwell_blocks
 
 
 def small_cfg(**overrides):
@@ -368,8 +368,9 @@ def test_covariance_matches_explicit_columns(case, monkeypatch):
     }[case]
     model = realize_model(cfg)
     supports = _wrapping_schedule(model.n, cfg.sddn_s, alpha, 50) if wrapping else _supports(model, alpha)
-    if wrapping:  # the cell takes its schedule from support_sequence
-        monkeypatch.setattr(experiments, "support_sequence", lambda *args: supports)
+    if wrapping:  # the cell takes its dwell blocks and row counts from support_blocks
+        counts = np.bincount(supports.ravel(), minlength=model.n)
+        monkeypatch.setattr(experiments, "support_blocks", lambda *args: (dwell_blocks(supports), counts))
     if "wrapping" in case:
         assert any(rows[0] > rows[-1] for rows in supports)
     y = _reference_columns(cfg, model, alpha, 0, supports, missing)[0]
@@ -407,6 +408,20 @@ def test_measures_hold_no_n_by_alpha_columns(measure):
     finally:
         tracemalloc.stop()
     assert peak < n * alpha * 8 / 2
+
+
+def test_cell_holds_no_alpha_by_s_schedule():
+    # The cell builds its dwell blocks and row counts from the schedule's
+    # arithmetic: its traced peak stays below half of one alpha x s index array.
+    model, alpha = realize_model(parse_config("fig2a")[0]), 200000
+    _cell(model, alpha)  # first-call allocations are not the cell's
+    tracemalloc.start()
+    try:
+        _cell(model, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < alpha * model.sddn.s * 8 / 2
 
 
 def test_trials_stack_no_coefficient_copies(monkeypatch):
@@ -492,13 +507,13 @@ def test_one_support_schedule_per_trial(measure, monkeypatch):
 
     def counted(*args):
         calls.append(args)
-        return support_sequence(*args)
+        return support_blocks(*args)
 
     def counted_measure(cfg, cell, trial, _run=getattr(experiments, measure)):
         measured.append(trial)
         return _run(cfg, cell, trial)
 
-    monkeypatch.setattr(experiments, "support_sequence", counted)
+    monkeypatch.setattr(experiments, "support_blocks", counted)
     monkeypatch.setattr(experiments, measure, counted_measure)
     grid = (600, 1200)
     make_cfg = missing_cfg if measure == "_missing_measure" else small_cfg

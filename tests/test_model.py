@@ -19,7 +19,6 @@ from noisypca.model import (
     SignalModel,
     UncorrNoiseModel,
     derived_spectra,
-    dwell_blocks,
     make_random_basis,
     noise_coefficients,
     profile_scales,
@@ -31,6 +30,7 @@ from noisypca.model import (
     signal_coefficients,
     signal_noise_eigenvalues,
     substream,
+    support_blocks,
     support_sequence,
 )
 
@@ -231,6 +231,12 @@ def test_signal_noise_cross_covariance_decays(basis100):
 
 # --- support process ---------------------------------------------------------
 
+def dwell_blocks(supports):
+    """Dwell blocks (lo, hi, T) of an (alpha, s) schedule, row by row: frames [lo[i], hi[i]) share T[i]."""
+    lo = np.r_[0, np.flatnonzero(np.any(supports[1:] != supports[:-1], axis=1)) + 1]
+    return lo, np.r_[lo[1:], len(supports)], supports[lo]
+
+
 def test_support_sequence_dwell_rule_enumeration():
     model = SddnModel(s=2, b0=0.5, rho=1, q=0.0)
     supports = support_sequence(10, model, 4)
@@ -279,7 +285,7 @@ def test_support_sequence_occupancy_within_cap(n, s_frac, b0, rho_frac, alpha):
     assert occupied.mean(axis=0).max() <= b0 + s / alpha + 1e-12
     # `experiments._block_moments` relies on it: every dwell block has the
     # first one's length, except the last, which may be shorter.
-    lo, hi, _ = dwell_blocks(supports)
+    (lo, hi, _), _ = support_blocks(n, model, alpha)
     assert np.all(hi[:-1] - lo[:-1] == hi[0] - lo[0]) and hi[-1] - lo[-1] <= hi[0] - lo[0]
 
 
@@ -300,6 +306,7 @@ def _reference_support_sequence(n, model, alpha):
         (100, 5, 0.05, 1, 20000),
         (10, 4, 0.3, 1, 3),  # the third block wraps around n: rows 8, 9, 0, 1
         (12, 12, 1.0, 1, 50),  # s = n
+        (12, 12, 0.5, 1, 20),  # s = n over two dwells (10): still one block
         (60, 6, 0.1, 4, 250),  # rho > 1: dwell a multiple of rho
         (60, 6, 0.1, 4, 2),  # rho > 1 and alpha < dwell (4)
     ],
@@ -311,17 +318,27 @@ def test_support_sequence_matches_frame_by_frame_reference(n, s, b0, rho, alpha)
     assert supports.dtype == expected.dtype
     assert supports.shape == (alpha, s)
     np.testing.assert_array_equal(supports, expected)
+    # The schedule's dwell blocks and per-row counts, built without the alpha x s array.
+    blocks, counts = support_blocks(n, model, alpha)
+    for part, want in zip(blocks, dwell_blocks(expected)):
+        assert part.dtype == want.dtype
+        np.testing.assert_array_equal(part, want)
+    np.testing.assert_array_equal(counts, np.bincount(expected.ravel(), minlength=n))
+    if s == n:
+        assert blocks[0].tolist() == [0] and blocks[1].tolist() == [alpha]
 
 
 def test_support_sequence_rejects_oversized_block():
-    with pytest.raises(InvalidSupport):
-        support_sequence(4, SddnModel(s=5, b0=0.5, q=0.0), 10)
+    for build in (support_blocks, support_sequence):
+        with pytest.raises(InvalidSupport):
+            build(4, SddnModel(s=5, b0=0.5, q=0.0), 10)
 
 
 def test_support_sequence_rejects_unsatisfiable_occupancy():
     # b0 far below s/n with alpha spanning many sweeps cannot honor b0 + s/alpha.
-    with pytest.raises(InvalidSupport):
-        support_sequence(10, SddnModel(s=5, b0=0.01, q=0.0), 1000)
+    for build in (support_blocks, support_sequence):
+        with pytest.raises(InvalidSupport):
+            build(10, SddnModel(s=5, b0=0.01, q=0.0), 1000)
 
 
 def test_row_occupancy_edge_cases():
