@@ -59,6 +59,8 @@ CASES = {
     "concentration": ("fig1a", "concentration", ("alpha_grid = 500,2000", "trials = 3"), ()),
     "rank-estimation": ("fig1a", "rank-estimation", ("alpha_grid = 1000,4000", "trials = 3"), ()),
     "adversarial": ("adversarial", "adversarial", ("alpha_grid = 20000", "trials = 3"), ()),
+    # Two chunks of the covariance sum: the second holds one column.
+    "adversarial-two-chunks": ("adversarial", "adversarial", ("alpha_grid = 100001", "trials = 2"), ()),
     "refine": ("refine", "refine", ("alpha_grid = 7068", "trials = 2"), ()),
     "missing": ("missing", "missing", ("alpha_grid = 1000,3000", "trials = 3"), ()),
     # alpha < n: fig1b decomposes the 110 x 110 D of its range frame, and
