@@ -50,7 +50,6 @@ from .experiments import (
     GridResult,
     ModelRealization,
     adversarial_experiment,
-    adversarial_sigma,
     bound_tightness,
     concentration_check,
     missing_data_experiment,

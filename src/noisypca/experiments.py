@@ -18,17 +18,16 @@ refinement_loop        staged re-estimation where each pass shrinks the
 missing_data_experiment PCA on columns with erased blocks vs. the
                        incoherence-based bound
 
-Every experiment that runs trials runs them through one runner,
-`_run_trials`, which applies the experiment's measure to each (grid cell,
-trial). One sweep, `_sweep`, builds every grid but the adversarial one:
-each cell (`Cell`) once, so all its trials share its schedule, range
-frame and C, then each cell's bound, then one runner call. Each (grid
-point, trial) owns an independent RNG substream, aggregation is
-order-independent, and every trial runs at one BLAS thread in whichever
-process runs it (the CLI runs its whole command so), so the CSV bytes are a
-pure function of (config, master_seed): identical across reruns, for any
-worker count and any OPENBLAS_NUM_THREADS, as long as numpy's bundled
-OpenBLAS is found.
+Every experiment that runs trials runs them through one sweep, `_sweep`,
+and one runner, `_run_trials`, which applies the experiment's measure to
+each (grid cell, trial). The sweep builds each cell (`Cell`) once, so all
+its trials share its schedule, range frame and C, then each cell's bound,
+then makes one runner call. Each (grid point, trial) owns an independent
+RNG substream, aggregation is order-independent, and every trial runs at
+one BLAS thread in whichever process runs it (the CLI runs its whole
+command so), so the CSV bytes are a pure function of (config,
+master_seed): identical across reruns, for any worker count and any
+OPENBLAS_NUM_THREADS, as long as numpy's bundled OpenBLAS is found.
 """
 
 import contextlib
@@ -52,7 +51,7 @@ from .bounds import (
     sddn_bound,
     success_floor,
 )
-from .errors import InfeasibleModel, InvalidExample, NoComplement, RankDeficient, ValidationError
+from .errors import InfeasibleModel, InvalidExample, InvalidRank, NoComplement, RankDeficient, ValidationError
 from .estimator import estimate_rank_eigengap, estimate_rank_threshold
 from .linalg import (
     BasisMatrix,
@@ -242,12 +241,11 @@ def bound_inputs(cfg, model, alpha, b):
 class Cell:
     """A grid cell (model, alpha) and what all its trials share (`_cell`).
 
-    Every model cell has its dwell blocks as one array record (empty without
-    SDDN) and a frame (the identity where no smaller one applies). The
-    adversarial trial draws its own basis, so its cell has no model.
+    Every cell has its dwell blocks as one array record (empty without SDDN)
+    and a frame (the identity where no smaller one applies).
     """
 
-    model: object  # ModelRealization | None
+    model: object  # ModelRealization
     alpha: int
     blocks: object = None  # the schedule's dwell blocks (lo, hi, T), T (nb, s) in D's coordinates
     frame: object = None  # (U, rest): D is F'DF with F = [E_U | rest]
@@ -465,13 +463,32 @@ def _refine_measure(cfg, cell, trial):
     return ses
 
 
+# Samples accumulated per block of the covariance. The chunking fixes the
+# shapes of the rng draws, so changing it changes the adversarial stream.
+_ADVERSARIAL_CHUNK = 100000
+
+
 def _adversarial_measure(cfg, cell, trial):
-    """(se, deviation) of one adversarial trial; it draws its own basis."""
-    rng = substream(cfg.master_seed, STREAM_AUX, cfg.n, cfg.r, cell.alpha, trial)
-    se, dev = adversarial_sigma(
-        cfg.n, cfg.r, cell.alpha, cfg.lambdas_for(cfg.r), rng, distribution=cfg.signal_distribution
-    )
-    return _checked_se(se), dev
+    """(se, deviation) of one adversarial trial (`_adversarial_model`), deviation = ||D - E[D]||_2 / lam^-.
+
+    The trial's substream is keyed by the configured n. It first gives the
+    n x r normal draw of the n-dimensional trial's basis, which se and the
+    deviation do not depend on, so it is drawn only to keep the stream.
+    Then y = [a; c] is drawn chunk by chunk and y y' summed into D.
+    """
+    model, alpha = cell.model, cell.alpha
+    signal, noise, r = model.signal, model.noise, model.r
+    rng = substream(cfg.master_seed, STREAM_AUX, cfg.n, r, alpha, trial)
+    rng.standard_normal((cfg.n, r))
+    d = np.zeros((r + 1, r + 1))
+    for start in range(0, alpha, _ADVERSARIAL_CHUNK):
+        y = np.empty((r + 1, min(_ADVERSARIAL_CHUNK, alpha - start)))
+        signal_coefficients(signal, rng, y.shape[1], out=y[:r])
+        noise_coefficients(noise, rng, y.shape[1], out=y[r:])
+        d += y @ y.T
+    d = (d + d.T) / (2.0 * alpha)
+    deviation = np.linalg.norm(d - np.diag(np.append(signal.lambdas, noise.sigma2)), 2) / signal.lambda_minus
+    return _pca_se(d, cell.p), float(deviation)
 
 
 # ---------------------------------------------------------------------------
@@ -688,6 +705,8 @@ def concentration_check(cfg, workers=1):
 
 def rank_estimation(cfg, workers=1):
     """Fraction of trials in which each rank estimator recovers the true r."""
+    if cfg.n < 2:  # the eigengap rule searches j = 1..floor(n/2)
+        raise InvalidRank(f"need 1 <= max_rank < n, got {cfg.n // 2}")
     rows = []
     sweep = _sweep(cfg, [realize_model(cfg)], _rank_measure, _on_inputs(cfg, rank_delta), workers)
     for cell, delta, ranks in sweep:
@@ -697,65 +716,42 @@ def rank_estimation(cfg, workers=1):
     return GridResult(("alpha", "delta", "p_threshold", "p_gap"), rows)
 
 
-# Samples accumulated per block of the covariance. The chunking fixes the
-# shapes of the rng draws, so changing it changes the adversarial stream.
-_ADVERSARIAL_CHUNK = 100000
+def _adversarial_model(cfg):
+    """The adversarial model, in the r + 1 coordinates of [P u]: P = [I; 0] and B = u = e_{r+1}.
 
-
-def adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussian"):
-    """Worst-case noise covariance 1.2*lam^- along one complement direction.
-
-    Returns (se, deviation) where deviation = ||D - E[D]||_2 / lam^-.
-    When the deviation is small the top-r sample eigenspace locks onto the
-    complement direction and se approaches one. Requires r < n and
-    lambda_{r-1} >= 1.1 lambda^-; n enters only through the basis draw.
+    The noise along the complement direction u has variance 1.2 lam^-, so
+    the population top-r eigenspace swaps a signal direction for u, and the
+    sample one does too once the deviation is small: se approaches one.
+    Requires r < n and lambda_{r-1} >= 1.1 lambda^-; n enters only through
+    each trial's basis draw (`_adversarial_measure`).
     """
-    lambdas = np.asarray(lambdas, dtype=float)
+    r, lambdas, distribution = cfg.r, cfg.lambdas_for(cfg.r), cfg.signal_distribution
     lam_minus = lambdas[-1]
     if r >= 2 and lambdas[r - 2] < 1.1 * lam_minus:
-        raise InvalidExample(
-            f"need lambda_(r-1) >= 1.1 lambda^-: {lambdas[r - 2]} < {1.1 * lam_minus}"
-        )
-    # The n x r basis is drawn only to keep the stream of the n-dimensional
-    # trial: se and the deviation do not depend on P or u.
-    make_random_basis(n, r, rng)
-    if r >= n:
+        raise InvalidExample(f"need lambda_(r-1) >= 1.1 lambda^-: {lambdas[r - 2]} < {1.1 * lam_minus}")
+    if r >= cfg.n:
         raise NoComplement("basis already spans the full space")
     coords = np.eye(r + 1)
     signal = SignalModel(BasisMatrix(coords[:, :r]), lambdas, distribution)
     variance = 1.2 * lam_minus
     amp = np.sqrt(3.0 * variance) if distribution == "bounded_uniform" else np.sqrt(variance)
     noise = UncorrNoiseModel(r + 1, [amp], distribution, BasisMatrix(coords[:, r]))
-    d = np.zeros((r + 1, r + 1))
-    for start in range(0, alpha, _ADVERSARIAL_CHUNK):
-        count = min(_ADVERSARIAL_CHUNK, alpha - start)
-        # In the coordinates of [P u], P = [I; 0] and u = e_{r+1}: y = [a; c].
-        y = np.empty((r + 1, count))
-        signal_coefficients(signal, rng, count, out=y[:r])
-        noise_coefficients(noise, rng, count, out=y[r:])
-        d += y @ y.T
-    d = (d + d.T) / (2.0 * alpha)
-    se = subspace_error(top_r_eigvecs(d, r), signal.P)
-    deviation = float(np.linalg.norm(d - np.diag(np.append(lambdas, noise.sigma2)), 2) / lam_minus)
-    return float(se), deviation
+    return ModelRealization(r + 1, r, signal, noise, None, derived_spectra(signal, noise))
 
 
 def adversarial_experiment(cfg, workers=1):
     """Per-trial (se, deviation) rows for the adversarial covariance."""
     if len(cfg.alpha_grid) != 1:
         raise ValidationError(f"adversarial takes one alpha, got alpha_grid={cfg.alpha_grid}")
-    # One cell and no shared model: every trial draws its own basis.
-    (results,) = _run_trials(cfg, [Cell(None, cfg.alpha_grid[0])], _adversarial_measure, workers)
+    ((_, _, results),) = _sweep(cfg, [_adversarial_model(cfg)], _adversarial_measure, lambda cell: None, workers)
     rows = [(trial, se, dev) for trial, (se, dev) in enumerate(results)]
     return GridResult(("trial", "se", "deviation"), rows)
 
 
 def _tilted_basis(p, target_se, rng):
-    """Basis at exact subspace error target_se from p (rotate first column)."""
+    """Basis at exact subspace error target_se from p (rotate first column); target_se > 0 needs r < n."""
     if target_se <= 0:
         return p
-    if p.r == p.n:
-        raise NoComplement(f"r = n = {p.n}: no direction outside span(P) to tilt the start toward")
     direction = rng.standard_normal(p.n)
     direction -= p.entries @ (p.entries.T @ direction)
     direction /= np.linalg.norm(direction)
@@ -784,6 +780,8 @@ def refinement_loop(cfg, workers=1):
         raise ValidationError("refinement needs the sparse support model")
     if len(cfg.alpha_grid) != 1:
         raise ValidationError(f"refine takes one alpha, got alpha_grid={cfg.alpha_grid}")
+    if cfg.refine_q0 > 0 and cfg.r == cfg.n:
+        raise NoComplement(f"r = n = {cfg.n}: no direction outside span(P) to tilt the start toward")
 
     def stage_bounds(cell):
         if 3.0 * np.sqrt(cell.b) * cell.model.signal.f >= 0.2:

@@ -599,6 +599,54 @@ def test_cli_bad_out_fails_before_the_run(command, tmp_path, capsys, monkeypatch
     assert not (read_only / "x.csv").exists()
 
 
+def _with_lines(text, *pairs):
+    """text with each (old, new) line pair replaced once."""
+    for old, new in pairs:
+        assert old in text, old
+        text = text.replace(old, new, 1)
+    return text
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (
+            "adversarial",
+            _with_lines(case_config_text("adversarial", ("alpha_grid = 1000", "trials = 2")), ("n = 50", "n = 5")),
+            "error: basis already spans the full space",
+        ),
+        (
+            "adversarial",
+            _with_lines(
+                case_config_text("adversarial", ("alpha_grid = 1000", "trials = 2")),
+                ("signal_lambdas = 14,13.5,13.5,13.5,12", "signal_lambdas = 14,13.5,13.5,13.5,13"),
+            ),
+            "error: need lambda_(r-1) >= 1.1 lambda^-",
+        ),
+        (
+            "refine",
+            _with_lines(case_config_text("refine", ("alpha_grid = 7068", "trials = 2")), ("r = 5", "r = 250")),
+            "error: r = n = 250: no direction outside span(P) to tilt the start toward",
+        ),
+        (
+            "rank-estimation",
+            _with_lines(MINIMAL, ("n = 40\nr = 3", "n = 1\nr = 1"), ("sddn = on", "sddn = off"), ("200,400", "100")),
+            "error: need 1 <= max_rank < n, got 0",
+        ),
+    ],
+    ids=["adversarial-r-equals-n", "adversarial-flat-profile", "refine-r-equals-n", "rank-estimation-n1"],
+)
+def test_cli_bad_model_fails_before_any_trial(command, text, message, tmp_path, capsys, monkeypatch):
+    # A model the experiment cannot run exits 1 with its message before the
+    # trial runner is entered, not from inside a trial in a pool worker.
+    calls = []
+    monkeypatch.setattr(noisypca.experiments, "_run_trials", lambda *args, **kw: calls.append(args))
+    assert _main_exit_code([command, "--config", write_cfg(tmp_path, text), "--workers", "2"]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
+    assert calls == []
+
+
 def test_cli_failed_write_exits_one(tmp_path, capsys, monkeypatch):
     # An OSError from the final write is an `error:` with exit 1, and the
     # check before the run leaves an existing file untouched.

@@ -29,6 +29,8 @@ from noisypca.experiments import (
     ExperimentConfig,
     Cell,
     GridResult,
+    _adversarial_measure,
+    _adversarial_model,
     _block_moments,
     _cell,
     _covariance,
@@ -37,7 +39,6 @@ from noisypca.experiments import (
     _tilted_basis,
     _trial,
     adversarial_experiment,
-    adversarial_sigma,
     bound_tightness,
     concentration_check,
     missing_data_experiment,
@@ -426,10 +427,11 @@ def test_cell_holds_no_alpha_by_s_schedule():
 
 def test_trials_stack_no_coefficient_copies(monkeypatch):
     # x = [a; c] of a noisy fig2a trial, and y of an adversarial chunk, are
-    # drawn into their row blocks in place; the cell (whose C is stacked
-    # once) is built before the patch.
+    # drawn into their row blocks in place; the cells (whose C is stacked
+    # once) are built before the patch.
     cfg = parse_config("fig2a")[0]
     cell = _cell(realize_model(cfg), 2000)
+    adv_cfg, adv_cell = adversarial_cell(10, 3, 500, [2.0, 2.0, 1.0])
 
     def no_vstack(*args, **kwargs):
         raise AssertionError("np.vstack on the trial path")
@@ -437,7 +439,7 @@ def test_trials_stack_no_coefficient_copies(monkeypatch):
     monkeypatch.setattr(np, "vstack", no_vstack)
     experiments._se_measure(cfg, cell, 0)
     experiments._deviation_measure(cfg, cell, 0)
-    adversarial_sigma(10, 3, 500, np.array([2.0, 2.0, 1.0]), np.random.default_rng(0))
+    _adversarial_measure(adv_cfg, adv_cell, 0)
 
 
 def test_se_trial_peaks_near_one_coefficient_array():
@@ -780,6 +782,20 @@ def test_adversarial_weak_noise_keeps_signal_space():
     assert subspace_error(phat, p) <= 1e-10
 
 
+def adversarial_cfg(n, r, alpha, lambdas, distribution="gaussian"):
+    """One-trial config of the adversarial example at (n, r, alpha, lambdas)."""
+    return small_cfg(
+        n=n, r=r, signal_distribution=distribution, signal_lambdas=tuple(lambdas),
+        noise_rv=None, sddn_enabled=False, alpha_grid=(alpha,), n_trials=1,
+    )
+
+
+def adversarial_cell(n, r, alpha, lambdas, distribution="gaussian"):
+    """(cfg, cell) of the adversarial example, its model realized once (`_adversarial_model`)."""
+    cfg = adversarial_cfg(n, r, alpha, lambdas, distribution)
+    return cfg, _cell(_adversarial_model(cfg), alpha)
+
+
 def test_adversarial_sigma_rejects_bad_profile():
     for n, r, lambdas, error in (
         (30, 5, [14.0, 13.0, 13.0, 13.0, 12.0], InvalidExample),
@@ -790,20 +806,21 @@ def test_adversarial_sigma_rejects_bad_profile():
         (30, 3, [14.0, 20.0, 12.0], ValidationError),
     ):
         with pytest.raises(error):
-            adversarial_sigma(n, r, 1000, lambdas, np.random.default_rng(2))
+            _adversarial_model(adversarial_cfg(n, r, 1000, lambdas))
 
 
 def test_adversarial_sigma_takes_no_n_by_n_svd(monkeypatch):
-    # r = n is caught with the complement's message but without its SVD,
-    # whose n x n left factor the trial never uses: the only SVD left is the
-    # singular values of the basis draw.
+    # r = n is caught with the complement's message before any trial, and a
+    # trial takes no SVD at all: its n x r basis draw, which se and the
+    # deviation do not depend on, is never orthonormalized.
+    cfg, cell = adversarial_cell(30, 3, 1000, [14.0, 13.5, 12.0])
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append((a.shape, kw)) or svd(a, **kw))
     with pytest.raises(NoComplement, match="^basis already spans the full space$"):
-        adversarial_sigma(3, 3, 1000, [14.0, 13.5, 12.0], np.random.default_rng(2))
-    adversarial_sigma(30, 3, 1000, [14.0, 13.5, 12.0], np.random.default_rng(2))
-    assert calls == [((3, 3), {"compute_uv": False}), ((30, 3), {"compute_uv": False})]
+        _adversarial_model(adversarial_cfg(3, 3, 1000, [14.0, 13.5, 12.0]))
+    _adversarial_measure(cfg, cell, 0)
+    assert calls == []
 
 
 def _reference_adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussian"):
@@ -843,9 +860,13 @@ def _reference_adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussi
         (6, 3, experiments._ADVERSARIAL_CHUNK + 1, [14.0, 13.5, 12.0], "bounded_uniform"),
     ],
 )
-def test_adversarial_sigma_matches_reference(n, r, alpha, lambdas, distribution):
-    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-    se, dev = adversarial_sigma(n, r, alpha, lambdas, rng, distribution)
+def test_adversarial_sigma_matches_reference(n, r, alpha, lambdas, distribution, monkeypatch):
+    # The measure on a drawn generator, patched in as the trial's substream.
+    cfg, cell = adversarial_cell(n, r, alpha, lambdas, distribution)
+    rng, ref_rng, keys = np.random.default_rng(4), np.random.default_rng(4), []
+    monkeypatch.setattr(experiments, "substream", lambda *key: keys.append(key) or rng)
+    se, dev = _adversarial_measure(cfg, cell, 0)
+    assert keys == [(cfg.master_seed, STREAM_AUX, n, r, alpha, 0)]
     ref_se, ref_dev = _reference_adversarial_sigma(n, r, alpha, lambdas, ref_rng, distribution)
     assert se == pytest.approx(ref_se, rel=1e-12)
     assert dev == pytest.approx(ref_dev, rel=1e-12)
@@ -853,9 +874,11 @@ def test_adversarial_sigma_matches_reference(n, r, alpha, lambdas, distribution)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_adversarial_sigma_small_run():
+def test_adversarial_sigma_small_run(monkeypatch):
+    cfg, cell = adversarial_cell(30, 3, 120_000, [14.0, 13.5, 12.0])
     rng = np.random.default_rng(3)
-    se, dev = adversarial_sigma(30, 3, 120_000, [14.0, 13.5, 12.0], rng)
+    monkeypatch.setattr(experiments, "substream", lambda *key: rng)
+    se, dev = _adversarial_measure(cfg, cell, 0)
     assert dev < 0.05
     assert se >= 1.0 - 11.1 * dev - 1e-9
 
