@@ -344,9 +344,38 @@ def _wrapping_schedule(n, s, alpha, dwell):
     return (starts[:, None] + np.arange(s)[None, :]) % n
 
 
+# (n, s, b0, alpha, seed) whose support schedules wrap past row n - 1 onto
+# rows of the first dwell block, so that two dwell blocks share rows; each is
+# run without noise, with r_v = r, with B = I and with r_v = 4. ww's norm is
+# the largest over groups of blocks that share rows, so the seeds are ones
+# where the sharing group holds it: dropping the wrapped block's share moves
+# ||ww|| by rel 0.04 to 0.3.
+SHARED_ROW_SCHEDULES = ((10, 3, 0.3, 10, 3), (11, 2, 0.18, 46, 3), (13, 5, 0.4, 17, 10))
+SHARED_ROW_NOISE = (None, "r", "n", 4)
+SHARED_ROW_CASES = {
+    f"shared rows, n={n} s={s} b0={b0} alpha={alpha}, noise {noise}": (n, s, b0, alpha, seed, noise)
+    for n, s, b0, alpha, seed in SHARED_ROW_SCHEDULES
+    for noise in SHARED_ROW_NOISE
+}
+
+
+def _shared_row_cfg(n, s, b0, seed, noise):
+    return small_cfg(
+        n=n, noise_rv=noise, noise_scale_base=0.6, noise_scale_slope=0.5,
+        sddn_s=s, sddn_b0=b0, sddn_q=0.3, master_seed=seed,
+    )
+
+
+def _shares_rows(cell):
+    """Whether two dwell blocks of the cell share a row (one block's rows are distinct)."""
+    t = cell.blocks[2]
+    return len(np.unique(t)) < t.size
+
+
 COVARIANCE_CASES = (
     "sddn with B", "sddn, B = None", "sddn, no noise", "missing data", "no sddn",
     "wrapping block", "wrapping block, frame", "frame, sddn with B", "frame, missing data",
+    *SHARED_ROW_CASES,
 )
 
 
@@ -366,6 +395,10 @@ def test_covariance_matches_explicit_columns(case, monkeypatch):
         "wrapping block, frame": (small_cfg(n=400), 200, False, True, True),
         "frame, sddn with B": (small_cfg(n=400), 600, False, False, True),
         "frame, missing data": (missing_cfg(n=400), 600, True, False, True),
+        **{
+            name: (_shared_row_cfg(n, s, b0, seed, noise), alpha, False, False, False)
+            for name, (n, s, b0, alpha, seed, noise) in SHARED_ROW_CASES.items()
+        },
     }[case]
     model = realize_model(cfg)
     supports = _wrapping_schedule(model.n, cfg.sddn_s, alpha, 50) if wrapping else _supports(model, alpha)
@@ -376,6 +409,7 @@ def test_covariance_matches_explicit_columns(case, monkeypatch):
         assert any(rows[0] > rows[-1] for rows in supports)
     y = _reference_columns(cfg, model, alpha, 0, supports, missing)[0]
     cell = _cell(model, alpha)
+    assert _shares_rows(cell) or case not in SHARED_ROW_CASES
     d_ref = sample_covariance(DataBatch(y))
     tol = 1e-12 * np.linalg.norm(d_ref, 2)
     d = _covariance(*_moment_parts(cfg, cell, 0, missing))[0]
@@ -705,8 +739,20 @@ def test_deviation_measure_matches_full_dimension_reference(
         noise_rv=noise_rv, noise_scale_base=0.6, noise_scale_slope=0.5,
         sddn_enabled=sddn, sddn_s=s, sddn_b0=1.0 / blocks, sddn_q=q, master_seed=seed,
     )
+    _check_deviation_measure(cfg, max(1, int(alpha_ratio * n)))
+
+
+@pytest.mark.parametrize("case", SHARED_ROW_CASES)
+def test_deviation_measure_matches_reference_on_shared_rows(case):
+    # n = s * blocks never wraps; these schedules give two blocks common rows.
+    n, s, b0, alpha, seed, noise = SHARED_ROW_CASES[case]
+    cfg = _shared_row_cfg(n, s, b0, seed, noise)
+    assert _shares_rows(_cell(realize_model(cfg), alpha))
+    _check_deviation_measure(cfg, alpha)
+
+
+def _check_deviation_measure(cfg, alpha):
     model = realize_model(cfg)
-    alpha = max(1, int(alpha_ratio * n))
     got = experiments._deviation_measure(cfg, _cell(model, alpha), 0)
     want = _reference_deviation_measure(cfg, model, alpha, 0)
     assert got == pytest.approx(want, rel=1e-12, abs=0.0)
