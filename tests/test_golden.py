@@ -14,9 +14,11 @@ After a deliberate behaviour change, re-pin with
 It prints one line per case: `same bytes`, `within rel 1e-12` (the pinned
 bytes are kept) or `wrote <path>`, for a case whose fresh CSV fails that
 comparison or has no file yet. On a clean tree every case reads `same
-bytes`, so a byte-identity claim is checked by this one command. A case
-within rel 1e-12 keeps its pinned bytes, so to re-pin it for byte identity,
-delete its file under tests/golden/ first and run the command again.
+bytes`, so a byte-identity claim is checked by this one command: it exits
+with status 1 when any case reads otherwise, 0 when all read `same bytes`.
+A case within rel 1e-12 keeps its pinned bytes, so to re-pin it for byte
+identity, delete its file under tests/golden/ first and run the command
+again.
 """
 
 import math
@@ -134,6 +136,7 @@ if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
+    moved = 0
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             path = GOLDEN / f"{case}.csv"
@@ -151,3 +154,5 @@ if __name__ == "__main__":
                 path.write_bytes(fresh)
                 status = f"wrote {path}"
             print(f"{case}: {status}")
+            moved += status != "same bytes"
+    sys.exit(1 if moved else 0)
