@@ -58,6 +58,7 @@ from .linalg import (
     incoherence,
     orthonormalize,
     subspace_error,
+    symmetric_eig,
     top_r_eigvecs,
 )
 from .model import (
@@ -251,11 +252,7 @@ class Cell:
     frame: object = None  # (U, rest): D is F'DF with F = [E_U | rest]
     c: object = None  # C = [P B] in D's coordinates
     b: float = 0.0  # realized per-row occupancy, 0 without SDDN
-
-    @property
-    def p(self):
-        """F'P, the first r columns of C: orthonormal, as P lies in the frame (`_pca_se`)."""
-        return BasisMatrix(self.c[:, : self.model.r])
+    p: object = None  # F'P, C's first r columns: a BasisMatrix, as P lies in the frame (`_pca_se`)
 
 
 def _cell(model, alpha):
@@ -287,7 +284,9 @@ def _cell(model, alpha):
         with contextlib.suppress(RankDeficient):
             frame = rows, orthonormalize(c_u).entries
     lo, hi, t = blocks
-    return Cell(model, alpha, (lo, hi, np.searchsorted(frame[0], t)), frame, _in_frame(frame, c), b)
+    c = _in_frame(frame, c)
+    p = BasisMatrix(c[:, : model.signal.P.r])
+    return Cell(model, alpha, (lo, hi, np.searchsorted(frame[0], t)), frame, c, b, p)
 
 
 def _in_frame(frame, x):
@@ -328,27 +327,37 @@ def _trial(cfg, cell, trial):
 def _covariance(c, x, blocks):
     """(D, K, G K_a): the sample covariance D of the columns y = C x + block terms, without forming them.
 
-    In block i of the record (lo, hi, T, G), column t is y_t = C x_t +
-    I_T[i] G[i] a_t, with a_t the first r = G.shape[2] rows of x_t. So,
-    with K = x x', K_a = a x' over the block and K_aa its first r columns,
+    D is the `_moment_covariance` of K = x x' and the (nb, s, len(x)) stack
+    G K_a over the record (lo, hi, T, G); K and G K_a are returned with D.
+    """
+    lo, hi, t, g = blocks
+    k, gk = x @ x.T, g @ _block_moments(x, lo, hi, g.shape[2])
+    return _moment_covariance(c, k, gk, t, g, x.shape[1]), k, gk
+
+
+def _moment_covariance(c, k, gk, t, g, alpha):
+    """D from the moments K and G K_a of alpha columns y = C x + block terms, the blocks' rows T and factors G.
+
+    In block i, column t is y_t = C x_t + I_T[i] G[i] a_t, with a_t the
+    first r = G.shape[2] rows of x_t. So, with K = x x', K_a = a x' over
+    the block and K_aa its first r columns,
 
         alpha D = C K C' + sum_blk (R + R' + I_T G K_aa G' I_T'),  R = I_T G K_a C',
 
     formed as H C' + C H' + W with H = C K / 2 + sum_blk I_T G K_a (so the
     B-part of C is multiplied once, not per block) and W the (T, T) sums,
     each scattered by one `np.add.at` in block order. C and T are in D's
-    coordinates: in a cell's frame (`_cell`), D is F'DF. K and the (nb, s,
-    len(x)) stack G K_a are returned with D, for the deviation norms.
+    coordinates: in a cell's frame (`_cell`), D is F'DF. D is linear in
+    (K, G K_a), so on moments less their means it is D less its mean
+    (`_deviation_measure`).
     """
-    lo, hi, t, g = blocks
     r = g.shape[2]
-    k, gk = x @ x.T, g @ _block_moments(x, lo, hi, r)
     h = c @ k / 2.0
     np.add.at(h, t, gk)
     w = np.zeros((c.shape[0], c.shape[0]))
     np.add.at(w, (t[:, :, None], t[:, None, :]), gk[:, :, :r] @ g.swapaxes(1, 2))
     d = h @ c.T + w / 2.0
-    return (d + d.T) / x.shape[1], k, gk
+    return (d + d.T) / alpha
 
 
 def _block_moments(x, lo, hi, r):
@@ -389,51 +398,45 @@ def _se_measure(cfg, cell, trial):
 
 
 def _deviation_measure(cfg, cell, trial):
-    """The five batch deviation norms (aa, lw, ww, lv, vv) of one trial, read off the moments of D.
+    """The five batch deviation norms (aa, lw, ww, lv, vv) of one trial, read off one moment covariance.
 
-    l = P a and v = B c with orthonormal P and B, and ||P X|| = ||X||, so aa,
-    lv and vv are the norms of the blocks of K/alpha = x x'/alpha less their
-    expectations. A block (lo, hi, T, G) adds w = I_T G a, so alpha times
-    a w'/alpha - Lambda P' mean_m' (r x n) adds E' on columns T, with E =
-    G K_aa - (hi - lo) G Lambda and G K_aa the first r columns of G K_a,
-    and alpha times w w'/alpha - mean_mlm adds E G' on (T, T). Both are
-    taken in D's coordinates, whose frame holds their rows and columns, so
-    the norms are those of the n-dimensional ones.
+    The block terms w = I_T G a lie in D's coordinates, so z = [x; w] is
+    C x + block terms with C = [I; 0] and T shifted by len(x). On the moments
+    less their means, K - alpha diag(Lambda, sigma^2) and G K_a less
+    (hi - lo) G Lambda on its first r columns, `_moment_covariance` gives
+    z z'/alpha less its mean. Its blocks a a', w a', w w', a c' and c c'
+    are the five deviations: l = P a and v = B c with orthonormal P and B,
+    ||P X|| = ||X||, and D's frame holds w, so the norms are those of the
+    n-dimensional ones. A block that is empty (no noise) has norm 0.
     """
     model, alpha = cell.model, cell.alpha
     d, k, gk, (lo, hi, t, g) = _trial(cfg, cell, trial)
     # Not reported, but every trial's estimate is checked.
     _pca_se(d, cell.p)
-    r, lambdas = model.r, model.signal.lambdas
-    k = k / alpha
-    dev_aa = np.linalg.norm(k[:r, :r] - np.diag(lambdas), 2)
-    dev_lw = dev_ww = 0.0
-    if len(lo):
-        dim = len(cell.c)
-        e = gk[:, :, :r] - (hi - lo)[:, None, None] * (g * lambdas)
-        lw, ww = np.zeros((r, dim)), np.zeros((dim, dim))
-        np.add.at(lw, (slice(None), t), e.transpose(2, 0, 1))
-        np.add.at(ww, (t[:, :, None], t[:, None, :]), e @ g.swapaxes(1, 2))
-        dev_lw = np.linalg.norm(lw / alpha, 2)
-        dev_ww = np.linalg.norm(ww / alpha, 2)
-    dev_lv = dev_vv = 0.0
-    if model.noise is not None:
-        dev_lv = np.linalg.norm(k[:r, r:], 2)
-        dev_vv = np.linalg.norm(k[r:, r:] - np.diag(model.noise.sigma2), 2)
-    return (float(dev_aa), float(dev_lw), float(dev_ww), float(dev_lv), float(dev_vv))
+    r, m = model.r, len(k)
+    gk[:, :, :r] -= (hi - lo)[:, None, None] * (g * model.signal.lambdas)
+    k = k - alpha * np.diag(_variances(model))
+    z = _moment_covariance(np.eye(m + len(cell.c), m), k, gk, t + m, g, alpha)
+    blocks = z[:r, :r], z[m:, :r], z[m:, m:], z[:r, r:m], z[r:m, r:m]
+    return tuple(float(np.linalg.norm(block, 2)) for block in blocks)
+
+
+def _variances(model):
+    """diag E[x x'] of a trial's coefficients x = [a; c]: Lambda, then sigma^2 with noise."""
+    return np.append(model.signal.lambdas, () if model.noise is None else model.noise.sigma2)
 
 
 def _rank_measure(cfg, cell, trial):
     """(threshold, eigengap) rank estimates of one trial.
 
     D is k x k (k the frame size or n) and lacks the n - k zero eigenvalues
-    of the n x n covariance; they are padded on. One `eigh` gives both the
-    spectrum and the top-r estimate, whose se is checked as `_pca_se` does.
+    of the n x n covariance; they are padded on. One `symmetric_eig` gives both
+    the spectrum and the top-r estimate, whose se is checked as `_pca_se` does.
     """
     model = cell.model
-    w, v = np.linalg.eigh(_trial(cfg, cell, trial)[0])
-    _checked_se(subspace_error(BasisMatrix(v[:, ::-1][:, : model.r]), cell.p))
-    w = np.concatenate([w[::-1], np.zeros(model.n - len(w))])
+    eig = symmetric_eig(_trial(cfg, cell, trial)[0])
+    _checked_se(subspace_error(BasisMatrix(eig.eigenvectors.entries[:, : model.r]), cell.p))
+    w = np.concatenate([eig.eigenvalues, np.zeros(model.n - len(eig.eigenvalues))])
     return estimate_rank_threshold(w, model.signal.lambda_minus), estimate_rank_eigengap(w)
 
 
@@ -487,7 +490,7 @@ def _adversarial_measure(cfg, cell, trial):
         noise_coefficients(noise, rng, y.shape[1], out=y[r:])
         d += y @ y.T
     d = (d + d.T) / (2.0 * alpha)
-    deviation = np.linalg.norm(d - np.diag(np.append(signal.lambdas, noise.sigma2)), 2) / signal.lambda_minus
+    deviation = np.linalg.norm(d - np.diag(_variances(model)), 2) / signal.lambda_minus
     return _pca_se(d, cell.p), float(deviation)
 
 

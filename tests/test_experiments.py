@@ -21,6 +21,7 @@ from noisypca.errors import (
     InvalidExample,
     InvalidSupport,
     NoComplement,
+    NotSymmetric,
     ValidationError,
 )
 from noisypca.estimator import DataBatch, estimate_rank_eigengap, estimate_rank_threshold, pca_estimate, sample_covariance
@@ -254,6 +255,19 @@ def test_rank_measure_decomposes_once(case, monkeypatch):
     checks = [shape for name, shape in calls if name == "eigvalsh"]
     assert len(checks) == (stages if case == "refine" else 0)
     assert all(shape[1:] == (cfg.sddn_s, cfg.sddn_s) for shape in checks)
+
+
+@pytest.mark.parametrize("measure", ["_se_measure", "_rank_measure"])
+def test_measures_reject_non_symmetric_covariance(measure, monkeypatch):
+    # Both decompose D through the linalg solvers, which check its symmetry.
+    cfg = small_cfg(alpha_grid=(300,))
+    cell = _cell(realize_model(cfg), 300)
+    d, *rest = _trial(cfg, cell, 0)
+    d = d.copy()
+    d[0, 1] += 1e-6 * np.max(np.abs(d))
+    monkeypatch.setattr(experiments, "_trial", lambda *args: (d, *rest))
+    with pytest.raises(NotSymmetric):
+        getattr(experiments, measure)(cfg, cell, 0)
 
 # --- estimate in an orthonormal frame of the exact range ----------------------
 
