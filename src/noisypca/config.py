@@ -47,17 +47,8 @@ import numpy as np
 from .errors import ConfigError
 from .experiments import ExperimentConfig
 
-PRESETS = (
-    "fig1a",
-    "fig1b",
-    "fig2a",
-    "fig2b",
-    "fig2c",
-    "fig2d",
-    "adversarial",
-    "refine",
-    "missing",
-)
+_PRESET_DIR = importlib.resources.files("noisypca.presets")
+PRESETS = tuple(sorted(entry.name[: -len(".cfg")] for entry in _PRESET_DIR.iterdir() if entry.name.endswith(".cfg")))
 
 
 def _parse_sections(text, source):
@@ -214,7 +205,7 @@ def resolve_config_path(name_or_path):
         with open(name_or_path, "r", encoding="utf-8") as fh:
             return fh.read(), name_or_path
     if name_or_path in PRESETS:
-        resource = importlib.resources.files("noisypca.presets").joinpath(f"{name_or_path}.cfg")
+        resource = _PRESET_DIR.joinpath(f"{name_or_path}.cfg")
         return resource.read_text(encoding="utf-8"), f"preset:{name_or_path}"
     raise ConfigError(f"config {name_or_path!r}: no such file or preset (presets: {', '.join(PRESETS)})")
 

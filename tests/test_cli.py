@@ -51,6 +51,8 @@ def test_parse_minimal_config():
 
 
 def test_all_presets_parse():
+    shipped = Path(config_module.__file__).parent / "presets"
+    assert set(PRESETS) == {path.stem for path in shipped.glob("*.cfg")}
     for name in PRESETS:
         cfg, _ = parse_config(name)
         assert cfg.n_trials >= 1

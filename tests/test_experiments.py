@@ -49,6 +49,7 @@ from noisypca.experiments import (
     refinement_loop,
     success_epsilon,
 )
+import noisypca.linalg as linalg
 from noisypca.linalg import BasisMatrix, orthogonal_complement, orthonormalize, subspace_error, top_r_eigvecs
 from noisypca.model import (
     STREAM_AUX,
@@ -257,9 +258,9 @@ def test_rank_measure_decomposes_once(case, monkeypatch):
     assert all(shape[1:] == (cfg.sddn_s, cfg.sddn_s) for shape in checks)
 
 
-@pytest.mark.parametrize("measure", ["_se_measure", "_rank_measure"])
+@pytest.mark.parametrize("measure", ["_se_measure", "_rank_measure", "_deviation_measure"])
 def test_measures_reject_non_symmetric_covariance(measure, monkeypatch):
-    # Both decompose D through the linalg solvers, which check its symmetry.
+    # Each decomposes D through the linalg solvers, which check its symmetry.
     cfg = small_cfg(alpha_grid=(300,))
     cell = _cell(realize_model(cfg), 300)
     d, *rest = _trial(cfg, cell, 0)
@@ -268,6 +269,25 @@ def test_measures_reject_non_symmetric_covariance(measure, monkeypatch):
     monkeypatch.setattr(experiments, "_trial", lambda *args: (d, *rest))
     with pytest.raises(NotSymmetric):
         getattr(experiments, measure)(cfg, cell, 0)
+
+
+def test_rank_measure_checks_only_the_columns_it_uses(monkeypatch):
+    # The rank rules read D's whole spectrum, but only the top r eigenvectors
+    # are used, so no basis wider than r is built and checked.
+    cfg = small_cfg(alpha_grid=(300,))
+    cell = _cell(realize_model(cfg), 300)
+    widths = []
+
+    def recording(entries):
+        basis = BasisMatrix(entries)
+        widths.append(basis.r)
+        return basis
+
+    for module in (linalg, experiments):
+        monkeypatch.setattr(module, "BasisMatrix", recording)
+    _rank_measure(cfg, cell, 0)
+    assert len(cell.c) > cfg.r
+    assert max(widths) == cfg.r
 
 # --- estimate in an orthonormal frame of the exact range ----------------------
 
