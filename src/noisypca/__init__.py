@@ -9,16 +9,13 @@ from .bounds import (
     BoundInputs,
     BoundReport,
     concentration_bounds,
-    eigengap_condition,
     eps_bnd,
     eps_den,
-    expected_perturbation,
     general_bound,
     missing_q,
     rank_delta,
     sddn_bound,
     sddn_required_alpha,
-    spiked_bound,
     success_floor,
 )
 from .errors import (
@@ -32,7 +29,6 @@ from .errors import (
     InvalidSupport,
     NoComplement,
     NoisyPcaError,
-    NotIsotropic,
     NotSymmetric,
     RankDeficient,
     SupportDegenerate,
@@ -61,9 +57,7 @@ from .experiments import (
 from .linalg import (
     BasisMatrix,
     SymmetricEig,
-    davis_kahan_bound,
     incoherence,
-    orthogonal_complement,
     orthonormalize,
     subspace_error,
     symmetric_eig,
@@ -80,7 +74,6 @@ from .model import (
     row_occupancy,
     sample_signal,
     sample_uncorr_noise,
-    signal_noise_eigenvalues,
     substream,
     support_blocks,
     support_sequence,

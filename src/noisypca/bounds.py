@@ -16,14 +16,10 @@ everywhere, default 1.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import CorollaryInapplicable, InfeasibleModel, NotIsotropic, ValidationError
+from .errors import CorollaryInapplicable, InfeasibleModel, ValidationError
 from .model import DerivedSpectra
 
 REGIMES = ("bounded", "subgaussian")
-ISOTROPY_TOL = 1e-10
-SPIKED_FEASIBILITY_CAP = 0.95
 
 
 @dataclass(frozen=True)
@@ -131,27 +127,6 @@ def general_bound(inputs):
     return BoundReport(eb, ed, numerator / denominator, True, slack)
 
 
-def spiked_bound(inputs):
-    """Simpler bound for isotropic uncorrelated noise: eps_bnd/(1-eps_bnd-eps_den).
-
-    Requires lam_vPPperp = 0 and lam_vrest^+ = lam_vP^- (spiked
-    covariance); infeasible when eps_bnd + eps_den >= 0.95.
-    """
-    s = inputs.spectra
-    scale = max(s.lambda_v_plus, 1.0)
-    if (
-        s.lambda_vPPperp > ISOTROPY_TOL * scale
-        or abs(s.lambda_vrest_plus - s.lambda_vP_minus) > ISOTROPY_TOL * scale
-    ):
-        raise NotIsotropic("noise spectra are not isotropic")
-    eb = eps_bnd(inputs)
-    ed = eps_den(inputs)
-    slack = SPIKED_FEASIBILITY_CAP - (eb + ed)
-    if slack <= 0:
-        return BoundReport(eb, ed, float("inf"), False, slack)
-    return BoundReport(eb, ed, eb / (1.0 - eb - ed), True, slack)
-
-
 def sddn_bound(inputs):
     """Bound for purely sparse data-dependent noise (Sigma_v = 0).
 
@@ -182,19 +157,6 @@ def rank_delta(inputs):
     )
 
 
-def eigengap_condition(signal_noise_eigs, delta, lambda_minus, lambda_vP_minus):
-    """Whether to trust the eigengap rank estimator.
-
-    True when the largest gap among the top r-1 eigenvalues of
-    Lambda + P' Sigma_v P is at most (1 - 4 Delta) lambda^- + lam_vP^-.
-    """
-    eigs = np.asarray(signal_noise_eigs, dtype=float)
-    if eigs.size < 2:
-        return True
-    max_gap = float(np.max(eigs[:-1] - eigs[1:]))
-    return max_gap <= (1.0 - 4.0 * delta) * lambda_minus + lambda_vP_minus
-
-
 def sddn_required_alpha(q, f, r, n, eps_se, constant=1.0):
     """Samples needed for error eps_se under pure sparse data-dependent noise.
 
@@ -221,17 +183,6 @@ def missing_q(mu, r, s, n):
             f"q = {q:.3f} >= 1: basis too sparse or too many missing rows"
         )
     return q
-
-
-def expected_perturbation(spectra, q, b):
-    """Population-level perturbation components (absolute, not ratios).
-
-    Returns (numerator_term, denominator_term) =
-    (lam_vPPperp + sqrt(b)(2q+q^2) lam^+, lam_vrest^+ + sqrt(b)(2q+q^2) lam^+),
-    the Cauchy-Schwarz bounds on ||E[D-D0] P|| and lambda_max(E[D-D0]).
-    """
-    shift = spectra.lambda_minus * _sddn_terms(q, b, spectra.f)[0]
-    return spectra.lambda_vPPperp + shift, spectra.lambda_vrest_plus + shift
 
 
 def concentration_bounds(inputs):

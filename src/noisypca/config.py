@@ -136,8 +136,8 @@ def _alpha_grid(value, key):
         lo = _as_float(parts[1], key)
         hi = _as_float(parts[2], key)
         count = _as_int(parts[3], key)
-        if not 0 < lo <= hi or count < 1:
-            raise ConfigError("alpha_grid logspace bounds must satisfy 0 < lo <= hi")
+        if not 0 < lo <= hi < np.inf or count < 1:
+            raise ConfigError("alpha_grid logspace bounds must satisfy 0 < lo <= hi < inf")
         # Not np.unique: it imports numpy.ma, most of a cold parse's time.
         return tuple(sorted({int(a) for a in np.rint(np.geomspace(lo, hi, count))}))
     return _int_list(value, key)

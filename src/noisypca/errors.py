@@ -33,10 +33,6 @@ class EmptyBatch(NoisyPcaError):
     """Data batch contains no columns."""
 
 
-class NotIsotropic(NoisyPcaError):
-    """Noise spectra are not isotropic where isotropy is required."""
-
-
 class CorollaryInapplicable(NoisyPcaError):
     """Derived noise-to-signal ratio q >= 1; the closed-form bound does not apply."""
 

@@ -1,9 +1,8 @@
 """Dense subspace primitives.
 
 Orthonormal bases, subspace recovery error (sine of the largest principal
-angle), symmetric eigendecomposition, the computable sin-theta perturbation
-bound, and row-incoherence. All operations are pure functions on immutable
-inputs and are safe to call concurrently.
+angle), symmetric eigendecomposition and row-incoherence. All operations
+are pure functions on immutable inputs and are safe to call concurrently.
 """
 
 import numpy as np
@@ -11,7 +10,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidRank,
-    NoComplement,
     NotSymmetric,
     RankDeficient,
 )
@@ -56,10 +54,6 @@ class BasisMatrix:
         self.entries = entries
         self.n = n
         self.r = r
-
-    def projector(self):
-        """Orthogonal projector P P' onto the spanned subspace."""
-        return self.entries @ self.entries.T
 
     def __repr__(self):
         return f"BasisMatrix(n={self.n}, r={self.r})"
@@ -168,45 +162,6 @@ def top_r_eigvecs(s, r):
         raise InvalidRank(f"need 1 <= r <= n, got r={r}, n={n}")
     # Only the r returned columns are checked for orthonormality.
     return BasisMatrix(_eigh_descending(s)[1][:, :r])
-
-
-def orthogonal_complement(p):
-    """Basis P_perp with P P' + P_perp P_perp' = I.
-
-    Raises NoComplement when r == n.
-    """
-    if p.r >= p.n:
-        raise NoComplement("basis already spans the full space")
-    u, _, _ = np.linalg.svd(p.entries, full_matrices=True)
-    comp = u[:, p.r:]
-    # Deterministic sign convention: largest-magnitude entry positive.
-    lead = comp[np.argmax(np.abs(comp), axis=0), np.arange(comp.shape[1])]
-    signs = np.sign(lead)
-    signs[signs == 0] = 1.0
-    return BasisMatrix(comp * signs)
-
-
-def davis_kahan_bound(d, d0, p):
-    """Computable sin-theta bound on the subspace error of top-r PCA.
-
-    Returns ||(D - D0) P||_2 / (lambda_r(D0) - lambda_{r+1}(D0)
-    - lambda_max(D - D0)), valid whenever the denominator is positive;
-    returns inf otherwise. The caller is responsible for P spanning the
-    top-r eigenspace of D0.
-    """
-    d = np.asarray(d, dtype=float)
-    d0 = np.asarray(d0, dtype=float)
-    if d.shape != d0.shape or d.shape[0] != p.n:
-        raise DimensionMismatch("D, D0 and P must share the ambient dimension")
-    delta = d - d0
-    numerator = np.linalg.norm(delta @ p.entries, 2)
-    w0 = np.linalg.eigvalsh(d0)[::-1]
-    lam_r = w0[p.r - 1]
-    lam_r1 = w0[p.r] if p.r < p.n else -np.inf
-    gap = lam_r - lam_r1 - np.max(np.linalg.eigvalsh(delta))
-    if gap <= 0:
-        return float("inf")
-    return float(numerator / gap)
 
 
 def incoherence(p):

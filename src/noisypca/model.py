@@ -160,11 +160,6 @@ class UncorrNoiseModel:
         s2 = self.scales**2
         return s2 / 3.0 if self.distribution == "bounded_uniform" else s2
 
-    def covariance(self):
-        """Exact Sigma_v = B diag(sigma_i^2) B'."""
-        b = self.B.entries
-        return (b * self.sigma2) @ b.T
-
     @property
     def lambda_v_plus(self):
         return float(np.max(self.sigma2)) if self.scales.size else 0.0
@@ -362,12 +357,3 @@ def derived_spectra(signal, noise=None):
         lambda_vrest_plus=lam_vrest,
         lambda_vPPperp=lam_cross,
     )
-
-
-def signal_noise_eigenvalues(signal, noise=None):
-    """Descending eigenvalues of Lambda + W S W' = Lambda + P' Sigma_v P, W = P'B."""
-    lam = np.diag(signal.lambdas)
-    if noise is not None:
-        w = signal.P.entries.T @ noise.B.entries
-        lam = lam + (w * noise.sigma2) @ w.T
-    return np.linalg.eigvalsh(lam)[::-1]

@@ -16,19 +16,16 @@ from hypothesis import strategies as st
 from noisypca.bounds import (
     BoundInputs,
     concentration_bounds,
-    eigengap_condition,
     eps_bnd,
     eps_den,
-    expected_perturbation,
     general_bound,
     missing_q,
     rank_delta,
     sddn_bound,
     sddn_required_alpha,
-    spiked_bound,
     success_floor,
 )
-from noisypca.errors import CorollaryInapplicable, InfeasibleModel, NotIsotropic, ValidationError
+from noisypca.errors import CorollaryInapplicable, InfeasibleModel, ValidationError
 from noisypca.model import DerivedSpectra
 
 
@@ -164,11 +161,13 @@ def test_general_bound_infeasible_at_tiny_alpha():
     assert report.condition_slack <= 0
 
 
-# --- spiked bound ---------------------------------------------------------------
+# --- isotropic (spiked) noise: general_bound is eps_bnd/(1 - eps_bnd - eps_den) ---
 
 def test_spiked_bound_zero_noise():
     inp = BoundInputs(spectra(), r=3, r_v=0, n=50, alpha=5000, eta=1.0)
-    report = spiked_bound(inp)
+    eb, ed = eps_bnd(inp), eps_den(inp)
+    report = general_bound(inp)
+    assert report.se_bound == pytest.approx(eb / (1.0 - eb - ed), abs=1e-15)
     assert report.se_bound == pytest.approx(0.0, abs=1e-15)
 
 
@@ -176,23 +175,10 @@ def test_spiked_bound_matches_general_under_isotropy():
     lv = 0.8
     s = spectra(lv=lv, lvp=lv, lvrest=lv)
     inp = BoundInputs(s, r=3, r_v=50, n=50, alpha=8000, eta=1.0)
-    spiked = spiked_bound(inp)
+    eb, ed = eps_bnd(inp), eps_den(inp)
     general = general_bound(inp)
-    # Identical ratio expressions once lam_vrest == lam_vP and lvppp = 0.
-    assert spiked.se_bound == pytest.approx(general.se_bound, rel=1e-12)
-
-
-def test_spiked_bound_rejects_anisotropy():
-    s = spectra(lv=1.0, lvp=0.2, lvrest=0.9)
-    with pytest.raises(NotIsotropic):
-        spiked_bound(BoundInputs(s, r=3, r_v=5, n=50, alpha=1000))
-
-
-def test_spiked_bound_cap_at_095():
-    s = spectra(lv=1.0, lvp=1.0, lvrest=1.0)
-    inp = BoundInputs(s, r=1, r_v=50, n=50, alpha=40, regime="subgaussian", eta=1.0)
-    report = spiked_bound(inp)
-    assert not report.feasible
+    # The general ratio reduces to the spiked one once lam_vrest == lam_vP and lvppp = 0.
+    assert general.se_bound == pytest.approx(eb / (1.0 - eb - ed), rel=1e-12)
 
 
 def test_spiked_bound_dominant_term_single_spike():
@@ -203,11 +189,13 @@ def test_spiked_bound_dominant_term_single_spike():
     s = spectra(lv=lv, lvp=lv, lvrest=lv)
     inp = BoundInputs(s, r=1, r_v=100, n=100, alpha=40000, regime="subgaussian", eta=1.0)
     rate = math.sqrt(lv / 12.0) * math.sqrt(100 / 40000)
-    report = spiked_bound(inp)
+    eb, ed = eps_bnd(inp), eps_den(inp)
+    report = general_bound(inp)
+    assert report.se_bound == pytest.approx(eb / (1.0 - eb - ed), rel=1e-12)
     assert rate <= report.se_bound <= 2.5 * rate
 
 
-# --- rank slack and gap condition ----------------------------------------------
+# --- rank slack -----------------------------------------------------------------
 
 def test_rank_delta_formula():
     s = spectra(lv=0.3888, lvrest=0.3867, lvp=0.0003)
@@ -225,15 +213,6 @@ def test_rank_delta_formula():
 def test_rank_delta_vanishes_noiseless_large_alpha():
     inp = BoundInputs(spectra(), r=5, r_v=0, n=100, alpha=10**12, q=0.0, b=0.0)
     assert rank_delta(inp) == pytest.approx(0.0, abs=1e-4)
-
-
-def test_eigengap_condition_flag():
-    # Flat signal spectrum: max gap ~ 0, condition holds for small delta.
-    eigs = np.array([12.3, 12.2, 12.1, 12.0])
-    assert eigengap_condition(eigs, delta=0.2, lambda_minus=12.0, lambda_vP_minus=0.0)
-    # One huge internal gap defeats the estimator.
-    eigs_bad = np.array([50.0, 12.0, 11.9, 11.8])
-    assert not eigengap_condition(eigs_bad, delta=0.2, lambda_minus=12.0, lambda_vP_minus=0.0)
 
 
 # --- sddn bound and sample complexity --------------------------------------------
@@ -297,18 +276,6 @@ def test_success_floor_formula():
     assert success_floor(spectra(), q=0.0, b0=0.0) == 0.0
     with pytest.raises(InfeasibleModel):
         success_floor(spectra(lv=13.0, lvrest=13.0), q=0.0, b0=0.0)
-
-
-def test_expected_perturbation_cases():
-    s = spectra(lvrest=0.4, lvppp=0.1)
-    num, den = expected_perturbation(s, q=0.0, b=0.3)
-    assert num == pytest.approx(0.1, rel=1e-12)
-    assert den == pytest.approx(0.4, rel=1e-12)
-    num, den = expected_perturbation(s, q=0.5, b=1.0)
-    assert num == pytest.approx(0.1 + 1.25 * 12.0, rel=1e-12)
-    assert den == pytest.approx(0.4 + 1.25 * 12.0, rel=1e-12)
-    num0, den0 = expected_perturbation(s, q=0.5, b=0.0)
-    assert num0 == pytest.approx(0.1, rel=1e-12)
 
 
 # --- global properties ------------------------------------------------------------

@@ -121,6 +121,17 @@ def test_logspace_grid_parses():
         assert cfg.alpha_grid == tuple(int(a) for a in expected)
 
 
+@pytest.mark.parametrize("grid", ["logspace:1:inf:3", "logspace:1:1e400:3", "logspace:inf:inf:3"])
+def test_logspace_rejects_infinite_bound(grid, tmp_path, capsys):
+    text = MINIMAL.replace("alpha_grid = 200,400", f"alpha_grid = {grid}")
+    with pytest.raises(ConfigError, match=r"0 < lo <= hi < inf"):
+        parse_config_text(text)
+    rc = main(["bound-tightness", "--config", write_cfg(tmp_path, text)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: alpha_grid logspace bounds must satisfy 0 < lo <= hi < inf\n"
+
+
 def test_describe_lists_every_field():
     cfg, _ = parse_config_text(MINIMAL)
     text = describe(cfg)

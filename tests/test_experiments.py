@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisypca.bounds import BoundInputs, expected_perturbation, sddn_bound, sddn_required_alpha
+from noisypca.bounds import BoundInputs, sddn_bound, sddn_required_alpha
 from noisypca.config import parse_config
 from noisypca.errors import (
     CorollaryInapplicable,
@@ -50,7 +50,7 @@ from noisypca.experiments import (
     success_epsilon,
 )
 import noisypca.linalg as linalg
-from noisypca.linalg import BasisMatrix, orthogonal_complement, orthonormalize, subspace_error, top_r_eigvecs
+from noisypca.linalg import BasisMatrix, orthonormalize, subspace_error, top_r_eigvecs
 from noisypca.model import (
     STREAM_AUX,
     STREAM_NOISE,
@@ -70,6 +70,7 @@ from noisypca.model import (
     support_blocks,
     support_sequence,
 )
+from oracles import noise_covariance, orthogonal_complement
 from test_model import _reference_sddn_batch, dwell_blocks
 
 
@@ -664,7 +665,11 @@ def test_sddn_population_terms_within_expected_perturbation():
     power = np.linalg.norm(mean_mlm, 2)
     assert cross <= np.sqrt(b) * cfg.sddn_q * 12.0 * (1 + 1e-9)
     assert power <= np.sqrt(b) * cfg.sddn_q**2 * 12.0 * (1 + 1e-9)
-    num, den = expected_perturbation(model.spectra, cfg.sddn_q, b)
+    # The population caps on ||E[D-D0] P|| and lambda_max(E[D-D0]), each
+    # lam_vPPperp or lam_vrest^+ plus sqrt(b)(2q+q^2) lam^+.
+    spec = model.spectra
+    shift = np.sqrt(b) * (2 * cfg.sddn_q + cfg.sddn_q**2) * spec.lambda_plus
+    num, den = spec.lambda_vPPperp + shift, spec.lambda_vrest_plus + shift
     assert 2 * cross + power <= num + den  # loose cross-check of the assembly
 
 
@@ -740,7 +745,7 @@ def _reference_deviation_measure(cfg, model, alpha, trial):
     dev_lv = dev_vv = 0.0
     if v_cols is not None:
         dev_lv = np.linalg.norm(l_cols @ v_cols.T / alpha, 2)
-        dev_vv = np.linalg.norm(v_cols @ v_cols.T / alpha - model.noise.covariance(), 2)
+        dev_vv = np.linalg.norm(v_cols @ v_cols.T / alpha - noise_covariance(model.noise), 2)
     return (float(dev_aa), float(dev_lw), float(dev_ww), float(dev_lv), float(dev_vv))
 
 
@@ -821,7 +826,7 @@ def test_rank_delta_dominates_empirical_deviation():
     cfg = small_cfg(alpha_grid=(alpha,), n_trials=trials)
     model = realize_model(cfg)
     pe = model.signal.P.entries
-    middle = np.diag(model.signal.lambdas) + pe.T @ model.noise.covariance() @ pe
+    middle = np.diag(model.signal.lambdas) + pe.T @ noise_covariance(model.noise) @ pe
     d0 = pe @ middle @ pe.T
     supports = support_sequence(model.n, model.sddn, alpha)
     delta = rank_delta(
@@ -922,7 +927,7 @@ def _reference_adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussi
         d += y @ y.T
         done += count
     d = (d + d.T) / (2.0 * alpha)
-    expected = (p.entries * lambdas) @ p.entries.T + noise.covariance()
+    expected = (p.entries * lambdas) @ p.entries.T + noise_covariance(noise)
     se = subspace_error(top_r_eigvecs(d, r), p)
     deviation = float(np.linalg.norm(d - expected, 2) / lam_minus)
     return float(se), deviation

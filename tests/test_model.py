@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from noisypca.config import parse_config
 from noisypca.errors import InvalidRank, InvalidSupport, SupportDegenerate, ValidationError
 from noisypca.experiments import realize_model
-from noisypca.linalg import BasisMatrix, orthogonal_complement, incoherence
+from noisypca.linalg import BasisMatrix, incoherence
 from noisypca.model import (
     SIGNAL_DISTRIBUTIONS,
     DerivedSpectra,
@@ -28,11 +28,12 @@ from noisypca.model import (
     sample_signal,
     sample_uncorr_noise,
     signal_coefficients,
-    signal_noise_eigenvalues,
     substream,
     support_blocks,
     support_sequence,
 )
+
+from oracles import noise_covariance, orthogonal_complement
 
 
 def brute_occupancy(supports, n, alpha):
@@ -134,7 +135,7 @@ def test_full_dimension_noise_is_the_identity_basis():
     for distribution in SIGNAL_DISTRIBUTIONS:
         model = UncorrNoiseModel(n=n, scales=scales, distribution=distribution, B=None)
         assert np.array_equal(model.B.entries, np.eye(n)) and model.r_v == n
-        assert model.covariance().tobytes() == np.diag(model.sigma2).tobytes()
+        assert noise_covariance(model).tobytes() == np.diag(model.sigma2).tobytes()
         v = sample_uncorr_noise(model, np.random.default_rng(3), 50)
         assert np.array_equal(v, noise_coefficients(model, np.random.default_rng(3), 50))
     with pytest.raises(ValidationError):
@@ -171,7 +172,7 @@ def test_uncorr_noise_sample_covariance_converges():
     b = make_random_basis(n, r_v, np.random.default_rng(8))
     model = UncorrNoiseModel(n=n, scales=profile_scales(r_v, 1.1, -0.1), B=b)
     v = sample_uncorr_noise(model, np.random.default_rng(9), alpha)
-    dev = np.linalg.norm(v @ v.T / alpha - model.covariance(), 2)
+    dev = np.linalg.norm(v @ v.T / alpha - noise_covariance(model), 2)
     assert dev <= 0.05 * model.lambda_v_plus
 
 
@@ -727,13 +728,6 @@ def test_derived_spectra_ordering_chain(seed):
     assert spec.g == pytest.approx(max(ratio, np.sqrt(ratio * spec.f)), rel=1e-12)
 
 
-def test_signal_noise_eigenvalues_no_noise(basis100):
-    sig = SignalModel(basis100, np.array([5.0, 4.0, 3.0, 2.0, 1.0]))
-    np.testing.assert_allclose(
-        signal_noise_eigenvalues(sig, None), [5.0, 4.0, 3.0, 2.0, 1.0], atol=1e-12
-    )
-
-
 def test_derived_spectra_validation():
     with pytest.raises(ValidationError):
         DerivedSpectra(lambda_minus=0.0, lambda_plus=1.0, f=1.0)
@@ -741,12 +735,12 @@ def test_derived_spectra_validation():
         DerivedSpectra(lambda_minus=2.0, lambda_plus=1.0, f=0.5)
 
 
-# The n x n formulas `derived_spectra` and `signal_noise_eigenvalues` used
-# before they moved into span([P B]); kept here as the oracle.
+# The n x n formulas `derived_spectra` used before it moved into span([P B]);
+# kept here as the oracle.
 
 def nxn_noise_spectra(signal, noise):
     """(lambda_vP_minus, lambda_vrest_plus, lambda_vPPperp) from the n x n Sigma_v."""
-    sigma_v = noise.covariance()
+    sigma_v = noise_covariance(noise)
     pe = signal.P.entries
     pvp = pe.T @ sigma_v @ pe
     return (
@@ -754,11 +748,6 @@ def nxn_noise_spectra(signal, noise):
         max(float(np.max(np.linalg.eigvalsh(sigma_v - pe @ pvp @ pe.T))), 0.0),
         float(np.linalg.norm(sigma_v @ pe - pe @ pvp, 2)),
     )
-
-
-def nxn_signal_noise_eigenvalues(signal, noise):
-    pe = signal.P.entries
-    return np.linalg.eigvalsh(np.diag(signal.lambdas) + pe.T @ noise.covariance() @ pe)[::-1]
 
 
 def _spectra_case(kind, seed):
@@ -799,26 +788,13 @@ def test_span_spectra_match_nxn_oracle(kind, seed):
     got = [spec.lambda_vP_minus, spec.lambda_vrest_plus, spec.lambda_vPPperp]
     np.testing.assert_allclose(got, nxn_noise_spectra(signal, noise), rtol=1e-12, atol=floor)
     assert spec.lambda_v_plus == noise.lambda_v_plus
-    np.testing.assert_allclose(
-        signal_noise_eigenvalues(signal, noise), nxn_signal_noise_eigenvalues(signal, noise),
-        rtol=1e-12, atol=floor,
-    )
     if kind == "orthogonal":  # P' Sigma_v P = 0 and Sigma_v P = 0
         assert spec.lambda_vP_minus <= floor and spec.lambda_vPPperp <= floor
 
 
-class _CovarianceCalled(Exception):
-    pass
-
-
-def _no_covariance(self):
-    raise _CovarianceCalled
-
-
-def test_realize_model_forms_no_nxn_noise_covariance_with_a_basis(monkeypatch):
-    # fig1b's noise has a basis B (r_v = 5 of n = 1000): its spectra never
-    # form Sigma_v.
+def test_realize_model_forms_no_nxn_noise_covariance_with_a_basis():
+    # fig1b's noise has a basis B (r_v = 5 of n = 1000): its spectra are
+    # read in span([P B]), and the package has no n x n Sigma_v to form.
     cfg = parse_config("fig1b")[0]
-    monkeypatch.setattr(UncorrNoiseModel, "covariance", _no_covariance)
     model = realize_model(cfg)
     assert model.noise.B is not None and model.spectra.lambda_vrest_plus > 0

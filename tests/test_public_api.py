@@ -1,0 +1,62 @@
+"""Every name that `noisypca` exports has a use outside its own definition.
+
+A use is a name or attribute reference in code (an import does not count)
+in one of: the package's other top-level statements, `bench/*.py`, the
+README's library example, or `tests/test_acceptance.py`. A helper that
+only the module tests call belongs in the tests, not in the public API.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "noisypca"
+
+
+def _references(node):
+    """Identifiers that the code under node refers to by name or attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _exports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for stmt in tree.body
+        if isinstance(stmt, ast.ImportFrom)
+        for alias in stmt.names
+    }
+
+
+def _library_example():
+    readme = (ROOT / "README.md").read_text()
+    match = re.search(r"^## Library example\n+```python\n(.*?)^```", readme, re.M | re.S)
+    assert match, "README has no library example"
+    return match.group(1)
+
+
+def _uses():
+    """Every identifier that some acceptable use refers to."""
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:  # a def or class is not its own use
+            used |= _references(stmt) - {getattr(stmt, "name", None)}
+    sources = [p.read_text() for p in (ROOT / "bench").glob("*.py")]
+    sources += [_library_example(), (ROOT / "tests" / "test_acceptance.py").read_text()]
+    for text in sources:
+        used |= _references(ast.parse(text))
+    return used
+
+
+def test_every_export_is_used_outside_its_definition():
+    exports = _exports()
+    assert len(exports) > 40  # the export list was found
+    unused = sorted(exports - _uses())
+    assert not unused, f"exported but used only by the module tests: {unused}"
