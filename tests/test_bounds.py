@@ -181,6 +181,16 @@ def test_spiked_bound_matches_general_under_isotropy():
     assert general.se_bound == pytest.approx(eb / (1.0 - eb - ed), rel=1e-12)
 
 
+def test_spiked_bound_cap_at_095():
+    # Below the sample size at which eps_bnd + eps_den < 1 the isotropic
+    # bound is infeasible, not capped.
+    s = spectra(lv=1.0, lvp=1.0, lvrest=1.0)
+    inp = BoundInputs(s, r=1, r_v=50, n=50, alpha=40, regime="subgaussian", eta=1.0)
+    report = general_bound(inp)
+    assert eps_bnd(inp) + eps_den(inp) >= 1.0
+    assert not report.feasible and report.se_bound == math.inf
+
+
 def test_spiked_bound_dominant_term_single_spike():
     # r = 1, f = 1, gaussian regime, noise level at the signal floor: the
     # bound is the sqrt(lambda_v/lambda) sqrt(n/alpha) rate up to a small

@@ -26,7 +26,7 @@ from noisypca.linalg import (
     top_r_eigvecs,
 )
 
-from oracles import orthogonal_complement
+from oracles import davis_kahan_bound, orthogonal_complement
 
 
 def gram_schmidt_oracle(m):
@@ -264,6 +264,61 @@ def test_complement_completeness_identity(seed):
 def test_complement_of_full_basis_raises():
     with pytest.raises(NoComplement):
         orthogonal_complement(BasisMatrix(np.eye(3)))
+
+
+# --- top-r PCA under the Davis-Kahan sin-theta bound ------------------------
+
+def test_davis_kahan_zero_perturbation():
+    d0 = np.diag([3.0, 1.0, 0.5])
+    p = BasisMatrix(np.eye(3)[:, :1])
+    assert davis_kahan_bound(d0, d0, p) == pytest.approx(0.0, abs=1e-14)
+    assert subspace_error(top_r_eigvecs(d0, 1), p) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_davis_kahan_2x2_oracle():
+    d0 = np.diag([2.0, 0.0])
+    d = np.array([[2.0, 0.1], [0.1, 0.5]])
+    p = BasisMatrix(np.array([1.0, 0.0]))
+    hi, _ = eig2_oracle(d - d0)
+    expected = 0.1 / (2.0 - 0.0 - hi)
+    got = davis_kahan_bound(d, d0, p)
+    assert got == pytest.approx(expected, abs=1e-12)
+    assert got == pytest.approx(0.0675335, abs=1e-6)
+    # The bound must dominate the true rotation of the top eigenvector.
+    true_se = subspace_error(top_r_eigvecs(d, 1), p)
+    assert true_se == pytest.approx(0.0662272, abs=1e-6)
+    assert true_se <= got
+
+
+def test_davis_kahan_infeasible_gap():
+    d0 = np.diag([1.0, 0.0])
+    d = d0 + np.array([[0.0, 2.0], [2.0, 0.0]])
+    p = BasisMatrix(np.array([1.0, 0.0]))
+    assert davis_kahan_bound(d, d0, p) == np.inf
+    # The bound is vacuous, but the error stays the plane angle of the top
+    # eigenvector of [[a, b], [b, c]]: tan(2 theta) = 2b / (a - c) = 4.
+    true_se = subspace_error(top_r_eigvecs(d, 1), p)
+    assert true_se == pytest.approx(np.sin(np.arctan(4.0) / 2), abs=1e-12)
+
+
+def test_davis_kahan_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        davis_kahan_bound(np.eye(3), np.eye(3), BasisMatrix(np.array([1.0, 0.0])))
+    with pytest.raises(DimensionMismatch):
+        subspace_error(top_r_eigvecs(np.eye(3), 1), BasisMatrix(np.array([1.0, 0.0])))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_davis_kahan_dominates_true_error(seed):
+    rng = np.random.default_rng(seed)
+    n, r = 20, 3
+    p = orthonormalize(rng.standard_normal((n, r)))
+    d0 = (p.entries * [5.0, 4.0, 3.0]) @ p.entries.T
+    noise = rng.standard_normal((n, n)) * 0.05
+    d = d0 + (noise + noise.T) / 2
+    bound = davis_kahan_bound(d, d0, p)
+    actual = subspace_error(top_r_eigvecs(d, r), p)
+    assert actual <= bound + 1e-12
 
 
 # --- incoherence ----------------------------------------------------------

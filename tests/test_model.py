@@ -728,6 +728,15 @@ def test_derived_spectra_ordering_chain(seed):
     assert spec.g == pytest.approx(max(ratio, np.sqrt(ratio * spec.f)), rel=1e-12)
 
 
+def test_signal_noise_eigenvalues_no_noise(basis100):
+    # Without noise the spectra are the signal's alone.
+    sig = SignalModel(basis100, np.array([5.0, 4.0, 3.0, 2.0, 1.0]))
+    spec = derived_spectra(sig, None)
+    assert (spec.lambda_minus, spec.lambda_plus, spec.f) == (1.0, 5.0, 5.0)
+    assert spec.lambda_v_plus == spec.lambda_vP_minus == 0.0
+    assert spec.lambda_vrest_plus == spec.lambda_vPPperp == 0.0
+
+
 def test_derived_spectra_validation():
     with pytest.raises(ValidationError):
         DerivedSpectra(lambda_minus=0.0, lambda_plus=1.0, f=1.0)
