@@ -56,7 +56,6 @@ from .experiments import (
 )
 from .linalg import (
     BasisMatrix,
-    SymmetricEig,
     incoherence,
     orthonormalize,
     subspace_error,

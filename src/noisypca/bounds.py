@@ -62,9 +62,9 @@ class BoundReport:
 
     eps_bnd: float
     eps_den: float
-    se_bound: float
-    feasible: bool
     condition_slack: float
+    feasible: bool
+    se_bound: float
 
 
 def eps_den(inputs):
@@ -121,10 +121,10 @@ def general_bound(inputs):
     rest_gap = _rest_gap(s)
     slack = 1.0 - (rest_gap + condition + eb + ed)
     if slack <= 0:
-        return BoundReport(eb, ed, float("inf"), False, slack)
+        return BoundReport(eb, ed, slack, False, float("inf"))
     numerator = s.lambda_vPPperp / s.lambda_minus + mixed + eb
     denominator = 1.0 - rest_gap - mixed - eb - ed
-    return BoundReport(eb, ed, numerator / denominator, True, slack)
+    return BoundReport(eb, ed, slack, True, numerator / denominator)
 
 
 def sddn_bound(inputs):
@@ -140,8 +140,8 @@ def sddn_bound(inputs):
     _, condition = _sddn_terms(inputs.q, inputs.b, s.f)
     slack = 1.0 - (condition + eb + ed)
     if slack <= 0:
-        return BoundReport(eb, ed, float("inf"), False, slack)
-    return BoundReport(eb, ed, (condition + eb) / slack, True, slack)
+        return BoundReport(eb, ed, slack, False, float("inf"))
+    return BoundReport(eb, ed, slack, True, (condition + eb) / slack)
 
 
 def rank_delta(inputs):

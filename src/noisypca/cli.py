@@ -11,6 +11,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 
 from . import experiments as exp
 from .config import describe, parse_config
@@ -24,6 +25,9 @@ from .bounds import general_bound, rank_delta
 from .experiments import bound_inputs, realize_model, with_overrides
 
 SEED_ENV_VAR = "NOISYPCA_SEED"
+
+# The BoundInputs scalars that `bound` prints first, in order.
+_BOUND_INPUT_KEYS = ("n", "r", "r_v", "alpha", "c", "eta", "regime", "q", "b")
 
 # Subcommand -> (experiment function name in noisypca.experiments, whether it
 # evaluates a bound). The function is looked up when the command runs. Every
@@ -111,47 +115,22 @@ def _check_out(path):
     """Fail before the run where the CSV cannot be written to path (None or '-' is stdout); opens nothing."""
     folder = os.path.dirname(path or "") or "."
     writable = os.path.isdir(folder) and os.access(folder, os.W_OK)
-    if path not in (None, "-") and (os.path.isdir(path) or not writable):
+    if path not in (None, "-") and (not path or os.path.isdir(path) or not writable):
         raise ConfigError(f"--out {path}: not a file in an existing, writable directory")
 
 
 def _print_bound(cfg, alpha, out_path):
     model = realize_model(cfg)
     inputs = bound_inputs(cfg, model, alpha, exp._cell(model, alpha).b)
-    report = general_bound(inputs)
-    delta = rank_delta(inputs)
-    s = model.spectra
-    pairs = [
-        ("n", model.n),
-        ("r", model.r),
-        ("r_v", inputs.r_v),
-        ("alpha", alpha),
-        ("c", inputs.c),
-        ("eta", inputs.eta),
-        ("regime", inputs.regime),
-        ("q", inputs.q),
-        ("b", inputs.b),
-        ("lambda_minus", s.lambda_minus),
-        ("lambda_plus", s.lambda_plus),
-        ("f", s.f),
-        ("lambda_v_plus", s.lambda_v_plus),
-        ("lambda_vP_minus", s.lambda_vP_minus),
-        ("lambda_vrest_plus", s.lambda_vrest_plus),
-        ("lambda_vPPperp", s.lambda_vPPperp),
-        ("g", s.g),
-        ("eps_bnd", report.eps_bnd),
-        ("eps_den", report.eps_den),
-        ("condition_slack", report.condition_slack),
-        ("feasible", int(report.feasible)),
-        ("se_bound", report.se_bound),
-        ("delta", delta),
-    ]
+    s, report = inputs.spectra, general_bound(inputs)
+    # The two records print every field in declared order: a new field needs no edit here.
+    values = {key: getattr(inputs, key) for key in _BOUND_INPUT_KEYS}
+    values.update({f.name: getattr(s, f.name) for f in fields(s)}, g=s.g)
+    values.update({f.name: getattr(report, f.name) for f in fields(report)}, delta=rank_delta(inputs))
     if out_path != "-":  # with --out -, stdout holds the CSV alone, as for every other command
-        for key, value in pairs:
+        for key, value in values.items():
             sys.stdout.write(f"{key}={exp._format_cell(value)}\n")
-    result = exp.GridResult(
-        tuple(k for k, _ in pairs), [tuple(v for _, v in pairs)]
-    )
+    result = exp.GridResult(tuple(values), [tuple(values.values())])
     if out_path is not None:
         result.write(out_path)
     return result

@@ -136,8 +136,10 @@ def _alpha_grid(value, key):
         lo = _as_float(parts[1], key)
         hi = _as_float(parts[2], key)
         count = _as_int(parts[3], key)
-        if not 0 < lo <= hi < np.inf or count < 1:
+        if not 0 < lo <= hi < np.inf:
             raise ConfigError("alpha_grid logspace bounds must satisfy 0 < lo <= hi < inf")
+        if count < 1:
+            raise ConfigError(f"alpha_grid logspace count must be >= 1, got {count}")
         # Not np.unique: it imports numpy.ma, most of a cold parse's time.
         return tuple(sorted({int(a) for a in np.rint(np.geomspace(lo, hi, count))}))
     return _int_list(value, key)

@@ -43,9 +43,7 @@ def sample_covariance(batch):
 
 
 def pca_estimate(batch, r):
-    """Top-r eigenvectors of the sample covariance."""
-    if not 1 <= r <= batch.n:
-        raise InvalidRank(f"need 1 <= r <= n, got r={r}, n={batch.n}")
+    """Top-r eigenvectors of the sample covariance; InvalidRank unless 1 <= r <= n."""
     return top_r_eigvecs(sample_covariance(batch), r)
 
 

@@ -55,10 +55,10 @@ from .errors import InfeasibleModel, InvalidExample, InvalidRank, NoComplement, 
 from .estimator import estimate_rank_eigengap, estimate_rank_threshold
 from .linalg import (
     BasisMatrix,
-    _eigh_descending,
     incoherence,
     orthonormalize,
     subspace_error,
+    symmetric_eig,
     top_r_eigvecs,
 )
 from .model import (
@@ -430,12 +430,12 @@ def _rank_measure(cfg, cell, trial):
     """(threshold, eigengap) rank estimates of one trial.
 
     D is k x k (k the frame size or n) and lacks the n - k zero eigenvalues
-    of the n x n covariance; they are padded on. One `linalg._eigh_descending`
-    gives both the spectrum and the top-r estimate, whose se is checked as
-    `_pca_se` does; only those r columns are checked for orthonormality.
+    of the n x n covariance; they are padded on. One `linalg.symmetric_eig`
+    gives the spectrum and, as its first r eigenvectors, the top-r estimate,
+    whose se is checked as `_pca_se` does; only those r columns are checked for orthonormality.
     """
     model = cell.model
-    w, v = _eigh_descending(_trial(cfg, cell, trial)[0])
+    w, v = symmetric_eig(_trial(cfg, cell, trial)[0])
     _checked_se(subspace_error(BasisMatrix(v[:, : model.r]), cell.p))
     w = np.concatenate([w, np.zeros(model.n - len(w))])
     return estimate_rank_threshold(w, model.signal.lambda_minus), estimate_rank_eigengap(w)

@@ -59,24 +59,6 @@ class BasisMatrix:
         return f"BasisMatrix(n={self.n}, r={self.r})"
 
 
-class SymmetricEig:
-    """Full eigendecomposition of a symmetric matrix, eigenvalues descending."""
-
-    __slots__ = ("eigenvalues", "eigenvectors")
-
-    def __init__(self, eigenvalues, eigenvectors):
-        eigenvalues = np.asarray(eigenvalues, dtype=float)
-        if np.any(np.diff(eigenvalues) > 0):
-            raise ValueError("eigenvalues must be non-increasing")
-        self.eigenvalues = eigenvalues
-        self.eigenvectors = eigenvectors  # BasisMatrix with r == n
-
-    def reconstruct(self):
-        """V diag(lambda) V'."""
-        v = self.eigenvectors.entries
-        return (v * self.eigenvalues) @ v.T
-
-
 def orthonormalize(m):
     """Orthonormal basis for the column space of a full-column-rank matrix.
 
@@ -127,27 +109,20 @@ def subspace_error(phat, p):
     return float(np.linalg.norm(residual, 2))
 
 
-def _eigh_descending(s):
-    """(eigenvalues, eigenvectors) of a symmetric matrix, descending.
+def symmetric_eig(s):
+    """(eigenvalues, eigenvectors) of a symmetric matrix, eigenvalues descending.
 
-    Raises NotSymmetric if max |S - S'| exceeds 1e-10 times max |S|.
+    Both are arrays: w of shape (n,) and v of shape (n, n) with S = V diag(w) V'.
+    Eigenvector signs and the ordering of exactly tied eigenvalues are
+    unconstrained. Raises NotSymmetric if max |S - S'| exceeds 1e-10 times
+    max |S|.
     """
+    s = np.asarray(s, dtype=float)
     smax = np.max(np.abs(s)) if s.size else 0.0
     if np.max(np.abs(s - s.T)) > 1e-10 * smax:
         raise NotSymmetric("input fails symmetry tolerance")
     w, v = np.linalg.eigh(s)
     return w[::-1], v[:, ::-1]
-
-
-def symmetric_eig(s):
-    """Eigendecomposition of a symmetric matrix, eigenvalues sorted descending.
-
-    Eigenvector signs and the ordering of exactly tied eigenvalues are
-    unconstrained. Raises NotSymmetric if max |S - S'| exceeds 1e-10 times
-    max |S|.
-    """
-    w, v = _eigh_descending(np.asarray(s, dtype=float))
-    return SymmetricEig(w, BasisMatrix(v))
 
 
 def top_r_eigvecs(s, r):
@@ -156,12 +131,11 @@ def top_r_eigvecs(s, r):
     When eigenvalue r ties eigenvalue r+1 exactly, any valid invariant
     subspace may be returned.
     """
-    s = np.asarray(s, dtype=float)
-    n = s.shape[0]
+    n = np.shape(s)[0]
     if not 1 <= r <= n:
         raise InvalidRank(f"need 1 <= r <= n, got r={r}, n={n}")
     # Only the r returned columns are checked for orthonormality.
-    return BasisMatrix(_eigh_descending(s)[1][:, :r])
+    return BasisMatrix(symmetric_eig(s)[1][:, :r])
 
 
 def incoherence(p):

@@ -132,6 +132,17 @@ def test_logspace_rejects_infinite_bound(grid, tmp_path, capsys):
     assert err == "error: alpha_grid logspace bounds must satisfy 0 < lo <= hi < inf\n"
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_logspace_rejects_count_below_one(count, tmp_path, capsys):
+    # lo and hi are valid here: the message names the count, not the bounds.
+    text = MINIMAL.replace("alpha_grid = 200,400", f"alpha_grid = logspace:1:10:{count}")
+    with pytest.raises(ConfigError, match=r"count must be >= 1"):
+        parse_config_text(text)
+    rc = main(["bound-tightness", "--config", write_cfg(tmp_path, text)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: alpha_grid logspace count must be >= 1, got {count}\n"
+
+
 def test_describe_lists_every_field():
     cfg, _ = parse_config_text(MINIMAL)
     text = describe(cfg)
@@ -357,6 +368,10 @@ def test_cli_bound_matches_library(tmp_path, capsys):
     assert float(values["se_bound"]) == pytest.approx(report.se_bound, rel=1e-15)
     assert float(values["delta"]) == pytest.approx(rank_delta(inputs), rel=1e-15)
     assert int(values["feasible"]) == int(report.feasible)
+    # The key=value lines are the header and the row of the CSV that --out - prints.
+    assert main(["bound", "--config", path, "--alpha", "400", "--out", "-"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert list(zip(header.split(","), row.split(","))) == [tuple(line.split("=", 1)) for line in out.splitlines()]
 
 
 def test_cli_bound_out_dash_prints_the_csv_alone(tmp_path, capsys):
@@ -597,13 +612,13 @@ def test_cli_bad_workers_exit_one(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command", ["bound-tightness", "bound"])
 def test_cli_bad_out_fails_before_the_run(command, tmp_path, capsys, monkeypatch):
     # An --out that cannot be written exits 1 with `error:` before any trial
-    # runs: a missing directory, a directory, or a read-only directory.
+    # runs: a missing directory, a directory, a read-only directory, or no path.
     calls = []
     monkeypatch.setattr(noisypca.experiments, "_run_trials", lambda *args, **kw: calls.append(args))
     read_only = tmp_path / "read-only"
     read_only.mkdir()
     monkeypatch.setattr(os, "access", lambda path, mode: os.path.abspath(path) != str(read_only))
-    for out in (tmp_path / "missing" / "x.csv", tmp_path, read_only / "x.csv"):
+    for out in (tmp_path / "missing" / "x.csv", tmp_path, read_only / "x.csv", ""):
         assert _main_exit_code([command, "--config", write_cfg(tmp_path), "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert "error: --out" in captured.err and "Traceback" not in captured.err, captured.err
