@@ -318,9 +318,7 @@ def _trial(cfg, cell, trial):
         noise_coefficients(model.noise, substream(seed, STREAM_NOISE, n, r, alpha, trial), alpha, out=x[r:])
     blocks = (*cell.blocks, np.zeros((0, 0, r)))
     if model.sddn is not None:
-        blocks = sample_sddn_batch(
-            model.sddn, model.signal.P, cell.blocks, substream(seed, STREAM_SDDN, n, r, alpha, trial)
-        )
+        blocks = sample_sddn_batch(model.sddn, r, cell.blocks, substream(seed, STREAM_SDDN, n, r, alpha, trial))
     return (*_covariance(cell.c, x, blocks), blocks)
 
 

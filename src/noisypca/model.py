@@ -5,10 +5,11 @@ signal (zero-mean coefficients with diagonal covariance Lambda), v_t is
 uncorrelated possibly non-isotropic noise with covariance Sigma_v, and
 w_t = M_t l_t is sparse data-dependent noise supported on a moving index
 block T_t. The trials draw coefficients (a_t, and c_t with v_t = B c_t)
-and the per-block SDDN factors G = M_t P, never the n x alpha columns; the
-nb dwell blocks and factors are one record of arrays (lo, hi, T, G), G of
-shape (nb, s, r). Missing data is G = -P_T, and refinement's e_t = I_T
-B_T^{-1} I_T'(I - Phat Phat') l_t is G = B_T^{-1}(P_T - Phat_T Phat'P).
+and the per-block SDDN factors G = M_t P in r coordinates, never M_t or
+the n x alpha columns; the nb dwell blocks and factors are one record of
+arrays (lo, hi, T, G), G of shape (nb, s, r). Missing data is G = -P_T,
+and refinement's e_t = I_T B_T^{-1} I_T'(I - Phat Phat') l_t is
+G = B_T^{-1}(P_T - Phat_T Phat'P).
 Model descriptions are immutable; sampling takes an explicit numpy
 Generator so there is no hidden global state.
 """
@@ -196,7 +197,7 @@ class SddnModel:
     rho * ceil(b0 * alpha / rho) frames and then advances by s
     (wrapping modulo n): a 1-d object moving every so often. q in [0, 1)
     is the exact noise-to-signal amplitude enforced per frame; b0 is the
-    target per-row occupancy fraction. M_{s,t} is s x n with iid |N(0,1)|
+    target per-row occupancy fraction. M_{s,t} is s x n with iid N(0,1)
     entries, drawn once per dwell block: the frames sharing T_t share
     M_{s,t}. The model asks only that M_t be unknown and time-varying with
     ||M_{s,t}P|| <= q, so this stays inside it.
@@ -257,17 +258,18 @@ def row_occupancy(supports, n):
     return float(np.max(counts) / alpha)
 
 
-def sample_sddn_batch(model, p, blocks, rng):
+def sample_sddn_batch(model, r, blocks, rng):
     """SDDN factors for a whole batch, one dependency matrix per dwell block.
 
-    One draw of nb s x n matrices M of |N(0,1)| entries from rng serves the nb
-    dwell blocks (lo, hi, T) (`support_blocks`); returns (lo, hi, T, G) with the
-    (nb, s, r) factors G = q M P / ||M P||, so that w_t = I_T G a_t for the
-    frames of a block (w_t = M_t l_t with l_t = P a_t and ||G|| = q).
+    For the nb dwell blocks (lo, hi, T) (`support_blocks`) returns (lo, hi, T, G)
+    with the (nb, s, r) factors G = q M P / ||M P||, so that w_t = I_T G a_t for
+    the frames of a block (w_t = M_t l_t with l_t = P a_t and ||G|| = q). M has
+    iid N(0,1) entries, so each row of M P is N(0, P'P) = N(0, I_r): one draw of
+    nb s x r normals from rng has exactly the law of M P, and M is never formed.
     """
     lo, hi, rows = blocks
     while True:
-        g = np.abs(rng.standard_normal((len(lo), model.s, p.n))) @ p.entries
+        g = rng.standard_normal((len(lo), model.s, r))
         norm = np.linalg.norm(g, 2, axis=(1, 2))
         if not np.any(norm <= 0.0):  # ||M P|| = 0 has probability zero; redraw the batch.
             return lo, hi, rows, (model.q / norm)[:, None, None] * g

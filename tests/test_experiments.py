@@ -159,7 +159,7 @@ def _moment_parts(cfg, cell, trial, missing=False):
     blocks = (*cell.blocks, np.zeros((0, 0, r)))
     if model.sddn is not None:
         rng = substream(seed, STREAM_SDDN, n, r, alpha, trial)
-        blocks = sample_sddn_batch(model.sddn, model.signal.P, cell.blocks, rng)
+        blocks = sample_sddn_batch(model.sddn, r, cell.blocks, rng)
     return cell.c, x, blocks
 
 
@@ -652,7 +652,7 @@ def test_sddn_population_terms_within_expected_perturbation():
     model = realize_model(cfg)
     supports = support_sequence(model.n, model.sddn, 600)
     rng = substream(5, 3, 40, 3, 600, 0)
-    blocks = sample_sddn_batch(model.sddn, model.signal.P, dwell_blocks(supports), rng)
+    blocks = sample_sddn_batch(model.sddn, model.r, dwell_blocks(supports), rng)
     # Every frame of a block (lo, hi, T, G) adds G' on the columns T of
     # P' mean_m' and G Lambda G' on the (T, T) block of mean_mlm.
     lambdas = model.signal.lambdas

@@ -375,7 +375,7 @@ def _block_moments(n, blocks, lambdas, alpha):
 def test_sddn_zero_amplitude(basis100):
     model = SddnModel(s=5, b0=0.05, q=0.0)
     supports = np.array([[3, 4, 5, 6, 7]])
-    blocks = sample_sddn_batch(model, basis100, dwell_blocks(supports), np.random.default_rng(0))
+    blocks = sample_sddn_batch(model, basis100.r, dwell_blocks(supports), np.random.default_rng(0))
     assert [part.shape for part in blocks] == [(1,), (1,), (1, 5), (1, 5, 5)]
     [(lo, hi, rows, g)] = zip(*blocks)
     assert (lo, hi) == (0, 1)
@@ -389,7 +389,7 @@ def test_sddn_support_and_normalization(basis100):
     sig = SignalModel(basis100, np.full(5, 12.0))
     supports = support_sequence(100, model, 40)
     _, a = sample_signal(sig, np.random.default_rng(1), 40)
-    blocks = sample_sddn_batch(model, basis100, dwell_blocks(supports), np.random.default_rng(2))
+    blocks = sample_sddn_batch(model, basis100.r, dwell_blocks(supports), np.random.default_rng(2))
     # The blocks tile the frames; each covers frames that share its rows,
     # and its factor G = scale M P has spectral norm exactly q.
     lo, hi = blocks[:2]
@@ -404,7 +404,7 @@ def test_sddn_support_and_normalization(basis100):
         mask[supports[t]] = False
         assert np.all(w[mask, t] == 0.0)
     # A single frame is one block of its own.
-    [g1] = sample_sddn_batch(model, basis100, dwell_blocks(supports[:1]), np.random.default_rng(3))[3]
+    [g1] = sample_sddn_batch(model, basis100.r, dwell_blocks(supports[:1]), np.random.default_rng(3))[3]
     assert np.linalg.norm(g1, 2) == pytest.approx(model.q, abs=1e-12)
 
 
@@ -414,7 +414,7 @@ def test_sddn_norm_product_bound(basis100):
     sig = SignalModel(basis100, np.full(r, lam_plus))
     supports = support_sequence(100, model, 200)
     l, a = sample_signal(sig, np.random.default_rng(4), 200)
-    blocks = sample_sddn_batch(model, basis100, dwell_blocks(supports), np.random.default_rng(5))
+    blocks = sample_sddn_batch(model, basis100.r, dwell_blocks(supports), np.random.default_rng(5))
     w = _sddn_columns(100, blocks, a)
     cap = model.q * np.sqrt(eta * r * lam_plus)
     assert np.all(np.linalg.norm(w, axis=0) <= cap + 1e-12)
@@ -424,10 +424,11 @@ def test_sddn_norm_product_bound(basis100):
 def _reference_sddn_batch(model, p, supports, l_cols, rng, lambdas=None, moments=False):
     """An independent sampler of the same draws, kept as the reference.
 
-    It walks the frames one at a time, draws M when the support moves,
-    normalizes by an SVD, forms M l_t over all n coordinates and scatters
-    the moments mean_m and mean_mlm frame by frame with np.add.at. Returns
-    (w, moments or None).
+    It walks the frames one at a time, draws the s x r normals Z = M P when
+    the support moves, normalizes by an SVD, forms the s x n matrix M = Z P'
+    (M P = Z, as P'P = I), M l_t over all n coordinates, and scatters the
+    moments mean_m and mean_mlm frame by frame with np.add.at. Returns (w,
+    moments or None).
     """
     n, alpha = l_cols.shape
     pe = p.entries
@@ -439,9 +440,9 @@ def _reference_sddn_batch(model, p, supports, l_cols, rng, lambdas=None, moments
         if t == 0 or np.any(sup != supports[t - 1]):
             norm = 0.0
             while norm == 0.0:
-                m = np.abs(rng.standard_normal((model.s, n)))
-                norm = np.linalg.svd(m @ pe, compute_uv=False)[0]
-            scaled = model.q / norm * m
+                z = rng.standard_normal((model.s, pe.shape[1]))
+                norm = np.linalg.svd(z, compute_uv=False)[0]
+            scaled = model.q / norm * (z @ pe.T)
         w[sup, t] = scaled @ l_cols[:, t]
         if moments:
             np.add.at(mean_m, sup, scaled)
@@ -485,7 +486,7 @@ def test_sddn_matches_reference(n, r, s, dwell, alpha, moments):
     assert supports.max() < n and np.any(supports[:, 0] > n - s)  # some blocks wrap
     l, a = sample_signal(sig, np.random.default_rng(7), alpha)
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-    blocks = sample_sddn_batch(model, sig.P, dwell_blocks(supports), rng)
+    blocks = sample_sddn_batch(model, r, dwell_blocks(supports), rng)
     w_ref, mom_ref = _reference_sddn_batch(
         model, sig.P, supports, l, ref_rng, lambdas=sig.lambdas, moments=moments
     )
@@ -522,18 +523,17 @@ class _RecordingRng:
 
 @pytest.mark.parametrize("dwell", [6, 20, 7])
 def test_sddn_draws_one_piece_at_a_time(dwell):
-    # One (nb, s, n) draw for the nb dwell blocks, nb s n floats whatever
-    # alpha: it is the stream of nb consecutive (s, n) draws, in block order.
+    # One (nb, s, r) draw for the nb dwell blocks, nb s r floats whatever
+    # alpha and n: it is the stream of nb consecutive (s, r) draws, in block order.
     n, r, s, alpha = 13, 3, 5, 50
-    sig = SignalModel(make_random_basis(n, r, np.random.default_rng(1)), np.full(r, 12.0))
     supports = _moving_block(n, s, dwell, alpha)
     rng = _RecordingRng(3)
-    sample_sddn_batch(SddnModel(s=s, b0=0.5, q=0.3), sig.P, dwell_blocks(supports), rng)
+    sample_sddn_batch(SddnModel(s=s, b0=0.5, q=0.3), r, dwell_blocks(supports), rng)
     nb = -(-alpha // dwell)
-    assert [z.shape for z in rng.draws] == [(nb, s, n)]
+    assert [z.shape for z in rng.draws] == [(nb, s, r)]
     stream = np.random.default_rng(3)
     for z in rng.draws[0]:
-        np.testing.assert_array_equal(z, stream.standard_normal((s, n)))
+        np.testing.assert_array_equal(z, stream.standard_normal((s, r)))
 
 
 @pytest.mark.parametrize("dwell", [1, 6])
@@ -545,9 +545,9 @@ def test_sddn_one_dependency_matrix_per_dwell_block(dwell):
     assert np.any(supports[:, 0] > n - s)  # some blocks wrap
     _, a = sample_signal(sig, np.random.default_rng(2), alpha)
     rng = _RecordingRng(3)
-    blocks = sample_sddn_batch(model, sig.P, dwell_blocks(supports), rng)
+    blocks = sample_sddn_batch(model, r, dwell_blocks(supports), rng)
     starts = np.arange(0, alpha, dwell)
-    assert [z.shape for z in rng.draws] == [(len(starts), s, n)]
+    assert [z.shape for z in rng.draws] == [(len(starts), s, r)]
     assert np.array_equal(blocks[0], starts)
     w = _sddn_columns(n, blocks, a)
     pe = sig.P.entries
@@ -555,7 +555,7 @@ def test_sddn_one_dependency_matrix_per_dwell_block(dwell):
     for z, (lo, hi, rows, g) in zip(rng.draws[0], zip(*blocks)):
         assert hi == min(lo + dwell, alpha)
         assert np.array_equal(rows, supports[lo])
-        scaled = model.q * np.abs(z) / np.linalg.norm(np.abs(z) @ pe, 2)
+        scaled = model.q * z @ pe.T / np.linalg.norm(z, 2)  # an s x n M with M P = scaled Z
         assert_rel_close(g, scaled @ pe)
         block = w[rows, lo:hi]
         assert np.linalg.matrix_rank(block) <= min(s, r)
@@ -577,7 +577,7 @@ def test_sddn_one_dependency_matrix_per_dwell_block(dwell):
 
 @pytest.mark.parametrize("zero_norm", [0.0, -1e-18])
 def test_sddn_zero_norm_frame_is_redrawn(monkeypatch, zero_norm):
-    # An all-zero block in the draw gives M P = 0 for that block, so the
+    # An all-zero block in the draw is M P = 0 for that block, so the
     # whole batch is redrawn: every block's G comes from the second draw.
     # zero_norm stands in for the value a norm routine may round the zero
     # matrix's norm to; a negative one must still read as norm 0.
@@ -590,24 +590,78 @@ def test_sddn_zero_norm_frame_is_redrawn(monkeypatch, zero_norm):
         return values
 
     monkeypatch.setattr(np.linalg, "norm", rounding_norm)
-    n, r, s = 20, 4, 3
-    sig = SignalModel(make_random_basis(n, r, np.random.default_rng(1)), np.full(r, 12.0))
+    r, s = 4, 3
     model = SddnModel(s=s, b0=0.5, q=0.2)
     supports = np.array([[0, 1, 2], [5, 6, 7], [5, 6, 7], [10, 11, 12]])
     rng = _RecordingRng(3, zero_draw=0, zero_at=1)  # the first draw's second block
-    blocks = sample_sddn_batch(model, sig.P, dwell_blocks(supports), rng)
-    assert [z.shape for z in rng.draws] == [(3, s, n)] * 2
+    blocks = sample_sddn_batch(model, r, dwell_blocks(supports), rng)
+    assert [z.shape for z in rng.draws] == [(3, s, r)] * 2
     assert np.all(rng.draws[0][1] == 0.0) and np.any(rng.draws[0][[0, 2]])
     lo, hi, _, _ = blocks
     assert list(zip(lo, hi)) == [(0, 1), (1, 3), (3, 4)]
-    pe = sig.P.entries
     # Disjoint supports: block i's factor comes from block i of the second draw.
     for (lo, _, rows, g), z in zip(zip(*blocks), rng.draws[1]):
         assert np.array_equal(rows, supports[lo])
         assert np.all(np.isfinite(g))
-        mp = np.abs(z) @ pe
-        np.testing.assert_allclose(g, model.q * mp / np.linalg.norm(mp, 2), rtol=1e-12)
+        np.testing.assert_allclose(g, model.q * z / np.linalg.norm(z, 2), rtol=1e-12)
         assert np.linalg.norm(g, 2) == pytest.approx(model.q, rel=1e-12)
+
+
+def _oracle_sddn_factors(q, s, p, count, rng, absolute=False):
+    """q M P / ||M P|| for count explicit s x n matrices M of iid N(0,1) entries (|N(0,1)| if absolute)."""
+    m = rng.standard_normal((count, s, p.shape[0]))
+    mp = (np.abs(m) if absolute else m) @ p
+    return q * mp / np.linalg.norm(mp, 2, axis=(1, 2))[:, None, None]
+
+
+def _mean_cov_z(a, b):
+    """|z| of the differences of the sample means, and of the sample covariances, of the rows of a and b."""
+    def stats(x):
+        c = x - x.mean(0)
+        prods = (c[:, :, None] * c[:, None, :]).reshape(len(x), -1)
+        root = np.sqrt(len(x))
+        return x.mean(0), x.std(0) / root, prods.mean(0), prods.std(0) / root
+
+    ma, sma, ca, sca = stats(a)
+    mb, smb, cb, scb = stats(b)
+    return np.abs(ma - mb) / np.hypot(sma, smb), np.abs(ca - cb) / np.hypot(sca, scb)
+
+
+def test_sddn_factors_have_the_law_of_the_n_coordinate_draw():
+    # The sampler draws M P directly as s x r normals; the oracle forms the
+    # s x n Gaussian M and reduces it by a random orthonormal n x r P. Over
+    # 4000 draws each, vec(G/q) has the same mean and covariance (|z| <= 5)
+    # and ||G e_1|| the same distribution (two-sample Kolmogorov-Smirnov at
+    # level 0.001). The same mean test tells the |N(0,1)| law apart.
+    n, r, s, count, q = 40, 3, 2, 4000, 0.3
+    p = make_random_basis(n, r, np.random.default_rng(0)).entries
+    lo = np.arange(count)
+    blocks = (lo, lo + 1, np.zeros((count, s), dtype=int))
+    g = sample_sddn_batch(SddnModel(s=s, b0=0.5, q=q), r, blocks, np.random.default_rng(100))[3] / q
+    ref = _oracle_sddn_factors(q, s, p, count, np.random.default_rng(200)) / q
+    z_mean, z_cov = _mean_cov_z(g.reshape(count, -1), ref.reshape(count, -1))
+    assert z_mean.max() <= 5.0 and z_cov.max() <= 5.0
+    col, ref_col = np.sort(np.linalg.norm(g[:, :, 0], axis=1)), np.sort(np.linalg.norm(ref[:, :, 0], axis=1))
+    pooled = np.concatenate([col, ref_col])
+    ks = np.max(np.abs(np.searchsorted(col, pooled, "right") - np.searchsorted(ref_col, pooled, "right"))) / count
+    assert ks <= 1.949 * np.sqrt(2.0 / count)
+    half = _oracle_sddn_factors(q, s, p, count, np.random.default_rng(200), absolute=True) / q
+    assert _mean_cov_z(half.reshape(count, -1), ref.reshape(count, -1))[0].max() > 5.0
+
+
+def test_sddn_factors_do_not_depend_on_n():
+    # The sampler reads neither P nor n: one seed gives the same factors of
+    # a schedule whatever dimension its support rows live in.
+    model = SddnModel(s=4, b0=0.1, q=0.3)
+    factors = []
+    for n in (40, 1000, 100000):
+        blocks, _ = support_blocks(n, model, 200)
+        lo, hi, _, g = sample_sddn_batch(model, 3, blocks, np.random.default_rng(9))
+        assert g.shape == (10, 4, 3)
+        factors.append((lo, hi, g))
+    for lo, hi, g in factors[1:]:
+        for got, want in zip((lo, hi, g), factors[0]):
+            np.testing.assert_array_equal(got, want)
 
 
 def _missing_blocks(p, supports):
