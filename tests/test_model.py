@@ -555,7 +555,7 @@ def test_sddn_one_dependency_matrix_per_dwell_block(dwell):
     for z, (lo, hi, rows, g) in zip(rng.draws[0], zip(*blocks)):
         assert hi == min(lo + dwell, alpha)
         assert np.array_equal(rows, supports[lo])
-        scaled = model.q * z @ pe.T / np.linalg.norm(z, 2)  # an s x n M with M P = scaled Z
+        scaled = model.q * z @ pe.T / np.linalg.norm(z, 2)  # the s x n M with M P = q Z / ||Z||
         assert_rel_close(g, scaled @ pe)
         block = w[rows, lo:hi]
         assert np.linalg.matrix_rank(block) <= min(s, r)
