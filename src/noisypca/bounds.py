@@ -39,15 +39,15 @@ class BoundInputs:
 
     def __post_init__(self):
         if self.alpha < 1:
-            raise ValidationError("alpha must be >= 1")
+            raise ValidationError(f"alpha must be >= 1, got {self.alpha}")
         if not 0 <= self.q < 1:
-            raise ValidationError("q must lie in [0, 1)")
-        if not 0 <= self.b < 1:
-            raise ValidationError("b must lie in [0, 1)")
+            raise ValidationError(f"q must lie in [0, 1), got {self.q}")
+        if not 0 <= self.b < 1:  # b is the occupancy at this alpha, not a config value
+            raise ValidationError(f"b must lie in [0, 1), got {self.b} at alpha={self.alpha}")
         if self.eta < 1:
-            raise ValidationError("eta must be >= 1")
+            raise ValidationError(f"eta must be >= 1, got {self.eta}")
         if not 0 < self.c < math.inf:
-            raise ValidationError("c must be finite and positive")
+            raise ValidationError(f"c must be finite and positive, got {self.c}")
         if self.regime not in REGIMES:
             raise ValidationError(f"unknown regime {self.regime!r}")
 

@@ -24,8 +24,6 @@ from .errors import (
 from .bounds import general_bound, rank_delta
 from .experiments import bound_inputs, realize_model, with_overrides
 
-SEED_ENV_VAR = "NOISYPCA_SEED"
-
 # The BoundInputs scalars that `bound` prints first, in order.
 _BOUND_INPUT_KEYS = ("n", "r", "r_v", "alpha", "c", "eta", "regime", "q", "b")
 
@@ -78,7 +76,7 @@ def _positive_float(text):
 
 def _build_parser():
     parser = _Parser(prog="noisypca", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", metavar="|".join(COMMANDS))
+    sub = parser.add_subparsers(dest="command", metavar="|".join(COMMANDS), required=True)
     for name, (function, evaluates_bound) in COMMANDS.items():
         # No prefix matching: `--c` on a command without it must not mean --config.
         p = sub.add_parser(name, add_help=True, allow_abbrev=False)
@@ -95,20 +93,6 @@ def _build_parser():
         if name == "bound":
             p.add_argument("--alpha", type=_positive_int, help="sample count, >= 1 (default: first grid value)")
     return parser
-
-
-def _resolve_seed(flag_seed, config_seed):
-    if flag_seed is not None:
-        return int(flag_seed)
-    if config_seed is not None:
-        return int(config_seed)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR}={env!r}: expected an integer") from None
-    return 0
 
 
 def _check_out(path):
@@ -138,9 +122,8 @@ def _print_bound(cfg, alpha, out_path):
 
 def _dispatch(args):
     _check_out(args.out)
-    cfg, config_seed = parse_config(args.config)
-    seed = _resolve_seed(args.seed, config_seed)
-    cfg = with_overrides(cfg, seed=seed, c=args.c, trials=args.trials)
+    # --seed wins, else the config's seed, else ExperimentConfig's default 0.
+    cfg = with_overrides(parse_config(args.config)[0], seed=args.seed, c=args.c, trials=args.trials)
     sys.stderr.write("# resolved config\n")
     for line in describe(cfg).splitlines():
         sys.stderr.write(f"# {line}\n")
@@ -162,11 +145,7 @@ def _dispatch(args):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
+    args = _build_parser().parse_args(argv)
     try:
         # One BLAS thread for all of the command: no OpenBLAS server thread is left spinning.
         with exp._one_blas_thread():

@@ -183,7 +183,7 @@ _READ_WHEN = {
 
 
 def parse_config_text(text, source="<config>"):
-    """Parse and validate config text into an ExperimentConfig."""
+    """Parse and validate config text. Returns (ExperimentConfig, the config's seed or None)."""
     sections = _parse_sections(text, source)
     for name in ("model", "experiment"):
         if name not in sections:
@@ -196,9 +196,7 @@ def parse_config_text(text, source="<config>"):
         if key not in section:
             raise ConfigError(f"missing key {key!r} in [{name}]")
         kwargs[field] = convert(section[key], key)
-    config_seed = kwargs.pop("master_seed", None)  # None: resolved by seed precedence later
-    cfg = ExperimentConfig(master_seed=config_seed if config_seed is not None else 0, **kwargs)
-    return cfg, config_seed
+    return ExperimentConfig(**kwargs), kwargs.get("master_seed")
 
 
 def resolve_config_path(name_or_path):

@@ -163,7 +163,7 @@ class UncorrNoiseModel:
 
     @property
     def lambda_v_plus(self):
-        return float(np.max(self.sigma2)) if self.scales.size else 0.0
+        return float(np.max(self.sigma2))
 
 
 def noise_coefficients(model, rng, count=1, out=None):
@@ -338,7 +338,7 @@ def derived_spectra(signal, noise=None):
     """
     lam_minus = signal.lambda_minus
     lam_plus = signal.lambda_plus
-    if noise is None or float(np.max(noise.sigma2, initial=0.0)) == 0.0:
+    if noise is None or noise.lambda_v_plus == 0.0:
         return DerivedSpectra(lam_minus, lam_plus, lam_plus / lam_minus)
     pe, s2, b = signal.P.entries, noise.sigma2, noise.B.entries
     w = pe.T @ b

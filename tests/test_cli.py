@@ -249,7 +249,7 @@ def _reference_parse_config_text(text, source="<config>"):
     if "seed" in experiment:
         kwargs["master_seed"] = _as_int(experiment["seed"], "seed")
     else:
-        kwargs["master_seed"] = None  # resolved by seed precedence later
+        kwargs["master_seed"] = None
     if "c" in experiment:
         kwargs["c"] = _as_float(experiment["c"], "c")
     if "r_grid" in experiment:
@@ -407,17 +407,15 @@ def test_cli_seed_precedence_flag_over_config(tmp_path, capsys):
 
 
 def test_cli_seed_env_fallback(tmp_path, capsys, monkeypatch):
-    no_seed = MINIMAL.replace("seed = 11\n", "")
-    path = write_cfg(tmp_path, no_seed)
-    monkeypatch.setenv("NOISYPCA_SEED", "42")
-    rc = main(["bound-tightness", "--config", path])
-    err = capsys.readouterr().err
-    assert rc == 0
-    assert "seed=42" in err
-    monkeypatch.delenv("NOISYPCA_SEED")
-    rc = main(["bound-tightness", "--config", path])
-    err = capsys.readouterr().err
-    assert "seed=0" in err
+    # A config without a seed runs at seed 0: the environment is no input,
+    # so a NOISYPCA_SEED that was once read, valid or not, changes nothing.
+    path = write_cfg(tmp_path, MINIMAL.replace("seed = 11\n", ""))
+    for value in ("42", "-2", "abc"):
+        monkeypatch.setenv("NOISYPCA_SEED", value)
+        rc = main(["bound-tightness", "--config", path])
+        err = capsys.readouterr().err
+        assert rc == 0, err
+        assert "seed=0 " in err and "master_seed=0\n" in err, value
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
@@ -535,7 +533,7 @@ def _main_exit_code(args):
         return stop.code
 
 
-def test_cli_bad_workers_exit_one(tmp_path, capsys, monkeypatch):
+def test_cli_bad_workers_exit_one(tmp_path, capsys):
     # --workers, --trials and --alpha must be >= 1; only the subcommands that
     # run trials take --workers and --trials, and only those that evaluate a
     # bound take --c (which must not be read as an abbreviated --config).
@@ -563,47 +561,47 @@ def test_cli_bad_workers_exit_one(tmp_path, capsys, monkeypatch):
         assert _main_exit_code(args) == 1, args
         err = capsys.readouterr().err
         assert "usage" in err.lower() and "Traceback" not in err, args
-    # The same values from a config file or NOISYPCA_SEED are config errors.
-    no_seed = MINIMAL.replace("seed = 11\n", "")
+    # The same values from a config file are config errors.
     refine = case_config_text("refine", ("alpha_grid = 7068", "trials = 1"))
-    for command, text, env, message in (
-        ("bound", MINIMAL.replace("seed = 11", "seed = -1"), {}, "error:"),
-        ("bound", MINIMAL + "c = nan\n", {}, "error:"),
-        ("bound", MINIMAL + "c = inf\n", {}, "error:"),
-        ("bound", no_seed, {"NOISYPCA_SEED": "-2"}, "error:"),
-        ("bound", no_seed, {"NOISYPCA_SEED": "abc"}, "error:"),
+    for command, text, message in (
+        ("bound", MINIMAL.replace("seed = 11", "seed = -1"), "error:"),
+        ("bound", MINIMAL + "c = nan\n", "error:"),
+        ("bound", MINIMAL + "c = inf\n", "error:"),
         # Grid entries and an integer noise_rv must be >= 1; a fixed epsilon
         # must be finite and > 0.
-        ("bound", MINIMAL + "r_grid = 0\n", {}, "error:"),
-        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = 0"), {}, "error:"),
-        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = -1"), {}, "error:"),
-        ("bound", MINIMAL + "epsilon_rule = fixed:nan\n", {}, "error:"),
+        ("bound", MINIMAL + "r_grid = 0\n", "error:"),
+        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = 0"), "error:"),
+        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = -1"), "error:"),
+        ("bound", MINIMAL + "epsilon_rule = fixed:nan\n", "error:"),
         # An integer noise_rv above n is reported under its own name.
-        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = 50"), {}, "error: noise_rv=50 exceeds n=40"),
+        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = 50"), "error: noise_rv=50 exceeds n=40"),
         # Signal variances must be finite and > 0, noise amplitudes finite
         # and >= 0, also where the model is drawn for trials.
-        ("bound", MINIMAL.replace("lambdas = 12", "lambdas = nan"), {}, "error: lambdas must be"),
-        ("bound", MINIMAL.replace("lambdas = 12", "lambdas = inf"), {}, "error: lambdas must be"),
-        ("bound", MINIMAL.replace("base = 1.1", "base = nan"), {}, "error: scales must be"),
-        ("bound", MINIMAL.replace("base = 1.1", "base = inf"), {}, "error: scales must be"),
-        ("bound-tightness", MINIMAL.replace("lambdas = 12", "lambdas = nan"), {}, "error: lambdas must be"),
+        ("bound", MINIMAL.replace("lambdas = 12", "lambdas = nan"), "error: lambdas must be"),
+        ("bound", MINIMAL.replace("lambdas = 12", "lambdas = inf"), "error: lambdas must be"),
+        ("bound", MINIMAL.replace("base = 1.1", "base = nan"), "error: scales must be"),
+        ("bound", MINIMAL.replace("base = 1.1", "base = inf"), "error: scales must be"),
+        ("bound-tightness", MINIMAL.replace("lambdas = 12", "lambdas = nan"), "error: lambdas must be"),
         # The CSV has no alpha column, so a second alpha would be dropped unseen.
         (
-            "adversarial", case_config_text("adversarial", ("alpha_grid = 1000,2000", "trials = 1")), {},
+            "adversarial", case_config_text("adversarial", ("alpha_grid = 1000,2000", "trials = 1")),
             "error: adversarial takes one alpha",
         ),
         # [refine]: q0 / 1.2 is a sine, so q0 lies in [0, 1.2]; stages >= 1.
-        ("refine", refine.replace("q0 = 0.06", "q0 = 2"), {}, "error: refine q0"),
-        ("refine", refine.replace("q0 = 0.06", "q0 = nan"), {}, "error: refine q0"),
-        ("refine", refine.replace("q0 = 0.06", "q0 = -0.5"), {}, "error: refine q0"),
-        ("refine", refine.replace("stages = 4", "stages = 0"), {}, "error: refine stages"),
+        ("refine", refine.replace("q0 = 0.06", "q0 = 2"), "error: refine q0"),
+        ("refine", refine.replace("q0 = 0.06", "q0 = nan"), "error: refine q0"),
+        ("refine", refine.replace("q0 = 0.06", "q0 = -0.5"), "error: refine q0"),
+        ("refine", refine.replace("stages = 4", "stages = 0"), "error: refine stages"),
         # The batch size is the one alpha of alpha_grid; there is no second knob.
-        ("refine", refine.replace("stages = 4", "stages = 4\nalpha_constant = 16"), {}, "unknown key"),
-        ("refine", refine.replace("alpha_grid = 7068", "alpha_grid = 7068,8000"), {}, "error: refine takes one alpha"),
+        ("refine", refine.replace("stages = 4", "stages = 4\nalpha_constant = 16"), "unknown key"),
+        ("refine", refine.replace("alpha_grid = 7068", "alpha_grid = 7068,8000"), "error: refine takes one alpha"),
+        # b is the occupancy at an alpha, not a config value, so its error names
+        # the alpha: at alpha = 1 every support row is in the one frame.
+        (
+            "bound-tightness", case_config_text("fig1a", ("alpha_grid = 1", "trials = 1")),
+            "error: b must lie in [0, 1), got 1.0 at alpha=1\n",
+        ),
     ):
-        monkeypatch.delenv("NOISYPCA_SEED", raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
         assert _main_exit_code([command, "--config", write_cfg(tmp_path, text)]) == 1, message
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err, err

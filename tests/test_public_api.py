@@ -4,6 +4,8 @@ A use is a name or attribute reference in code (an import does not count)
 in one of: the package's other top-level statements, `bench/*.py`, the
 README's library example, or `tests/test_acceptance.py`. A helper that
 only the module tests call belongs in the tests, not in the public API.
+
+No module reads the process environment, so it cannot become a hidden input.
 """
 
 import ast
@@ -60,3 +62,18 @@ def test_every_export_is_used_outside_its_definition():
     assert len(exports) > 40  # the export list was found
     unused = sorted(exports - _uses())
     assert not unused, f"exported but used only by the module tests: {unused}"
+
+
+def test_no_module_reads_the_environment():
+    # A CSV is a function of its config and seed alone: no module may read
+    # os.environ or os.getenv, by attribute or by a `from os import`.
+    names = {"environ", "environb", "getenv", "getenvb"}
+    readers = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (isinstance(node, ast.ImportFrom) and any(alias.name in names for alias in node.names))
+    ]
+    assert len(list(PACKAGE.rglob("*.py"))) >= 9  # the package was found
+    assert not readers, f"modules that read the environment: {readers}"
