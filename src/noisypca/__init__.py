@@ -19,19 +19,9 @@ from .bounds import (
     success_floor,
 )
 from .errors import (
-    ConfigError,
-    CorollaryInapplicable,
-    DimensionMismatch,
-    EmptyBatch,
     InfeasibleModel,
-    InvalidExample,
-    InvalidRank,
-    InvalidSupport,
-    NoComplement,
     NoisyPcaError,
-    NotSymmetric,
     RankDeficient,
-    SupportDegenerate,
     ValidationError,
 )
 from .estimator import (

@@ -16,7 +16,7 @@ everywhere, default 1.
 import math
 from dataclasses import dataclass
 
-from .errors import CorollaryInapplicable, InfeasibleModel, ValidationError
+from .errors import InfeasibleModel, ValidationError
 from .model import DerivedSpectra
 
 REGIMES = ("bounded", "subgaussian")
@@ -173,13 +173,13 @@ def sddn_required_alpha(q, f, r, n, eps_se, constant=1.0):
 def missing_q(mu, r, s, n):
     """Noise-to-signal ratio induced by missing entries: q = sqrt(mu^2 r s / n).
 
-    Raises CorollaryInapplicable when the formula gives q >= 1.
+    Raises InfeasibleModel when the formula gives q >= 1.
     """
     if mu < 1:
         raise ValidationError("incoherence mu is always >= 1")
     q = math.sqrt(mu**2 * r * s / n)
     if q >= 1:
-        raise CorollaryInapplicable(
+        raise InfeasibleModel(
             f"q = {q:.3f} >= 1: basis too sparse or too many missing rows"
         )
     return q

@@ -15,12 +15,7 @@ from dataclasses import fields
 
 from . import experiments as exp
 from .config import describe, parse_config
-from .errors import (
-    ConfigError,
-    CorollaryInapplicable,
-    InfeasibleModel,
-    NoisyPcaError,
-)
+from .errors import InfeasibleModel, NoisyPcaError, ValidationError
 from .bounds import general_bound, rank_delta
 from .experiments import bound_inputs, realize_model, with_overrides
 
@@ -100,7 +95,7 @@ def _check_out(path):
     folder = os.path.dirname(path or "") or "."
     writable = os.path.isdir(folder) and os.access(folder, os.W_OK)
     if path not in (None, "-") and (not path or os.path.isdir(path) or not writable):
-        raise ConfigError(f"--out {path}: not a file in an existing, writable directory")
+        raise ValidationError(f"--out {path}: not a file in an existing, writable directory")
 
 
 def _print_bound(cfg, alpha, out_path):
@@ -150,7 +145,7 @@ def main(argv=None):
         # One BLAS thread for all of the command: no OpenBLAS server thread is left spinning.
         with exp._one_blas_thread():
             return _dispatch(args)
-    except (InfeasibleModel, CorollaryInapplicable) as err:
+    except InfeasibleModel as err:
         sys.stderr.write(f"infeasible: {err}\n")
         return 2
     except (NoisyPcaError, OSError) as err:  # OSError: writing --out

@@ -44,7 +44,7 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ValidationError
 from .experiments import ExperimentConfig
 
 _PRESET_DIR = importlib.resources.files("noisypca.presets")
@@ -61,23 +61,23 @@ def _parse_sections(text, source):
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
             if current not in _SECTIONS:
-                raise ConfigError(f"{source}:{lineno}: unknown section [{current}]")
+                raise ValidationError(f"{source}:{lineno}: unknown section [{current}]")
             if current in sections:
-                raise ConfigError(f"{source}:{lineno}: duplicate section [{current}]")
+                raise ValidationError(f"{source}:{lineno}: duplicate section [{current}]")
             sections[current] = {}
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key = value")
+            raise ValidationError(f"{source}:{lineno}: expected key = value")
         if current is None:
-            raise ConfigError(f"{source}:{lineno}: key outside any section")
+            raise ValidationError(f"{source}:{lineno}: key outside any section")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SECTIONS[current]:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in [{current}]")
+            raise ValidationError(f"{source}:{lineno}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+            raise ValidationError(f"{source}:{lineno}: duplicate key {key!r}")
         sections[current][key] = value
     if not sections:
-        raise ConfigError(f"{source}: empty config")
+        raise ValidationError(f"{source}: empty config")
     return sections
 
 
@@ -85,20 +85,20 @@ def _as_int(value, key):
     try:
         return int(value)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected integer, got {value!r}") from exc
+        raise ValidationError(f"key {key!r}: expected integer, got {value!r}") from exc
 
 
 def _as_float(value, key):
     try:
         return float(value)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected number, got {value!r}") from exc
+        raise ValidationError(f"key {key!r}: expected number, got {value!r}") from exc
 
 
 def _as_flag(value, key):
     if value in ("on", "off"):
         return value == "on"
-    raise ConfigError(f"key {key!r}: expected on/off, got {value!r}")
+    raise ValidationError(f"key {key!r}: expected on/off, got {value!r}")
 
 
 def _float_list(value, key):
@@ -125,21 +125,21 @@ def _epsilon_rule(value, key):
         return None
     if value.startswith("fixed:"):
         return _as_float(value.split(":", 1)[1], key)
-    raise ConfigError(f"epsilon_rule must be 'floor' or 'fixed:<value>', got {value!r}")
+    raise ValidationError(f"epsilon_rule must be 'floor' or 'fixed:<value>', got {value!r}")
 
 
 def _alpha_grid(value, key):
     if value.startswith("logspace:"):
         parts = value.split(":")
         if len(parts) != 4:
-            raise ConfigError("alpha_grid logspace needs logspace:lo:hi:count")
+            raise ValidationError("alpha_grid logspace needs logspace:lo:hi:count")
         lo = _as_float(parts[1], key)
         hi = _as_float(parts[2], key)
         count = _as_int(parts[3], key)
         if not 0 < lo <= hi < np.inf:
-            raise ConfigError("alpha_grid logspace bounds must satisfy 0 < lo <= hi < inf")
+            raise ValidationError("alpha_grid logspace bounds must satisfy 0 < lo <= hi < inf")
         if count < 1:
-            raise ConfigError(f"alpha_grid logspace count must be >= 1, got {count}")
+            raise ValidationError(f"alpha_grid logspace count must be >= 1, got {count}")
         # Not np.unique: it imports numpy.ma, most of a cold parse's time.
         return tuple(sorted({int(a) for a in np.rint(np.geomspace(lo, hi, count))}))
     return _int_list(value, key)
@@ -187,14 +187,14 @@ def parse_config_text(text, source="<config>"):
     sections = _parse_sections(text, source)
     for name in ("model", "experiment"):
         if name not in sections:
-            raise ConfigError(f"{source}: missing [{name}] section")
+            raise ValidationError(f"{source}: missing [{name}] section")
     kwargs = {}
     for name, key, field, convert, when in _KEYS:
         section = sections.get(name, {})
         if not _READ_WHEN[when](kwargs, section, key):
             continue
         if key not in section:
-            raise ConfigError(f"missing key {key!r} in [{name}]")
+            raise ValidationError(f"missing key {key!r} in [{name}]")
         kwargs[field] = convert(section[key], key)
     return ExperimentConfig(**kwargs), kwargs.get("master_seed")
 
@@ -207,7 +207,7 @@ def resolve_config_path(name_or_path):
     if name_or_path in PRESETS:
         resource = _PRESET_DIR.joinpath(f"{name_or_path}.cfg")
         return resource.read_text(encoding="utf-8"), f"preset:{name_or_path}"
-    raise ConfigError(f"config {name_or_path!r}: no such file or preset (presets: {', '.join(PRESETS)})")
+    raise ValidationError(f"config {name_or_path!r}: no such file or preset (presets: {', '.join(PRESETS)})")
 
 
 def parse_config(name_or_path):

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBatch, InvalidRank
+from .errors import ValidationError
 from .linalg import top_r_eigvecs
 
 
@@ -17,9 +17,9 @@ class DataBatch:
     def __post_init__(self):
         cols = np.asarray(self.columns, dtype=float)
         if cols.ndim != 2:
-            raise ValueError("columns must be an (n, alpha) matrix")
+            raise ValidationError("columns must be an (n, alpha) matrix")
         if cols.shape[1] < 1:
-            raise EmptyBatch("batch has no columns")
+            raise ValidationError("batch has no columns")
         object.__setattr__(self, "columns", cols)
 
     @property
@@ -43,7 +43,7 @@ def sample_covariance(batch):
 
 
 def pca_estimate(batch, r):
-    """Top-r eigenvectors of the sample covariance; InvalidRank unless 1 <= r <= n."""
+    """Top-r eigenvectors of the sample covariance; ValidationError unless 1 <= r <= n."""
     return top_r_eigvecs(sample_covariance(batch), r)
 
 
@@ -54,7 +54,7 @@ def estimate_rank_threshold(w, lambda_minus):
     detected). Non-increasing in lambda_minus.
     """
     if lambda_minus <= 0:
-        raise ValueError("lambda_minus must be positive")
+        raise ValidationError("lambda_minus must be positive")
     return int(np.count_nonzero(np.asarray(w, dtype=float) >= 0.5 * lambda_minus))
 
 
@@ -70,6 +70,6 @@ def estimate_rank_eigengap(w, max_rank=None):
     if max_rank is None:
         max_rank = n // 2
     if not 1 <= max_rank < n:
-        raise InvalidRank(f"need 1 <= max_rank < n, got {max_rank}")
+        raise ValidationError(f"need 1 <= max_rank < n, got {max_rank}")
     gaps = w[:max_rank] - w[1 : max_rank + 1]
     return int(np.argmax(gaps)) + 1

@@ -51,7 +51,7 @@ from .bounds import (
     sddn_bound,
     success_floor,
 )
-from .errors import InfeasibleModel, InvalidExample, InvalidRank, NoComplement, RankDeficient, ValidationError
+from .errors import InfeasibleModel, RankDeficient, ValidationError
 from .estimator import estimate_rank_eigengap, estimate_rank_threshold
 from .linalg import (
     BasisMatrix,
@@ -708,7 +708,7 @@ def concentration_check(cfg, workers=1):
 def rank_estimation(cfg, workers=1):
     """Fraction of trials in which each rank estimator recovers the true r."""
     if cfg.n < 2:  # the eigengap rule searches j = 1..floor(n/2)
-        raise InvalidRank(f"need 1 <= max_rank < n, got {cfg.n // 2}")
+        raise ValidationError(f"need 1 <= max_rank < n, got {cfg.n // 2}")
     rows = []
     sweep = _sweep(cfg, [realize_model(cfg)], _rank_measure, _on_inputs(cfg, rank_delta), workers)
     for cell, delta, ranks in sweep:
@@ -730,9 +730,9 @@ def _adversarial_model(cfg):
     r, lambdas, distribution = cfg.r, cfg.lambdas_for(cfg.r), cfg.signal_distribution
     lam_minus = lambdas[-1]
     if r >= 2 and lambdas[r - 2] < 1.1 * lam_minus:
-        raise InvalidExample(f"need lambda_(r-1) >= 1.1 lambda^-: {lambdas[r - 2]} < {1.1 * lam_minus}")
+        raise ValidationError(f"need lambda_(r-1) >= 1.1 lambda^-: {lambdas[r - 2]} < {1.1 * lam_minus}")
     if r >= cfg.n:
-        raise NoComplement("basis already spans the full space")
+        raise ValidationError("basis already spans the full space")
     coords = np.eye(r + 1)
     signal = SignalModel(BasisMatrix(coords[:, :r]), lambdas, distribution)
     variance = 1.2 * lam_minus
@@ -783,7 +783,7 @@ def refinement_loop(cfg, workers=1):
     if len(cfg.alpha_grid) != 1:
         raise ValidationError(f"refine takes one alpha, got alpha_grid={cfg.alpha_grid}")
     if cfg.refine_q0 > 0 and cfg.r == cfg.n:
-        raise NoComplement(f"r = n = {cfg.n}: no direction outside span(P) to tilt the start toward")
+        raise ValidationError(f"r = n = {cfg.n}: no direction outside span(P) to tilt the start toward")
 
     def stage_bounds(cell):
         if 3.0 * np.sqrt(cell.b) * cell.model.signal.f >= 0.2:

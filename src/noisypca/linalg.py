@@ -7,12 +7,7 @@ are pure functions on immutable inputs and are safe to call concurrently.
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidRank,
-    NotSymmetric,
-    RankDeficient,
-)
+from .errors import RankDeficient, ValidationError
 
 # Tolerances at double-precision comfort margin.
 ORTHONORMALITY_TOL = 1e-10
@@ -42,13 +37,13 @@ class BasisMatrix:
         if entries.ndim == 1:
             entries = entries[:, None]
         if entries.ndim != 2:
-            raise ValueError("basis entries must be a vector or a 2-d matrix")
+            raise ValidationError("basis entries must be a vector or a 2-d matrix")
         n, r = entries.shape
         if not 1 <= r <= n:
-            raise InvalidRank(f"need 1 <= r <= n, got r={r}, n={n}")
+            raise ValidationError(f"need 1 <= r <= n, got r={r}, n={n}")
         gram_defect = np.max(np.abs(entries.T @ entries - np.eye(r)))
         if not gram_defect <= ORTHONORMALITY_TOL:  # NaN entries fail too
-            raise ValueError(
+            raise ValidationError(
                 f"columns not orthonormal: max |P'P - I| = {gram_defect:.3e}"
             )
         self.entries = entries
@@ -102,7 +97,7 @@ def subspace_error(phat, p):
     Value lies in [0, 1] up to floating-point slack.
     """
     if phat.n != p.n:
-        raise DimensionMismatch(f"ambient dims differ: {phat.n} vs {p.n}")
+        raise ValidationError(f"ambient dims differ: {phat.n} vs {p.n}")
     a = phat.entries
     b = p.entries
     residual = b - a @ (a.T @ b)
@@ -114,13 +109,15 @@ def symmetric_eig(s):
 
     Both are arrays: w of shape (n,) and v of shape (n, n) with S = V diag(w) V'.
     Eigenvector signs and the ordering of exactly tied eigenvalues are
-    unconstrained. Raises NotSymmetric if max |S - S'| exceeds 1e-10 times
-    max |S|.
+    unconstrained. Raises ValidationError if S has a non-finite entry or
+    max |S - S'| exceeds 1e-10 times max |S|.
     """
     s = np.asarray(s, dtype=float)
     smax = np.max(np.abs(s)) if s.size else 0.0
+    if not np.isfinite(smax):  # NaN would pass the symmetry test: nan > tol is False
+        raise ValidationError(f"input has a non-finite entry: max |S| = {smax}")
     if np.max(np.abs(s - s.T)) > 1e-10 * smax:
-        raise NotSymmetric("input fails symmetry tolerance")
+        raise ValidationError("input fails symmetry tolerance")
     w, v = np.linalg.eigh(s)
     return w[::-1], v[:, ::-1]
 
@@ -133,7 +130,7 @@ def top_r_eigvecs(s, r):
     """
     n = np.shape(s)[0]
     if not 1 <= r <= n:
-        raise InvalidRank(f"need 1 <= r <= n, got r={r}, n={n}")
+        raise ValidationError(f"need 1 <= r <= n, got r={r}, n={n}")
     # Only the r returned columns are checked for orthonormality.
     return BasisMatrix(symmetric_eig(s)[1][:, :r])
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRank, InvalidSupport, SupportDegenerate, ValidationError
+from .errors import ValidationError
 from .linalg import BasisMatrix, orthonormalize
 
 # Stream labels for substream derivation; every sampled quantity in an
@@ -41,7 +41,7 @@ def substream(master_seed, *key):
 def make_random_basis(n, r, rng):
     """Random basis: orthonormalized n x r matrix of iid standard normals."""
     if r > n:
-        raise InvalidRank(f"r={r} exceeds n={n}")
+        raise ValidationError(f"r={r} exceeds n={n}")
     return orthonormalize(rng.standard_normal((n, r)))
 
 
@@ -67,6 +67,8 @@ class SignalModel:
             raise ValidationError("lambdas must be finite, positive and non-increasing")
         if self.distribution not in SIGNAL_DISTRIBUTIONS:
             raise ValidationError(f"unknown signal distribution {self.distribution!r}")
+        if not np.isfinite(self.eta * self.lambda_plus):  # the coefficients' squares reach eta * lambda
+            raise ValidationError(f"eta * lambdas must be finite, got {self.eta:g} * {self.lambda_plus:g}")
 
     @property
     def n(self):
@@ -150,6 +152,9 @@ class UncorrNoiseModel:
             raise ValidationError("B and scales dimensions inconsistent")
         if self.distribution not in SIGNAL_DISTRIBUTIONS:
             raise ValidationError(f"unknown noise distribution {self.distribution!r}")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(self.lambda_v_plus):
+                raise ValidationError(f"noise variances sigma^2 must be finite, got max scale {np.max(scales):g}")
 
     @property
     def r_v(self):
@@ -225,11 +230,11 @@ def support_blocks(n, model, alpha):
     Block j holds frames [j dwell, min((j + 1) dwell, alpha)) on the rows T[j] = (j s + 0..s-1) mod n,
     dwell = rho ceil(b0 alpha / rho), and s = n is one block; counts[i] is how many frames occupy
     row i. The occupancy max(counts)/alpha is checked against b0 + s/alpha: combinations that cannot
-    honor it (b0 much smaller than s/n with alpha spanning many sweeps) raise InvalidSupport.
+    honor it (b0 much smaller than s/n with alpha spanning many sweeps) raise ValidationError.
     """
     s = model.s
     if s > n:
-        raise InvalidSupport(f"support size {s} exceeds dimension {n}")
+        raise ValidationError(f"support size {s} exceeds dimension {n}")
     dwell = max(model.rho * int(np.ceil(model.b0 * alpha / model.rho)), 1) if s < n else alpha
     lo = np.arange(0, alpha, dwell)
     hi = np.minimum(lo + dwell, alpha)
@@ -237,7 +242,7 @@ def support_blocks(n, model, alpha):
     counts = np.bincount(rows.ravel(), np.repeat(hi - lo, s), n)
     occupancy = float(np.max(counts) / alpha)
     if occupancy > model.b0 + s / alpha + 1e-12:
-        raise InvalidSupport(
+        raise ValidationError(
             f"realized occupancy {occupancy:.4f} exceeds b0 + s/alpha "
             f"= {model.b0 + s / alpha:.4f}; shrink alpha or raise b0"
         )
@@ -281,7 +286,7 @@ def refine_blocks(p, phat, blocks):
     I_T G a_t is the error I_T B_T^{-1} I_T' (I - Phat Phat') P a_t, B_T = I -
     Phat_T Phat_T'; one batched solve gives the (nb, s, r) factors G, returned
     as (lo, hi, T, G). p and phat are arrays in any coordinates that keep
-    Phat'P (a cell's frame does). Raises SupportDegenerate when an
+    Phat'P (a cell's frame does). Raises ValidationError when an
     eigenvalue of some B_T, all in (0, 1], is below 1e-8.
     """
     lo, hi, rows = blocks
@@ -289,7 +294,7 @@ def refine_blocks(p, phat, blocks):
     b_mat = np.eye(rows.shape[1]) - ht @ ht.swapaxes(1, 2)
     bad = np.flatnonzero(np.linalg.eigvalsh(b_mat)[:, 0] < 1e-8)
     if bad.size:
-        raise SupportDegenerate(f"masked Gram matrix near-singular on frames [{lo[bad[0]]}, {hi[bad[0]]})")
+        raise ValidationError(f"masked Gram matrix near-singular on frames [{lo[bad[0]]}, {hi[bad[0]]})")
     return lo, hi, rows, np.linalg.solve(b_mat, p[rows] - ht @ (phat.T @ p))
 
 

@@ -9,17 +9,17 @@ against on perturbed matrices.
 
 import numpy as np
 
-from noisypca.errors import DimensionMismatch, NoComplement
+from noisypca.errors import ValidationError
 from noisypca.linalg import BasisMatrix
 
 
 def orthogonal_complement(p):
     """Basis P_perp with P P' + P_perp P_perp' = I.
 
-    Raises NoComplement when r == n.
+    Raises ValidationError when r == n.
     """
     if p.r >= p.n:
-        raise NoComplement("basis already spans the full space")
+        raise ValidationError("basis already spans the full space")
     u, _, _ = np.linalg.svd(p.entries, full_matrices=True)
     comp = u[:, p.r:]
     # Deterministic sign convention: largest-magnitude entry positive.
@@ -46,7 +46,7 @@ def davis_kahan_bound(d, d0, p):
     d = np.asarray(d, dtype=float)
     d0 = np.asarray(d0, dtype=float)
     if d.shape != d0.shape or d.shape[0] != p.n:
-        raise DimensionMismatch("D, D0 and P must share the ambient dimension")
+        raise ValidationError("D, D0 and P must share the ambient dimension")
     delta = d - d0
     numerator = np.linalg.norm(delta @ p.entries, 2)
     w0 = np.linalg.eigvalsh(d0)[::-1]

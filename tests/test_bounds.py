@@ -25,7 +25,7 @@ from noisypca.bounds import (
     sddn_required_alpha,
     success_floor,
 )
-from noisypca.errors import CorollaryInapplicable, InfeasibleModel, ValidationError
+from noisypca.errors import InfeasibleModel, ValidationError
 from noisypca.model import DerivedSpectra
 
 
@@ -274,7 +274,7 @@ def test_sddn_required_alpha_constant_fraction_of_q():
 def test_missing_q_cases():
     assert missing_q(1.0, 5, 0, 100) == 0.0
     assert missing_q(1.0, 5, 5, 100) == pytest.approx(0.5, rel=1e-12)
-    with pytest.raises(CorollaryInapplicable):
+    with pytest.raises(InfeasibleModel, match=r"^q = 10\.000 >= 1: basis too sparse or too many missing rows$"):
         missing_q(10.0, 5, 20, 100)
 
 

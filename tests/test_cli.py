@@ -13,7 +13,7 @@ from noisypca.bounds import rank_delta
 from noisypca.cli import main
 import noisypca.config as config_module
 from noisypca.config import PRESETS, describe, parse_config, parse_config_text, resolve_config_path
-from noisypca.errors import ConfigError, ValidationError
+from noisypca.errors import ValidationError
 from test_golden import CASES as golden_cases
 from test_golden import case_config_text
 
@@ -78,33 +78,33 @@ def test_config_rejects_invalid_q():
 
 
 def test_config_rejects_empty():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="^<config>: empty config$"):
         parse_config_text("")
 
 
 def test_config_rejects_unknown_key():
-    with pytest.raises(ConfigError, match="bogus"):
+    with pytest.raises(ValidationError, match="bogus"):
         parse_config_text(MINIMAL + "\nbogus = 1\n")
 
 
 def test_config_rejects_missing_key():
     broken = MINIMAL.replace("sddn_s = 2\n", "")
-    with pytest.raises(ConfigError, match="sddn_s"):
+    with pytest.raises(ValidationError, match="sddn_s"):
         parse_config_text(broken)
 
 
 def test_config_rejects_duplicate_key():
-    with pytest.raises(ConfigError, match="duplicate"):
+    with pytest.raises(ValidationError, match="duplicate"):
         parse_config_text(MINIMAL + "\n[refine]\nq0 = 1\nq0 = 2\n")
 
 
 def test_config_rejects_unknown_section():
-    with pytest.raises(ConfigError, match="mystery"):
+    with pytest.raises(ValidationError, match="mystery"):
         parse_config_text(MINIMAL + "\n[mystery]\nx = 1\n")
 
 
 def test_config_unknown_path():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValidationError, match="'definitely-not-a-preset': no such file or preset"):
         parse_config("definitely-not-a-preset")
 
 
@@ -124,7 +124,7 @@ def test_logspace_grid_parses():
 @pytest.mark.parametrize("grid", ["logspace:1:inf:3", "logspace:1:1e400:3", "logspace:inf:inf:3"])
 def test_logspace_rejects_infinite_bound(grid, tmp_path, capsys):
     text = MINIMAL.replace("alpha_grid = 200,400", f"alpha_grid = {grid}")
-    with pytest.raises(ConfigError, match=r"0 < lo <= hi < inf"):
+    with pytest.raises(ValidationError, match=r"0 < lo <= hi < inf"):
         parse_config_text(text)
     rc = main(["bound-tightness", "--config", write_cfg(tmp_path, text)])
     err = capsys.readouterr().err
@@ -136,7 +136,7 @@ def test_logspace_rejects_infinite_bound(grid, tmp_path, capsys):
 def test_logspace_rejects_count_below_one(count, tmp_path, capsys):
     # lo and hi are valid here: the message names the count, not the bounds.
     text = MINIMAL.replace("alpha_grid = 200,400", f"alpha_grid = logspace:1:10:{count}")
-    with pytest.raises(ConfigError, match=r"count must be >= 1"):
+    with pytest.raises(ValidationError, match=r"count must be >= 1"):
         parse_config_text(text)
     rc = main(["bound-tightness", "--config", write_cfg(tmp_path, text)])
     assert rc == 1
@@ -180,29 +180,29 @@ def _reference_parse_sections(text, source):
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
             if current not in _REFERENCE_SECTIONS:
-                raise ConfigError(f"{source}:{lineno}: unknown section [{current}]")
+                raise ValidationError(f"{source}:{lineno}: unknown section [{current}]")
             if current in sections:
-                raise ConfigError(f"{source}:{lineno}: duplicate section [{current}]")
+                raise ValidationError(f"{source}:{lineno}: duplicate section [{current}]")
             sections[current] = {}
             continue
         if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key = value")
+            raise ValidationError(f"{source}:{lineno}: expected key = value")
         if current is None:
-            raise ConfigError(f"{source}:{lineno}: key outside any section")
+            raise ValidationError(f"{source}:{lineno}: key outside any section")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _REFERENCE_SECTIONS[current]:
-            raise ConfigError(f"{source}:{lineno}: unknown key {key!r} in [{current}]")
+            raise ValidationError(f"{source}:{lineno}: unknown key {key!r} in [{current}]")
         if key in sections[current]:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+            raise ValidationError(f"{source}:{lineno}: duplicate key {key!r}")
         sections[current][key] = value
     if not sections:
-        raise ConfigError(f"{source}: empty config")
+        raise ValidationError(f"{source}: empty config")
     return sections
 
 
 def _require(section, name, key):
     if key not in section:
-        raise ConfigError(f"missing key {key!r} in [{name}]")
+        raise ValidationError(f"missing key {key!r} in [{name}]")
     return section[key]
 
 
@@ -212,10 +212,10 @@ def _reference_parse_config_text(text, source="<config>"):
     sections = _reference_parse_sections(text, source)
     model = sections.get("model")
     if model is None:
-        raise ConfigError(f"{source}: missing [model] section")
+        raise ValidationError(f"{source}: missing [model] section")
     experiment = sections.get("experiment")
     if experiment is None:
-        raise ConfigError(f"{source}: missing [experiment] section")
+        raise ValidationError(f"{source}: missing [experiment] section")
     refine = sections.get("refine", {})
 
     rv_raw = _require(model, "model", "noise_rv")
@@ -263,7 +263,7 @@ def _reference_parse_config_text(text, source="<config>"):
         elif rule.startswith("fixed:"):
             kwargs["epsilon"] = _as_float(rule.split(":", 1)[1], "epsilon_rule")
         else:
-            raise ConfigError(f"epsilon_rule must be 'floor' or 'fixed:<value>', got {rule!r}")
+            raise ValidationError(f"epsilon_rule must be 'floor' or 'fixed:<value>', got {rule!r}")
 
     if refine:
         kwargs["refine_q0"] = _as_float(_require(refine, "refine", "q0"), "q0")
@@ -582,6 +582,18 @@ def test_cli_bad_workers_exit_one(tmp_path, capsys):
         ("bound", MINIMAL.replace("base = 1.1", "base = nan"), "error: scales must be"),
         ("bound", MINIMAL.replace("base = 1.1", "base = inf"), "error: scales must be"),
         ("bound-tightness", MINIMAL.replace("lambdas = 12", "lambdas = nan"), "error: lambdas must be"),
+        # Finite inputs whose moments overflow: sigma^2 = q^2/3, eta * lambda, and a
+        # gaussian signal's sample covariance.
+        ("bound", MINIMAL.replace("base = 1.1", "base = 1e160"), "error: noise variances sigma^2 must be finite"),
+        ("bound-tightness", MINIMAL.replace("slope = -0.1", "slope = 1e160"),
+         "error: noise variances sigma^2 must be finite"),
+        ("concentration", MINIMAL.replace("lambdas = 12", "lambdas = 1e308"), "error: eta * lambdas must be finite"),
+        (
+            "bound-tightness",
+            MINIMAL.replace("lambdas = 12", "lambdas = 1e308").replace("signal_distribution = bounded_uniform",
+                                                                        "signal_distribution = gaussian"),
+            "error: input has a non-finite entry",
+        ),
         # The CSV has no alpha column, so a second alpha would be dropped unseen.
         (
             "adversarial", case_config_text("adversarial", ("alpha_grid = 1000,2000", "trials = 1")),
@@ -605,6 +617,23 @@ def test_cli_bad_workers_exit_one(tmp_path, capsys):
         assert _main_exit_code([command, "--config", write_cfg(tmp_path, text)]) == 1, message
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize(
+    "error", [c for c in vars(noisypca.errors).values() if isinstance(c, type) and issubclass(c, Exception)],
+    ids=lambda c: c.__name__,
+)
+def test_cli_exit_code_per_error_class(error, monkeypatch, capsys):
+    # InfeasibleModel exits 2 with `infeasible:`; every other package error exits 1 with `error:`.
+    def fail(cfg, workers=1):
+        raise error("the model says no")
+
+    monkeypatch.setattr(noisypca.experiments, "bound_tightness", fail)
+    code, prefix = (2, "infeasible") if error is noisypca.errors.InfeasibleModel else (1, "error")
+    assert main(["bound-tightness", "--config", "fig1a"]) == code
+    err = capsys.readouterr().err
+    assert err.endswith(f"\n{prefix}: the model says no\n") and "Traceback" not in err, err
+    assert issubclass(ValidationError, ValueError)  # library callers that catch ValueError keep working
 
 
 @pytest.mark.parametrize("command", ["bound-tightness", "bound"])

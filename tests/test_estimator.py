@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from noisypca.errors import EmptyBatch, InvalidRank
+from noisypca.errors import ValidationError
 from noisypca.estimator import (
     DataBatch,
     estimate_rank_eigengap,
@@ -45,7 +45,7 @@ def test_sample_covariance_matches_brute_force():
 
 
 def test_empty_batch_rejected():
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(ValidationError, match="^batch has no columns$"):
         DataBatch(np.zeros((4, 0)))
 
 
@@ -111,7 +111,7 @@ def test_rank_eigengap_tie_breaks_low():
 def test_rank_eigengap_respects_max_rank():
     w = np.array([10.0, 9.9, 9.8, 9.7, 0.0, 0.0])
     assert estimate_rank_eigengap(w, max_rank=2) in (1, 2)
-    with pytest.raises(InvalidRank):
+    with pytest.raises(ValidationError, match="^need 1 <= max_rank < n, got 6$"):
         estimate_rank_eigengap(w, max_rank=6)
 
 
@@ -129,5 +129,5 @@ def test_rank_rules_on_sampled_model():
 
 
 def test_pca_estimate_invalid_rank():
-    with pytest.raises(InvalidRank):
+    with pytest.raises(ValidationError, match="^need 1 <= r <= n, got r=0, n=3$"):
         pca_estimate(DataBatch(np.eye(3)), 0)

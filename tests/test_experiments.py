@@ -15,15 +15,7 @@ from hypothesis import strategies as st
 
 from noisypca.bounds import BoundInputs, sddn_bound, sddn_required_alpha
 from noisypca.config import parse_config
-from noisypca.errors import (
-    CorollaryInapplicable,
-    InfeasibleModel,
-    InvalidExample,
-    InvalidSupport,
-    NoComplement,
-    NotSymmetric,
-    ValidationError,
-)
+from noisypca.errors import InfeasibleModel, ValidationError
 from noisypca.estimator import DataBatch, estimate_rank_eigengap, estimate_rank_threshold, pca_estimate, sample_covariance
 import noisypca.experiments as experiments
 from noisypca.experiments import (
@@ -268,7 +260,7 @@ def test_measures_reject_non_symmetric_covariance(measure, monkeypatch):
     d = d.copy()
     d[0, 1] += 1e-6 * np.max(np.abs(d))
     monkeypatch.setattr(experiments, "_trial", lambda *args: (d, *rest))
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(ValidationError, match="^input fails symmetry tolerance$"):
         getattr(experiments, measure)(cfg, cell, 0)
 
 
@@ -882,15 +874,15 @@ def adversarial_cell(n, r, alpha, lambdas, distribution="gaussian"):
 
 
 def test_adversarial_sigma_rejects_bad_profile():
-    for n, r, lambdas, error in (
-        (30, 5, [14.0, 13.0, 13.0, 13.0, 12.0], InvalidExample),
+    for n, r, lambdas, message in (
+        (30, 5, [14.0, 13.0, 13.0, 13.0, 12.0], r"^need lambda_\(r-1\) >= 1\.1 lambda\^-: 13\.0 < 13\.2"),
         # The basis spans R^n, so there is no complement direction u.
-        (3, 3, [14.0, 13.5, 12.0], NoComplement),
-        (30, 1, [-12.0], ValidationError),
-        (30, 2, [14.0, -12.0], ValidationError),
-        (30, 3, [14.0, 20.0, 12.0], ValidationError),
+        (3, 3, [14.0, 13.5, 12.0], "^basis already spans the full space$"),
+        (30, 1, [-12.0], "^lambdas must be finite, positive and non-increasing$"),
+        (30, 2, [14.0, -12.0], "^lambdas must be finite, positive and non-increasing$"),
+        (30, 3, [14.0, 20.0, 12.0], "^lambdas must be finite, positive and non-increasing$"),
     ):
-        with pytest.raises(error):
+        with pytest.raises(ValidationError, match=message):
             _adversarial_model(adversarial_cfg(n, r, 1000, lambdas))
 
 
@@ -902,7 +894,7 @@ def test_adversarial_sigma_takes_no_n_by_n_svd(monkeypatch):
     calls = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append((a.shape, kw)) or svd(a, **kw))
-    with pytest.raises(NoComplement, match="^basis already spans the full space$"):
+    with pytest.raises(ValidationError, match="^basis already spans the full space$"):
         _adversarial_model(adversarial_cfg(3, 3, 1000, [14.0, 13.5, 12.0]))
     _adversarial_measure(cfg, cell, 0)
     assert calls == []
@@ -1182,7 +1174,7 @@ def test_missing_data_within_bound():
 
 
 def test_missing_data_refuses_when_q_exceeds_one():
-    with pytest.raises(CorollaryInapplicable):
+    with pytest.raises(InfeasibleModel, match=r">= 1: basis too sparse or too many missing rows$"):
         missing_data_experiment(missing_cfg(sddn_s=50))
 
 
@@ -1204,7 +1196,7 @@ def test_bad_phase_transition_cell_fails_before_any_trial(monkeypatch):
     # cell is built before the first trial runs.
     calls = []
     monkeypatch.setattr(experiments, "_se_measure", lambda *args: calls.append(args))
-    with pytest.raises(InvalidSupport, match="exceeds b0"):
+    with pytest.raises(ValidationError, match="exceeds b0"):
         phase_transition(small_cfg(n_grid=(40, 10), alpha_grid=(10, 300)))
     assert calls == []
 
@@ -1268,7 +1260,7 @@ def _blas_threads_measure(cfg, cell, trial):
 
 
 def _failing_measure(cfg, cell, trial):
-    raise InvalidExample("measure failed")
+    raise ValidationError("measure failed")
 
 
 def _cell_measure(cfg, cell, trial):
@@ -1291,7 +1283,7 @@ def test_run_trials_runs_at_one_blas_thread_and_restores_the_count():
         for workers in (1, 2):
             assert experiments._run_trials(cfg, cells, _blas_threads_measure, workers) == [[1, 1, 1]]
             assert experiments.blas_threads() == 2
-        with pytest.raises(InvalidExample):
+        with pytest.raises(ValidationError, match="^measure failed$"):
             experiments._run_trials(cfg, cells, _failing_measure)
         assert experiments.blas_threads() == 2
     finally:
@@ -1415,7 +1407,7 @@ def test_pooled_measure_error_reaches_the_caller(monkeypatch):
     cfg, cells = small_cfg(n_trials=3), [Cell(None, 100)]
     experiments._set_blas_threads(2)
     try:
-        with pytest.raises(InvalidExample, match="measure failed"):
+        with pytest.raises(ValidationError, match="measure failed"):
             experiments._run_trials(cfg, cells, _failing_measure, 2)
         assert experiments.blas_threads() == (None if previous is None else 2)
     finally:

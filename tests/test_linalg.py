@@ -10,13 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisypca.errors import (
-    DimensionMismatch,
-    InvalidRank,
-    NoComplement,
-    NotSymmetric,
-    RankDeficient,
-)
+from noisypca.errors import RankDeficient, ValidationError
 from noisypca.linalg import (
     BasisMatrix,
     incoherence,
@@ -112,7 +106,7 @@ def test_subspace_error_plane_trigonometry():
 
 
 def test_subspace_error_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="^ambient dims differ: 5 vs 6$"):
         subspace_error(random_basis(5, 2, 0), random_basis(6, 2, 0))
 
 
@@ -177,7 +171,16 @@ def test_symmetric_eig_zero_matrix():
 
 def test_symmetric_eig_rejects_asymmetric():
     mat = np.array([[1.0, 2.0], [0.0, 1.0]])
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(ValidationError, match="^input fails symmetry tolerance$"):
+        symmetric_eig(mat)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_symmetric_eig_rejects_nonfinite(value):
+    # A symmetric NaN passes the symmetry test (nan > tol is False), and inf - inf is NaN.
+    mat = np.eye(3)
+    mat[0, 1] = mat[1, 0] = value
+    with pytest.raises(ValidationError, match=f"^input has a non-finite entry: max \\|S\\| = {value}$"):
         symmetric_eig(mat)
 
 
@@ -217,9 +220,9 @@ def test_top_r_eigvecs_degenerate_spectrum():
 
 
 def test_top_r_eigvecs_invalid_rank():
-    with pytest.raises(InvalidRank):
+    with pytest.raises(ValidationError, match="^need 1 <= r <= n, got r=0, n=3$"):
         top_r_eigvecs(np.eye(3), 0)
-    with pytest.raises(InvalidRank):
+    with pytest.raises(ValidationError, match="^need 1 <= r <= n, got r=4, n=3$"):
         top_r_eigvecs(np.eye(3), 4)
 
 
@@ -263,7 +266,7 @@ def test_complement_completeness_identity(seed):
 
 
 def test_complement_of_full_basis_raises():
-    with pytest.raises(NoComplement):
+    with pytest.raises(ValidationError, match="^basis already spans the full space$"):
         orthogonal_complement(BasisMatrix(np.eye(3)))
 
 
@@ -303,9 +306,9 @@ def test_davis_kahan_infeasible_gap():
 
 
 def test_davis_kahan_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="^D, D0 and P must share the ambient dimension$"):
         davis_kahan_bound(np.eye(3), np.eye(3), BasisMatrix(np.array([1.0, 0.0])))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValidationError, match="^ambient dims differ: 3 vs 2$"):
         subspace_error(top_r_eigvecs(np.eye(3), 1), BasisMatrix(np.array([1.0, 0.0])))
 
 
@@ -363,5 +366,5 @@ def test_basis_matrix_rejects_nonfinite(value):
 
 
 def test_basis_matrix_rejects_wide():
-    with pytest.raises(InvalidRank):
+    with pytest.raises(ValidationError, match="^need 1 <= r <= n, got r=3, n=2$"):
         BasisMatrix(np.eye(2, 3))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisypca.config import parse_config
-from noisypca.errors import InvalidRank, InvalidSupport, SupportDegenerate, ValidationError
+from noisypca.errors import ValidationError
 from noisypca.experiments import realize_model
 from noisypca.linalg import BasisMatrix, incoherence
 from noisypca.model import (
@@ -58,7 +58,7 @@ def test_make_random_basis_deterministic():
 
 
 def test_make_random_basis_rejects_wide():
-    with pytest.raises(InvalidRank):
+    with pytest.raises(ValidationError, match="^r=5 exceeds n=4$"):
         make_random_basis(4, 5, np.random.default_rng(0))
 
 
@@ -276,7 +276,9 @@ def test_support_sequence_occupancy_within_cap(n, s_frac, b0, rho_frac, alpha):
     model = SddnModel(s=s, b0=b0, rho=rho, q=0.0)
     try:
         supports = support_sequence(n, model, alpha)
-    except InvalidSupport:
+    except ValidationError as err:
+        if not str(err).startswith("realized occupancy"):
+            raise
         dwell = rho * math.ceil(b0 * alpha / rho)
         assert math.ceil(alpha / dwell) * s > n
         return
@@ -331,14 +333,14 @@ def test_support_sequence_matches_frame_by_frame_reference(n, s, b0, rho, alpha)
 
 def test_support_sequence_rejects_oversized_block():
     for build in (support_blocks, support_sequence):
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(ValidationError, match="^support size 5 exceeds dimension 4$"):
             build(4, SddnModel(s=5, b0=0.5, q=0.0), 10)
 
 
 def test_support_sequence_rejects_unsatisfiable_occupancy():
     # b0 far below s/n with alpha spanning many sweeps cannot honor b0 + s/alpha.
     for build in (support_blocks, support_sequence):
-        with pytest.raises(InvalidSupport):
+        with pytest.raises(ValidationError, match=r"^realized occupancy [0-9.]+ exceeds b0 \+ s/alpha"):
             build(10, SddnModel(s=5, b0=0.01, q=0.0), 1000)
 
 
@@ -724,7 +726,7 @@ def test_refine_blocks_support_degenerate():
     p = make_random_basis(n, 2, np.random.default_rng(0))
     phat = BasisMatrix(np.eye(n)[:, [4, 7]])
     supports = np.array([[2], [2], [4], [4], [5]])
-    with pytest.raises(SupportDegenerate, match=r"frames \[2, 4\)"):
+    with pytest.raises(ValidationError, match=r"frames \[2, 4\)"):
         refine_blocks(p.entries, phat.entries, dwell_blocks(supports))
     refine_blocks(p.entries, phat.entries, dwell_blocks(supports[:2]))  # the other rows are fine
 

@@ -6,6 +6,7 @@ README's library example, or `tests/test_acceptance.py`. A helper that
 only the module tests call belongs in the tests, not in the public API.
 
 No module reads the process environment, so it cannot become a hidden input.
+Every error class but `ValidationError` is handled somewhere in the package.
 """
 
 import ast
@@ -77,3 +78,22 @@ def test_no_module_reads_the_environment():
     ]
     assert len(list(PACKAGE.rglob("*.py"))) >= 9  # the package was found
     assert not readers, f"modules that read the environment: {readers}"
+
+
+def test_every_error_class_is_handled():
+    # A class earns its place by being caught: in an `except` clause or a
+    # `contextlib.suppress(...)` call. ValidationError is the one raised for
+    # every bad input and is handled as a NoisyPcaError.
+    classes = {
+        node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body if isinstance(node, ast.ClassDef)
+    }
+    handled = set()
+    for path in PACKAGE.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                handled |= _references(node.type)
+            elif isinstance(node, ast.Call) and "suppress" in _references(node.func):
+                handled |= set().union(*map(_references, node.args))
+    assert "NoisyPcaError" in classes  # errors.py was found
+    unhandled = sorted(classes - handled - {"ValidationError"})
+    assert not unhandled, f"error classes that no code catches: {unhandled}"
