@@ -18,6 +18,7 @@ from .bounds import (
     sddn_required_alpha,
     success_floor,
 )
+from .config import ExperimentConfig
 from .errors import (
     InfeasibleModel,
     NoisyPcaError,
@@ -32,7 +33,6 @@ from .estimator import (
     sample_covariance,
 )
 from .experiments import (
-    ExperimentConfig,
     GridResult,
     ModelRealization,
     adversarial_experiment,

@@ -1,5 +1,9 @@
 """Command-line front end: config parsing, experiment dispatch, CSV output.
 
+Flag values are plain numbers here. --seed, --c, --trials and --alpha are
+checked as the config values they replace (`config.with_overrides`), with
+the same `error:` line, and --workers by the trial runner before any trial.
+
 Exit status: 0 on success, 1 on usage/config/validation errors, 2 when an
 experiment requires a feasible bound condition and the model violates it.
 Diagnostics (resolved config, summary line) go to stderr; results go to
@@ -7,17 +11,16 @@ Diagnostics (resolved config, summary line) go to stderr; results go to
 """
 
 import argparse
-import math
 import os
 import sys
 import time
 from dataclasses import fields
 
 from . import experiments as exp
-from .config import describe, parse_config
+from .config import describe, parse_config, with_overrides
 from .errors import InfeasibleModel, NoisyPcaError, ValidationError
 from .bounds import general_bound, rank_delta
-from .experiments import bound_inputs, realize_model, with_overrides
+from .experiments import bound_inputs, realize_model
 
 # The BoundInputs scalars that `bound` prints first, in order.
 _BOUND_INPUT_KEYS = ("n", "r", "r_v", "alpha", "c", "eta", "regime", "q", "b")
@@ -48,45 +51,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _seed(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text):
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
-    return value
-
-
 def _build_parser():
     parser = _Parser(prog="noisypca", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="|".join(COMMANDS), required=True)
     for name, (function, evaluates_bound) in COMMANDS.items():
         # No prefix matching: `--c` on a command without it must not mean --config.
         p = sub.add_parser(name, add_help=True, allow_abbrev=False)
-        p.set_defaults(workers=1, trials=None, c=None)
+        p.set_defaults(workers=1, trials=None, c=None, alpha=None)
         p.add_argument("--config", required=True, help="config file path or preset name")
-        p.add_argument("--seed", type=_seed, default=None, help="master seed, >= 0 (overrides config)")
+        p.add_argument("--seed", type=int, default=None, help="master seed, >= 0 (overrides config)")
         p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
         if function is not None:
-            p.add_argument("--workers", type=_positive_int,
-                           help="worker processes, >= 1 (does not change output bytes)")
-            p.add_argument("--trials", type=_positive_int, help="override the trial count, >= 1")
+            p.add_argument("--workers", type=int, help="worker processes, >= 1 (does not change output bytes)")
+            p.add_argument("--trials", type=int, help="override the trial count, >= 1")
         if evaluates_bound:
-            p.add_argument("--c", type=_positive_float, help="override the bound constant c, finite and > 0")
+            p.add_argument("--c", type=float, help="override the bound constant c, finite and > 0")
         if name == "bound":
-            p.add_argument("--alpha", type=_positive_int, help="sample count, >= 1 (default: first grid value)")
+            p.add_argument("--alpha", type=int, help="sample count, >= 1 (default: first grid value)")
     return parser
 
 
@@ -118,15 +99,14 @@ def _print_bound(cfg, alpha, out_path):
 def _dispatch(args):
     _check_out(args.out)
     # --seed wins, else the config's seed, else ExperimentConfig's default 0.
-    cfg = with_overrides(parse_config(args.config)[0], seed=args.seed, c=args.c, trials=args.trials)
+    cfg = with_overrides(parse_config(args.config)[0], seed=args.seed, c=args.c, trials=args.trials, alpha=args.alpha)
     sys.stderr.write("# resolved config\n")
     for line in describe(cfg).splitlines():
         sys.stderr.write(f"# {line}\n")
     start = time.perf_counter()
     function, _ = COMMANDS[args.command]
     if function is None:
-        alpha = args.alpha if args.alpha is not None else cfg.alpha_grid[0]
-        result = _print_bound(cfg, alpha, args.out)
+        result = _print_bound(cfg, cfg.alpha_grid[0], args.out)
     else:
         result = getattr(exp, function)(cfg, workers=args.workers)
         result.write(args.out)

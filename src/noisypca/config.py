@@ -1,4 +1,10 @@
-"""Experiment config files: flat key=value sections, strictly validated.
+"""Experiment configs: `ExperimentConfig`, the rules on its values, and the config file that fills it.
+
+The CLI's --seed, --c, --trials and --alpha replace config values through
+`with_overrides`, so a flag value is checked, and reported, exactly as the
+same value in a config file.
+
+The file holds flat key=value sections, strictly validated.
 
 Format::
 
@@ -40,15 +46,100 @@ keys each section takes, when each is required and how it is read.
 """
 
 import importlib.resources
+import math
 import os
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
-from .experiments import ExperimentConfig
 
 _PRESET_DIR = importlib.resources.files("noisypca.presets")
 PRESETS = tuple(sorted(entry.name[: -len(".cfg")] for entry in _PRESET_DIR.iterdir() if entry.name.endswith(".cfg")))
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Model parameters plus grid/trial/seed settings for one experiment.
+
+    Each value is checked once: here, or by the model class that is built
+    from it before any trial (`experiments.realize_model`), as the sddn_*
+    values are by `SddnModel`.
+    """
+
+    n: int
+    r: int
+    signal_distribution: str = "bounded_uniform"
+    signal_lambdas: tuple = (1.0,)
+    noise_rv: object = None  # None, 'r', 'n', or an int
+    noise_distribution: str = "bounded_uniform"
+    noise_scale_base: float = 0.0
+    noise_scale_slope: float = 0.0
+    sddn_enabled: bool = False
+    sddn_s: int = 1
+    sddn_b0: float = 0.05
+    sddn_rho: int = 1
+    sddn_q: float = 0.0
+    alpha_grid: tuple = (1000,)
+    r_grid: tuple = None
+    n_grid: tuple = None
+    n_trials: int = 100
+    master_seed: int = 0
+    c: float = 1.0
+    epsilon: float = None  # the success target; None: 1.5 times the success floor
+    refine_q0: float = None
+    refine_stages: int = None
+
+    def __post_init__(self):
+        if self.n < 1 or not 1 <= self.r <= self.n:
+            raise ValidationError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
+        for key, grid in (("alpha_grid", self.alpha_grid), ("r_grid", self.r_grid), ("n_grid", self.n_grid)):
+            if grid is not None and (len(grid) == 0 or min(grid) < 1):
+                raise ValidationError(f"{key} must be non-empty with entries >= 1, got {grid}")
+        if self.n_trials < 1:
+            raise ValidationError(f"trials must be >= 1, got {self.n_trials}")
+        if not 0 < self.c < math.inf:
+            raise ValidationError(f"c must be finite and positive, got {self.c}")
+        if self.master_seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.master_seed}")
+        if isinstance(self.noise_rv, int) and self.noise_rv < 1:
+            raise ValidationError(f"noise_rv must be >= 1, got {self.noise_rv}")
+        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
+            raise ValidationError(f"fixed epsilon must be finite and positive, got {self.epsilon}")
+        # q0 / 1.2 is the sine of the starting estimate's largest angle.
+        if self.refine_q0 is not None and not 0 <= self.refine_q0 <= 1.2:
+            raise ValidationError(f"refine q0 must lie in [0, 1.2], got {self.refine_q0}")
+        if self.refine_stages is not None and self.refine_stages < 1:
+            raise ValidationError(f"refine stages must be >= 1, got {self.refine_stages}")
+
+    def lambdas_for(self, r):
+        lam = self.signal_lambdas
+        if len(lam) == 1:
+            return np.full(r, lam[0])
+        if len(lam) != r:
+            raise ValidationError(f"signal_lambdas has {len(lam)} entries, need {r}")
+        return np.asarray(lam, dtype=float)
+
+    def rv_for(self, n, r):
+        if self.noise_rv is None:
+            return None
+        if self.noise_rv == "r":
+            return r
+        if self.noise_rv == "n":
+            return n
+        r_v = int(self.noise_rv)
+        if r_v > n:
+            raise ValidationError(f"noise_rv={r_v} exceeds n={n}")
+        return r_v
+
+
+def with_overrides(cfg, seed=None, c=None, trials=None, alpha=None):
+    """Copy of cfg with the CLI's overrides (None: not given), each checked as the config value it replaces.
+
+    --alpha N replaces alpha_grid with (N,).
+    """
+    values = {"master_seed": seed, "c": c, "n_trials": trials, "alpha_grid": None if alpha is None else (alpha,)}
+    return replace(cfg, **{field: value for field, value in values.items() if value is not None})
 
 
 def _parse_sections(text, source):

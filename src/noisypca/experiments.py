@@ -33,7 +33,6 @@ OPENBLAS_NUM_THREADS, as long as numpy's bundled OpenBLAS is found.
 import contextlib
 import ctypes
 import functools
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -51,6 +50,7 @@ from .bounds import (
     sddn_bound,
     success_floor,
 )
+from .config import with_overrides  # unused here: bench/checks.py imports it from this module
 from .errors import InfeasibleModel, RankDeficient, ValidationError
 from .estimator import estimate_rank_eigengap, estimate_rank_threshold
 from .linalg import (
@@ -84,103 +84,6 @@ from .model import (
 DEVIATION_TERMS = ("aa", "lw", "ww", "lv", "vv")
 
 
-# ---------------------------------------------------------------------------
-# Configuration
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Model parameters plus grid/trial/seed settings for one experiment."""
-
-    n: int
-    r: int
-    signal_distribution: str = "bounded_uniform"
-    signal_lambdas: tuple = (1.0,)
-    noise_rv: object = None  # None, 'r', 'n', or an int
-    noise_distribution: str = "bounded_uniform"
-    noise_scale_base: float = 0.0
-    noise_scale_slope: float = 0.0
-    sddn_enabled: bool = False
-    sddn_s: int = 1
-    sddn_b0: float = 0.05
-    sddn_rho: int = 1
-    sddn_q: float = 0.0
-    alpha_grid: tuple = (1000,)
-    r_grid: tuple = None
-    n_grid: tuple = None
-    n_trials: int = 100
-    master_seed: int = 0
-    c: float = 1.0
-    epsilon: float = None  # the success target; None: 1.5 times the success floor
-    refine_q0: float = None
-    refine_stages: int = None
-
-    def __post_init__(self):
-        if self.n < 1 or not 1 <= self.r <= self.n:
-            raise ValidationError("need 1 <= r <= n")
-        if len(self.alpha_grid) == 0:
-            raise ValidationError("alpha_grid must be non-empty")
-        if any(a < 1 for a in self.alpha_grid):
-            raise ValidationError("alpha values must be >= 1")
-        if self.n_trials < 1:
-            raise ValidationError("n_trials must be >= 1")
-        if self.r_grid is not None and len(self.r_grid) == 0:
-            raise ValidationError("r_grid must be non-empty when given")
-        if self.n_grid is not None and len(self.n_grid) == 0:
-            raise ValidationError("n_grid must be non-empty when given")
-        if not 0 <= self.sddn_q < 1:
-            raise ValidationError("sddn q must lie in [0, 1)")
-        if self.sddn_enabled and not 0 < self.sddn_b0 <= 1:
-            raise ValidationError("sddn b0 must lie in (0, 1]")
-        if not 0 < self.c < math.inf:
-            raise ValidationError("c must be finite and positive")
-        if self.master_seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.master_seed}")
-        if any(v < 1 for v in (self.r_grid or ()) + (self.n_grid or ())):
-            raise ValidationError("r_grid and n_grid entries must be >= 1")
-        if isinstance(self.noise_rv, int) and self.noise_rv < 1:
-            raise ValidationError(f"noise_rv must be >= 1, got {self.noise_rv}")
-        if self.epsilon is not None and not 0 < self.epsilon < math.inf:
-            raise ValidationError(f"fixed epsilon must be finite and positive, got {self.epsilon}")
-        # q0 / 1.2 is the sine of the starting estimate's largest angle.
-        if self.refine_q0 is not None and not 0 <= self.refine_q0 <= 1.2:
-            raise ValidationError(f"refine q0 must lie in [0, 1.2], got {self.refine_q0}")
-        if self.refine_stages is not None and self.refine_stages < 1:
-            raise ValidationError(f"refine stages must be >= 1, got {self.refine_stages}")
-
-    def lambdas_for(self, r):
-        lam = self.signal_lambdas
-        if len(lam) == 1:
-            return np.full(r, lam[0])
-        if len(lam) != r:
-            raise ValidationError(f"signal_lambdas has {len(lam)} entries, need {r}")
-        return np.asarray(lam, dtype=float)
-
-    def rv_for(self, n, r):
-        if self.noise_rv is None:
-            return None
-        if self.noise_rv == "r":
-            return r
-        if self.noise_rv == "n":
-            return n
-        r_v = int(self.noise_rv)
-        if r_v > n:
-            raise ValidationError(f"noise_rv={r_v} exceeds n={n}")
-        return r_v
-
-
-def with_overrides(cfg, seed=None, c=None, trials=None):
-    """Copy of cfg with CLI-level overrides applied."""
-    kwargs = {}
-    if seed is not None:
-        kwargs["master_seed"] = int(seed)
-    if c is not None:
-        kwargs["c"] = float(c)
-    if trials is not None:
-        kwargs["n_trials"] = int(trials)
-    return replace(cfg, **kwargs) if kwargs else cfg
-
-
 @dataclass(frozen=True)
 class ModelRealization:
     """One drawn model: fixed across trials and across the alpha grid."""
@@ -210,10 +113,12 @@ def realize_model(cfg, n=None, r=None):
         b = None if r_v == n else make_random_basis(n, r_v, rng)
         scales = profile_scales(r_v, cfg.noise_scale_base, cfg.noise_scale_slope)
         noise = UncorrNoiseModel(n=n, scales=scales, distribution=cfg.noise_distribution, B=b)
-    sddn = None
-    if cfg.sddn_enabled:
-        sddn = SddnModel(s=cfg.sddn_s, b0=cfg.sddn_b0, rho=cfg.sddn_rho, q=cfg.sddn_q)
-    return ModelRealization(n, r, signal, noise, sddn, derived_spectra(signal, noise))
+    return ModelRealization(n, r, signal, noise, _sddn_model(cfg), derived_spectra(signal, noise))
+
+
+def _sddn_model(cfg):
+    """cfg's SddnModel, None without SDDN: the one check of the sddn_* values, before any trial."""
+    return SddnModel(s=cfg.sddn_s, b0=cfg.sddn_b0, rho=cfg.sddn_rho, q=cfg.sddn_q) if cfg.sddn_enabled else None
 
 
 def bound_inputs(cfg, model, alpha, b):
@@ -733,6 +638,7 @@ def _adversarial_model(cfg):
         raise ValidationError(f"need lambda_(r-1) >= 1.1 lambda^-: {lambdas[r - 2]} < {1.1 * lam_minus}")
     if r >= cfg.n:
         raise ValidationError("basis already spans the full space")
+    _sddn_model(cfg)  # this model has no SDDN, but the sddn_* values are checked as for every experiment
     coords = np.eye(r + 1)
     signal = SignalModel(BasisMatrix(coords[:, :r]), lambdas, distribution)
     variance = 1.2 * lam_minus

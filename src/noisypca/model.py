@@ -190,7 +190,7 @@ def profile_scales(r_v, base, slope):
     i = np.arange(1, r_v + 1, dtype=float)
     scales = base + slope * i / r_v
     if np.any(scales < 0):
-        raise ValidationError("amplitude profile goes negative")
+        raise ValidationError(f"amplitude profile goes negative: noise_scale_base={base}, noise_scale_slope={slope}")
     return scales
 
 
@@ -215,13 +215,13 @@ class SddnModel:
 
     def __post_init__(self):
         if self.s < 1:
-            raise ValidationError("support size s must be >= 1")
+            raise ValidationError(f"sddn_s must be >= 1, got {self.s}")
         if not 0 < self.b0 <= 1:
-            raise ValidationError("b0 must lie in (0, 1]")
+            raise ValidationError(f"sddn_b0 must lie in (0, 1], got {self.b0}")
         if self.rho < 1:
-            raise ValidationError("rho must be >= 1")
+            raise ValidationError(f"sddn_rho must be >= 1, got {self.rho}")
         if not 0 <= self.q < 1:
-            raise ValidationError("q must lie in [0, 1)")
+            raise ValidationError(f"sddn_q must lie in [0, 1), got {self.q}")
 
 
 def support_blocks(n, model, alpha):

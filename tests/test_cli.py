@@ -72,9 +72,14 @@ def test_fig1a_preset_has_reference_parameters():
     assert len(cfg.alpha_grid) == 12
 
 
-def test_config_rejects_invalid_q():
-    with pytest.raises(ValidationError):
-        parse_config_text(MINIMAL.replace("sddn_q = 0.001", "sddn_q = 1.5"))
+def test_config_rejects_invalid_q(tmp_path, capsys):
+    # SddnModel holds the one check on q: the model is built before any trial.
+    text = MINIMAL.replace("sddn_q = 0.001", "sddn_q = 1.5")
+    cfg, _ = parse_config_text(text)
+    with pytest.raises(ValidationError, match=r"^sddn_q must lie in \[0, 1\), got 1.5$"):
+        noisypca.experiments.realize_model(cfg)
+    assert main(["bound-tightness", "--config", write_cfg(tmp_path, text)]) == 1
+    assert capsys.readouterr().err.endswith("\nerror: sddn_q must lie in [0, 1), got 1.5\n")
 
 
 def test_config_rejects_empty():
@@ -533,46 +538,65 @@ def _main_exit_code(args):
         return stop.code
 
 
-def test_cli_bad_workers_exit_one(tmp_path, capsys):
+def _record_trials(monkeypatch):
+    """The list of trials run from now on: every trial measure of the engine appends to it instead."""
+    calls = []
+    for name in vars(noisypca.experiments):
+        if name.endswith("_measure"):
+            monkeypatch.setattr(noisypca.experiments, name, lambda *args, name=name: calls.append(name))
+    return calls
+
+
+def test_cli_bad_workers_exit_one(tmp_path, capsys, monkeypatch):
     # --workers, --trials and --alpha must be >= 1; only the subcommands that
     # run trials take --workers and --trials, and only those that evaluate a
-    # bound take --c (which must not be read as an abbreviated --config).
-    for args in (
-        ["bound-tightness", "--config", "fig1a", "--workers", "0"],
-        ["missing", "--config", "missing", "--workers", "-3"],
-        ["refine", "--config", "refine", "--workers", "0"],
-        ["bound", "--config", "fig1a", "--workers", "2"],
-        ["bound-tightness", "--config", "fig1a", "--trials", "0"],
-        ["bound", "--config", "fig1a", "--alpha", "0"],
-        ["bound", "--config", "fig1a", "--alpha", "-4"],
-        ["phase-transition", "--config", "fig2a", "--c", "50"],
-        ["adversarial", "--config", "adversarial", "--c", "2"],
-        ["refine", "--config", "refine", "--c", "9"],
-        ["bound", "--config", "fig1a", "--trials", "999"],
-        ["refine", "--config", "refine", "--trials", "0"],
-        # Seeds must be >= 0 and c finite and > 0.
-        ["bound", "--config", "fig1a", "--seed", "-1"],
-        ["bound-tightness", "--config", "fig1a", "--seed", "-5"],
-        ["bound", "--config", "fig1a", "--c", "nan"],
-        ["bound", "--config", "fig1a", "--c", "inf"],
-        ["rank-estimation", "--config", "fig1a", "--c", "-inf"],
-        ["missing", "--config", "missing", "--c", "0"],
-    ):
-        assert _main_exit_code(args) == 1, args
-        err = capsys.readouterr().err
-        assert "usage" in err.lower() and "Traceback" not in err, args
+    # bound take --c (which must not be read as an abbreviated --config). A
+    # flag the subcommand does not take is a usage error; a bad value is the
+    # `error:` line that the same value gets in a config file. No trial runs.
+    with monkeypatch.context() as patch:
+        calls = _record_trials(patch)
+        usage = "usage"
+        for args, message in (
+            (["bound-tightness", "--config", "fig1a", "--workers", "0"], "error: workers must be >= 1, got 0"),
+            (["missing", "--config", "missing", "--workers", "-3"], "error: workers must be >= 1, got -3"),
+            (["refine", "--config", "refine", "--workers", "0"], "error: workers must be >= 1, got 0"),
+            (["bound", "--config", "fig1a", "--workers", "2"], usage),
+            (["bound-tightness", "--config", "fig1a", "--trials", "0"], "error: trials must be >= 1, got 0"),
+            (["bound", "--config", "fig1a", "--alpha", "0"], "error: alpha_grid must be non-empty with entries >= 1"),
+            (["bound", "--config", "fig1a", "--alpha", "-4"], "error: alpha_grid must be non-empty with entries >= 1"),
+            (["phase-transition", "--config", "fig2a", "--c", "50"], usage),
+            (["adversarial", "--config", "adversarial", "--c", "2"], usage),
+            (["refine", "--config", "refine", "--c", "9"], usage),
+            (["bound", "--config", "fig1a", "--trials", "999"], usage),
+            (["refine", "--config", "refine", "--trials", "0"], "error: trials must be >= 1, got 0"),
+            # Seeds must be >= 0 and c finite and > 0.
+            (["bound", "--config", "fig1a", "--seed", "-1"], "error: seed must be >= 0, got -1"),
+            (["bound-tightness", "--config", "fig1a", "--seed", "-5"], "error: seed must be >= 0, got -5"),
+            (["bound", "--config", "fig1a", "--c", "nan"], "error: c must be finite and positive, got nan"),
+            (["bound", "--config", "fig1a", "--c", "inf"], "error: c must be finite and positive, got inf"),
+            # argparse reads `--c -inf` as --c without a value, so the row spells it `--c=-inf`.
+            (["rank-estimation", "--config", "fig1a", "--c=-inf"], "error: c must be finite and positive, got -inf"),
+            (["missing", "--config", "missing", "--c", "0"], "error: c must be finite and positive, got 0.0"),
+        ):
+            assert _main_exit_code(args) == 1, args
+            err = capsys.readouterr().err
+            (line,) = [line for line in err.splitlines() if "error:" in line]
+            assert message in (err.lower() if message == usage else line) and "Traceback" not in err, args
+            assert args[-1].rpartition("=")[2] in line, (args, line)
+        assert calls == []
     # The same values from a config file are config errors.
     refine = case_config_text("refine", ("alpha_grid = 7068", "trials = 1"))
     for command, text, message in (
-        ("bound", MINIMAL.replace("seed = 11", "seed = -1"), "error:"),
-        ("bound", MINIMAL + "c = nan\n", "error:"),
-        ("bound", MINIMAL + "c = inf\n", "error:"),
+        ("bound", MINIMAL.replace("seed = 11", "seed = -1"), "error: seed must be >= 0, got -1\n"),
+        ("bound", MINIMAL + "c = nan\n", "error: c must be finite and positive, got nan\n"),
+        ("bound", MINIMAL + "c = inf\n", "error: c must be finite and positive, got inf\n"),
         # Grid entries and an integer noise_rv must be >= 1; a fixed epsilon
         # must be finite and > 0.
-        ("bound", MINIMAL + "r_grid = 0\n", "error:"),
-        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = 0"), "error:"),
-        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = -1"), "error:"),
-        ("bound", MINIMAL + "epsilon_rule = fixed:nan\n", "error:"),
+        ("bound", MINIMAL + "r_grid = 0\n", "error: r_grid must be non-empty with entries >= 1, got (0,)\n"),
+        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = 0"), "error: noise_rv must be >= 1, got 0\n"),
+        ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = -1"), "error: noise_rv must be >= 1, got -1\n"),
+        ("bound", MINIMAL + "epsilon_rule = fixed:nan\n",
+         "error: fixed epsilon must be finite and positive, got nan\n"),
         # An integer noise_rv above n is reported under its own name.
         ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = 50"), "error: noise_rv=50 exceeds n=40"),
         # Signal variances must be finite and > 0, noise amplitudes finite
@@ -582,6 +606,19 @@ def test_cli_bad_workers_exit_one(tmp_path, capsys):
         ("bound", MINIMAL.replace("base = 1.1", "base = nan"), "error: scales must be"),
         ("bound", MINIMAL.replace("base = 1.1", "base = inf"), "error: scales must be"),
         ("bound-tightness", MINIMAL.replace("lambdas = 12", "lambdas = nan"), "error: lambdas must be"),
+        # The sddn_* values and the noise amplitude profile are checked as the model is built,
+        # also for adversarial, whose model has neither.
+        ("bound-tightness", MINIMAL.replace("sddn_b0 = 0.05", "sddn_b0 = 0"),
+         "error: sddn_b0 must lie in (0, 1], got 0.0\n"),
+        ("bound", MINIMAL.replace("sddn_q = 0.001", "sddn_q = -0.5"), "error: sddn_q must lie in [0, 1), got -0.5\n"),
+        (
+            "adversarial",
+            case_config_text("adversarial", ("alpha_grid = 1000", "trials = 1")).replace(
+                "sddn = off", "sddn = on\nsddn_s = 2\nsddn_b0 = 0.05\nsddn_rho = 1\nsddn_q = 1.5"),
+            "error: sddn_q must lie in [0, 1), got 1.5\n",
+        ),
+        ("bound", MINIMAL.replace("slope = -0.1", "slope = -2"),
+         "error: amplitude profile goes negative: noise_scale_base=1.1, noise_scale_slope=-2.0\n"),
         # Finite inputs whose moments overflow: sigma^2 = q^2/3, eta * lambda, and a
         # gaussian signal's sample covariance.
         ("bound", MINIMAL.replace("base = 1.1", "base = 1e160"), "error: noise variances sigma^2 must be finite"),

@@ -14,12 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisypca.bounds import BoundInputs, sddn_bound, sddn_required_alpha
-from noisypca.config import parse_config
+from noisypca.config import ExperimentConfig, parse_config
 from noisypca.errors import InfeasibleModel, ValidationError
 from noisypca.estimator import DataBatch, estimate_rank_eigengap, estimate_rank_threshold, pca_estimate, sample_covariance
 import noisypca.experiments as experiments
 from noisypca.experiments import (
-    ExperimentConfig,
     Cell,
     GridResult,
     _adversarial_measure,
@@ -1423,10 +1422,14 @@ def test_experiment_config_validation():
         small_cfg(alpha_grid=())
     with pytest.raises(ValidationError):
         small_cfg(n_trials=0)
-    with pytest.raises(ValidationError):
-        small_cfg(sddn_q=1.2)
-    with pytest.raises(ValidationError):
-        small_cfg(r=50)  # r > n
+    # SddnModel holds the one check on q and b0, and the model is built before any trial.
+    with pytest.raises(ValidationError, match=r"^sddn_q must lie in \[0, 1\), got 1.2$"):
+        realize_model(small_cfg(sddn_q=1.2))
+    with pytest.raises(ValidationError, match=r"^sddn_q must lie in \[0, 1\), got 1.2$"):
+        bound_tightness(small_cfg(sddn_q=1.2))
+    realize_model(small_cfg(sddn_enabled=False, sddn_q=1.5))  # no SDDN: q is not read
+    with pytest.raises(ValidationError, match="^need 1 <= r <= n, got r=50, n=40$"):
+        small_cfg(r=50)
     with pytest.raises(ValidationError):
         bound_tightness(small_cfg(), workers=0)
     for c in (0.0, -1.0, float("nan"), float("inf")):

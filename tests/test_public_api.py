@@ -6,6 +6,8 @@ README's library example, or `tests/test_acceptance.py`. A helper that
 only the module tests call belongs in the tests, not in the public API.
 
 No module reads the process environment, so it cannot become a hidden input.
+Each input value is checked in the config layer: `config.py` does not import
+the engine, and the CLI parses flag values as plain numbers.
 Every error class but `ValidationError` is handled somewhere in the package.
 """
 
@@ -97,3 +99,25 @@ def test_every_error_class_is_handled():
     assert "NoisyPcaError" in classes  # errors.py was found
     unhandled = sorted(classes - handled - {"ValidationError"})
     assert not unhandled, f"error classes that no code catches: {unhandled}"
+
+
+def test_inputs_are_checked_in_the_config_layer():
+    # ExperimentConfig's rules live in config.py, not in the engine it feeds,
+    # and a CLI flag value is checked as the config value it replaces: every
+    # argparse `type=` is a plain int or float, never a range converter.
+    config_imports = [
+        node.module
+        for node in ast.walk(ast.parse((PACKAGE / "config.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    ]
+    assert "errors" in config_imports  # the relative imports were found
+    assert "experiments" not in config_imports, config_imports
+    types = [
+        ast.unparse(keyword.value)
+        for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.Call) and "add_argument" in _references(node.func)
+        for keyword in node.keywords
+        if keyword.arg == "type"
+    ]
+    assert len(types) >= 5  # --seed, --workers, --trials, --c and --alpha were found
+    assert set(types) <= {"int", "float"}, types
