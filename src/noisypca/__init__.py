@@ -25,13 +25,7 @@ from .errors import (
     RankDeficient,
     ValidationError,
 )
-from .estimator import (
-    DataBatch,
-    estimate_rank_eigengap,
-    estimate_rank_threshold,
-    pca_estimate,
-    sample_covariance,
-)
+from .estimator import estimate_rank_eigengap, estimate_rank_threshold
 from .experiments import (
     GridResult,
     ModelRealization,
@@ -59,10 +53,10 @@ from .model import (
     UncorrNoiseModel,
     derived_spectra,
     make_random_basis,
+    noise_coefficients,
     profile_scales,
     row_occupancy,
-    sample_signal,
-    sample_uncorr_noise,
+    signal_coefficients,
     substream,
     support_blocks,
     support_sequence,

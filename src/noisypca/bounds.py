@@ -9,6 +9,9 @@ relative to the smallest signal-subspace eigenvalue lambda^-):
             = c * max(lambda_v^+/lambda^-, f) * sqrt(n / alpha)        [subgaussian]
 
 with g = max(lambda_v^+/lambda^-, sqrt(lambda_v^+ f / lambda^-)).
+The bounded regime holds when the signal coefficients and the noise
+coefficients (if any) are all bounded; a Gaussian signal or Gaussian noise
+puts the model in the subgaussian regime (`experiments.bound_inputs`).
 Logs are natural. The unspecified concentration constant c is an input
 everywhere, default 1.
 """

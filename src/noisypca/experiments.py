@@ -122,7 +122,9 @@ def _sddn_model(cfg):
 
 
 def bound_inputs(cfg, model, alpha, b):
-    regime = "bounded" if model.signal.distribution == "bounded_uniform" else "subgaussian"
+    """BoundInputs of (model, alpha) at occupancy b; the regime is bounded only if the signal and any noise are."""
+    noise_bounded = model.noise is None or model.noise.distribution == "bounded_uniform"
+    regime = "bounded" if model.signal.distribution == "bounded_uniform" and noise_bounded else "subgaussian"
     return BoundInputs(
         spectra=model.spectra,
         r=model.r,

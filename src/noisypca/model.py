@@ -120,12 +120,6 @@ def signal_coefficients(model, rng, count=1, out=None):
     return _fill_coefficients(model.distribution, scale, rng, (model.r, count), out)
 
 
-def sample_signal(model, rng, count=1):
-    """Draw (l, a) with l = P a; columns are independent draws."""
-    a = signal_coefficients(model, rng, count)
-    return model.P.entries @ a, a
-
-
 @dataclass(frozen=True)
 class UncorrNoiseModel:
     """Uncorrelated noise v_t = B c_t with per-coordinate amplitudes q_i.
@@ -177,12 +171,6 @@ def noise_coefficients(model, rng, count=1, out=None):
     A bounded-uniform row i is q_i (-1 + 2U), the doubles of uniform(-1, 1) (`signal_coefficients`).
     """
     return _fill_coefficients(model.distribution, model.scales, rng, (model.r_v, count), out)
-
-
-def sample_uncorr_noise(model, rng, count=1):
-    """Draw v = B c; independent of any signal stream by construction."""
-    c = noise_coefficients(model, rng, count)
-    return model.B.entries @ c
 
 
 def profile_scales(r_v, base, slope):

@@ -2,9 +2,12 @@
 
 `orthogonal_complement` builds the n x (n - r) complement of a basis from
 a full SVD, and `noise_covariance` forms the n x n Sigma_v; the package
-works in span([P B]) and needs neither. `davis_kahan_bound` is the
-sin-theta bound that `top_r_eigvecs` and `subspace_error` are checked
-against on perturbed matrices.
+works in span([P B]) and needs neither. `column_covariance` is the sample
+covariance of explicit n x alpha columns, which the package forms from
+coefficient moments instead, and `covariance_oracle` is the same sum
+accumulated entry by entry. `davis_kahan_bound` is the sin-theta bound
+that `top_r_eigvecs` and `subspace_error` are checked against on perturbed
+matrices.
 """
 
 import numpy as np
@@ -33,6 +36,23 @@ def noise_covariance(noise):
     """Exact Sigma_v = B diag(sigma_i^2) B' of an UncorrNoiseModel."""
     b = noise.B.entries
     return (b * noise.sigma2) @ b.T
+
+
+def column_covariance(y):
+    """D = (1/alpha) sum_t y_t y_t' of the n x alpha columns y, symmetrized against round-off."""
+    d = y @ y.T / y.shape[1]
+    return (d + d.T) / 2.0
+
+
+def covariance_oracle(y):
+    """Entrywise triple-loop accumulation of (1/alpha) sum y_t y_t'."""
+    n, alpha = y.shape
+    d = np.zeros((n, n))
+    for t in range(alpha):
+        for i in range(n):
+            for j in range(n):
+                d[i, j] += y[i, t] * y[j, t]
+    return d / alpha
 
 
 def davis_kahan_bound(d, d0, p):

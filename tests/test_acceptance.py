@@ -284,3 +284,23 @@ def test_criterion_11_phase_transition_in_log_n():
         ok &= found and ratio <= 2.0
         details.append("%s alpha* = %s, alpha*(400)/alpha*(100) = %.2f" % (preset, astar, ratio))
     report(11, ok, "phase transition in log n: %s <= 2" % "; ".join(details))
+
+
+def test_criterion_12_phase_transition_over_three_decades_of_n():
+    # Criterion 11's models over n = 100 .. 102400, where no per-trial work
+    # grows with n. The threshold T = 4.2 is fixed from the theory before the
+    # run: log 102400 / log 100 = 2.51, times one grid step of x1.67 for
+    # rounding to the grid, gives 4.2, while a linear-in-n frontier would give
+    # 1024 and even a sqrt(n) one 32.
+    grid = (100, 1600, 25600, 102400)
+    details, ok = [], True
+    for preset in ("fig2b", "fig2c"):
+        cfg, _ = parse_config(preset)
+        cfg = dataclasses.replace(cfg, n_grid=grid)
+        result = phase_transition(cfg)
+        astar = {n: first_alpha_at_090(result.rows, n) for n in grid}
+        found = all(a is not None for a in astar.values())
+        ratio = astar[102400] / astar[100] if found else math.inf
+        ok &= found and ratio <= 4.2
+        details.append("%s alpha* = %s, alpha*(102400)/alpha*(100) = %.2f" % (preset, astar, ratio))
+    report(12, ok, "phase transition over three decades of n: %s <= 4.2" % "; ".join(details))

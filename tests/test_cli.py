@@ -1,5 +1,6 @@
 """Config parsing and CLI behavior: strictness, presets, exit codes, determinism."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -390,6 +391,18 @@ def test_cli_bound_out_dash_prints_the_csv_alone(tmp_path, capsys):
     assert capsys.readouterr().out.encode("ascii") == out_csv.read_bytes()
 
 
+def test_cli_bound_regime_needs_bounded_noise(tmp_path, capsys):
+    # The bounded-regime eps_bnd assumes bounded noise as well as a bounded
+    # signal, so fig1a's bounded signal with Gaussian noise is subgaussian.
+    preset = resolve_config_path("fig1a")[0]
+    for noise, regime in (("bounded_uniform", "bounded"), ("gaussian", "subgaussian")):
+        text = preset.replace("noise_distribution = bounded_uniform", f"noise_distribution = {noise}")
+        assert f"noise_distribution = {noise}" in text
+        assert main(["bound", "--config", write_cfg(tmp_path, text), "--alpha", "1000"]) == 0
+        values = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert values["regime"] == regime, noise
+
+
 def test_cli_bound_tightness_writes_csv(tmp_path, capsys):
     path = write_cfg(tmp_path)
     out_csv = str(tmp_path / "out.csv")
@@ -620,7 +633,7 @@ def test_cli_bad_workers_exit_one(tmp_path, capsys, monkeypatch):
         ("bound", MINIMAL.replace("slope = -0.1", "slope = -2"),
          "error: amplitude profile goes negative: noise_scale_base=1.1, noise_scale_slope=-2.0\n"),
         # Finite inputs whose moments overflow: sigma^2 = q^2/3, eta * lambda, and a
-        # gaussian signal's sample covariance.
+        # gaussian signal's sample covariance, where numpy warns of the overflow first.
         ("bound", MINIMAL.replace("base = 1.1", "base = 1e160"), "error: noise variances sigma^2 must be finite"),
         ("bound-tightness", MINIMAL.replace("slope = -0.1", "slope = 1e160"),
          "error: noise variances sigma^2 must be finite"),
@@ -651,7 +664,9 @@ def test_cli_bad_workers_exit_one(tmp_path, capsys, monkeypatch):
             "error: b must lie in [0, 1), got 1.0 at alpha=1\n",
         ),
     ):
-        assert _main_exit_code([command, "--config", write_cfg(tmp_path, text)]) == 1, message
+        overflows = "non-finite entry" in message
+        with pytest.warns(RuntimeWarning) if overflows else contextlib.nullcontext():
+            assert _main_exit_code([command, "--config", write_cfg(tmp_path, text)]) == 1, message
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err, err
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from noisypca.bounds import BoundInputs, sddn_bound, sddn_required_alpha
 from noisypca.config import ExperimentConfig, parse_config
 from noisypca.errors import InfeasibleModel, ValidationError
-from noisypca.estimator import DataBatch, estimate_rank_eigengap, estimate_rank_threshold, pca_estimate, sample_covariance
+from noisypca.estimator import estimate_rank_eigengap, estimate_rank_threshold
 import noisypca.experiments as experiments
 from noisypca.experiments import (
     Cell,
@@ -54,14 +54,12 @@ from noisypca.model import (
     noise_coefficients,
     refine_blocks,
     sample_sddn_batch,
-    sample_signal,
-    sample_uncorr_noise,
     signal_coefficients,
     substream,
     support_blocks,
     support_sequence,
 )
-from oracles import noise_covariance, orthogonal_complement
+from oracles import column_covariance, noise_covariance, orthogonal_complement
 from test_model import _reference_sddn_batch, dwell_blocks
 
 
@@ -102,19 +100,22 @@ def _reference_columns(cfg, model, alpha, trial, supports, missing=False):
     """(y, a, v, w, sddn moments) of one trial as explicit n x alpha columns.
 
     The column form is the oracle of the moment form: the same substreams
-    drawn through `sample_signal`, `sample_uncorr_noise` and the reference
-    SDDN sampler, or for missing data l with its support rows erased.
+    drawn as l = P a and v = B c from `signal_coefficients` and
+    `noise_coefficients` and through the reference SDDN sampler, or for
+    missing data l with its support rows erased.
     v, w and the moments are None where the trial has no such part.
     """
     n, r, seed = model.n, model.r, cfg.master_seed
-    l, a = sample_signal(model.signal, substream(seed, STREAM_SIGNAL, n, r, alpha, trial), alpha)
+    a = signal_coefficients(model.signal, substream(seed, STREAM_SIGNAL, n, r, alpha, trial), alpha)
+    l = model.signal.P.entries @ a
     y = l.copy()
     if missing:
         y[supports.T, np.arange(alpha)[None, :]] = 0.0
         return y, a, None, None, None
     v = w = moments = None
     if model.noise is not None:
-        v = sample_uncorr_noise(model.noise, substream(seed, STREAM_NOISE, n, r, alpha, trial), alpha)
+        c = noise_coefficients(model.noise, substream(seed, STREAM_NOISE, n, r, alpha, trial), alpha)
+        v = model.noise.B.entries @ c
         y += v
     if model.sddn is not None:
         w, moments = _reference_sddn_batch(
@@ -176,8 +177,8 @@ def test_pca_se_gram_path_matches_pca_estimate(n, r_frac, alpha_frac, seed):
     y = (left * rng.uniform(1.0, 10.0, r)) @ right.T + 1e-3 * rng.standard_normal((n, alpha))
     u = y @ top_r_eigvecs(y.T @ y / alpha, r).entries
     reference = BasisMatrix(u / np.linalg.norm(u, axis=0))
-    assert subspace_error(reference, pca_estimate(DataBatch(y), r)) <= 1e-10
-    se = _pca_se(sample_covariance(DataBatch(y)), reference)
+    assert subspace_error(reference, top_r_eigvecs(column_covariance(y), r)) <= 1e-10
+    se = _pca_se(column_covariance(y), reference)
     assert se <= 1e-10
 
 
@@ -194,7 +195,7 @@ def test_pca_se_fewer_columns_than_rank_falls_back(n, r_frac, alpha_frac, seed):
     r = 2 + int(r_frac * (n - 2))
     alpha = 1 + int(alpha_frac * (r - 2))
     y = np.random.default_rng(seed).standard_normal((n, alpha))
-    d = sample_covariance(DataBatch(y))
+    d = column_covariance(y)
     assert _pca_se(d, orthonormalize(y)) <= 1e-10
     assert subspace_error(top_r_eigvecs(d, r), orthonormalize(y)) <= 1e-10
 
@@ -217,7 +218,7 @@ def test_rank_measure_matches_full_covariance(n, alpha):
     assert (not _is_identity(cell.frame, n)) == (n == 400 or alpha < 40)
     for trial in range(3):
         y = _reference_columns(cfg, model, alpha, trial, supports)[0]
-        w = np.linalg.eigvalsh(sample_covariance(DataBatch(y)))[::-1]
+        w = np.linalg.eigvalsh(column_covariance(y))[::-1]
         expected = (estimate_rank_threshold(w, model.signal.lambda_minus), estimate_rank_eigengap(w))
         assert _rank_measure(cfg, cell, trial) == expected
 
@@ -323,7 +324,7 @@ def test_pca_se_in_frame_matches_full_dimension(case):
     # se against F'P (`Cell.p`) in D's coordinates is the se of the estimate
     # F u against P; the n x n D and the n-row P are the oracle.
     model, y, cell, d_frame = _frame_trial(case)
-    d = sample_covariance(DataBatch(y))
+    d = column_covariance(y)
     f = _dense_frame(model.n, cell.frame)
     assert np.max(np.abs(cell.p.entries - f.T @ model.signal.P.entries)) <= 1e-14
     se_frame = _pca_se(d_frame, cell.p)
@@ -436,7 +437,7 @@ def test_covariance_matches_explicit_columns(case, monkeypatch):
     y = _reference_columns(cfg, model, alpha, 0, supports, missing)[0]
     cell = _cell(model, alpha)
     assert _shares_rows(cell) or case not in SHARED_ROW_CASES
-    d_ref = sample_covariance(DataBatch(y))
+    d_ref = column_covariance(y)
     tol = 1e-12 * np.linalg.norm(d_ref, 2)
     d = _covariance(*_moment_parts(cfg, cell, 0, missing))[0]
     assert np.array_equal(d, d.T)
@@ -809,7 +810,6 @@ def test_rank_delta_dominates_empirical_deviation():
     # ||D - D0||_2 <= Delta * lambda^- with D0 = P (Lambda + P'Sigma_v P) P',
     # in at least 95% of trials at c = 1.
     from noisypca.bounds import rank_delta
-    from noisypca.estimator import sample_covariance, DataBatch
     from noisypca.experiments import bound_inputs
     from noisypca.model import row_occupancy
 
@@ -827,7 +827,7 @@ def test_rank_delta_dominates_empirical_deviation():
     hits = 0
     for trial in range(trials):
         y = _reference_columns(cfg, model, alpha, trial, supports)[0]
-        d = sample_covariance(DataBatch(y))
+        d = column_covariance(y)
         hits += np.linalg.norm(d - d0, 2) <= cap
     assert hits >= 0.95 * trials
 
@@ -913,8 +913,8 @@ def _reference_adversarial_sigma(n, r, alpha, lambdas, rng, distribution="gaussi
     done = 0
     while done < alpha:
         count = min(experiments._ADVERSARIAL_CHUNK, alpha - done)
-        l_cols, _ = sample_signal(signal, rng, count)
-        y = l_cols + sample_uncorr_noise(noise, rng, count)
+        l_cols = p.entries @ signal_coefficients(signal, rng, count)
+        y = l_cols + noise.B.entries @ noise_coefficients(noise, rng, count)
         d += y @ y.T
         done += count
     d = (d + d.T) / (2.0 * alpha)
@@ -1088,18 +1088,19 @@ def test_refinement_matches_n_coordinate_loop():
 def _reference_refine_columns(cfg, model, alpha, phat, trial, k=1):
     """The n x alpha columns l + e of refinement stage k, the column form.
 
-    l = P a is drawn from the stage's substream through `sample_signal`, and
+    l = P a is drawn from the stage's substream through `signal_coefficients`, and
     e = I_T B_T^{-1} I_T' (I - Phat Phat') l is solved block by block on the
     columns, as the stage did before it was built from moments.
     """
     n, r = model.n, model.r
-    l, _ = sample_signal(model.signal, substream(cfg.master_seed, STREAM_SIGNAL, n, r, alpha, trial, k), alpha)
+    a = signal_coefficients(model.signal, substream(cfg.master_seed, STREAM_SIGNAL, n, r, alpha, trial, k), alpha)
+    l = model.signal.P.entries @ a
     resid = l - phat.entries @ (phat.entries.T @ l)
     e = np.zeros_like(l)
     for lo, hi, rows in zip(*dwell_blocks(support_sequence(n, model.sddn, alpha))):
         ht = phat.entries[rows]
         e[rows, lo:hi] = np.linalg.solve(np.eye(len(rows)) - ht @ ht.T, resid[rows, lo:hi])
-    return DataBatch(l + e)
+    return l + e
 
 
 @pytest.mark.parametrize("trial", range(3))
@@ -1113,7 +1114,7 @@ def test_refinement_stage_matches_column_form(trial):
     model, alpha, phat = _refine_start(cfg, trial)
     p = model.signal.P
     columns = _reference_refine_columns(cfg, model, alpha, phat, trial)
-    d_ref = sample_covariance(columns)
+    d_ref = column_covariance(columns)
     a = _stage_coefficients(cfg, model, alpha, trial, 1)
     blocks = dwell_blocks(support_sequence(cfg.n, model.sddn, alpha))
     d = _covariance(p.entries, a, refine_blocks(p.entries, phat.entries, blocks))[0]
@@ -1124,7 +1125,7 @@ def test_refinement_stage_matches_column_form(trial):
     np.testing.assert_allclose(cell.c, f.T @ p.entries, rtol=0.0, atol=1e-14)
     d_frame = _covariance(cell.c, a, refine_blocks(cell.c, f.T @ phat.entries, cell.blocks))[0]
     assert np.max(np.abs(d_frame - f.T @ d_ref @ f)) <= 1e-12 * np.linalg.norm(d_ref, 2)
-    se_ref = subspace_error(pca_estimate(columns, cfg.r), p)
+    se_ref = subspace_error(top_r_eigvecs(d_ref, cfg.r), p)
     assert _trajectory(refinement_loop(cfg), trial) == [pytest.approx(se_ref, rel=1e-12, abs=0.0)]
 
 

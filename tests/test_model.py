@@ -25,8 +25,6 @@ from noisypca.model import (
     refine_blocks,
     row_occupancy,
     sample_sddn_batch,
-    sample_signal,
-    sample_uncorr_noise,
     signal_coefficients,
     substream,
     support_blocks,
@@ -87,7 +85,7 @@ def basis100():
 
 def test_bounded_signal_amplitude_and_variance(basis100):
     model = SignalModel(basis100, np.full(5, 12.0), "bounded_uniform")
-    _, a = sample_signal(model, np.random.default_rng(0), 100_000)
+    a = signal_coefficients(model, np.random.default_rng(0), 100_000)
     assert np.max(np.abs(a)) <= 6.0
     np.testing.assert_allclose(a.var(axis=1), 12.0, rtol=0.03)
     assert np.max(np.abs(a.mean(axis=1))) < 0.1
@@ -95,9 +93,8 @@ def test_bounded_signal_amplitude_and_variance(basis100):
 
 def test_gaussian_signal_variance(basis100):
     model = SignalModel(basis100, np.full(5, 100.0), "gaussian")
-    l, a = sample_signal(model, np.random.default_rng(1), 100_000)
+    a = signal_coefficients(model, np.random.default_rng(1), 100_000)
     np.testing.assert_allclose(a.var(axis=1), 100.0, rtol=0.03)
-    np.testing.assert_allclose(l, basis100.entries @ a, atol=1e-12)
 
 
 def test_signal_eta_by_distribution(basis100):
@@ -136,7 +133,7 @@ def test_full_dimension_noise_is_the_identity_basis():
         model = UncorrNoiseModel(n=n, scales=scales, distribution=distribution, B=None)
         assert np.array_equal(model.B.entries, np.eye(n)) and model.r_v == n
         assert noise_covariance(model).tobytes() == np.diag(model.sigma2).tobytes()
-        v = sample_uncorr_noise(model, np.random.default_rng(3), 50)
+        v = model.B.entries @ noise_coefficients(model, np.random.default_rng(3), 50)
         assert np.array_equal(v, noise_coefficients(model, np.random.default_rng(3), 50))
     with pytest.raises(ValidationError):
         UncorrNoiseModel(n=n, scales=scales[:-1])
@@ -149,7 +146,7 @@ def test_uncorr_noise_amplitude_bound():
     scales = profile_scales(r_v, 1.1, -0.1)
     b = make_random_basis(40, r_v, np.random.default_rng(3))
     model = UncorrNoiseModel(n=40, scales=scales, distribution="bounded_uniform", B=b)
-    v = sample_uncorr_noise(model, np.random.default_rng(4), 20_000)
+    v = model.B.entries @ noise_coefficients(model, np.random.default_rng(4), 20_000)
     c = b.entries.T @ v  # recover coefficients via orthonormality
     assert np.all(np.abs(c) <= scales[:, None] + 1e-12)
 
@@ -157,13 +154,13 @@ def test_uncorr_noise_amplitude_bound():
 def test_uncorr_noise_gaussian_profile_variance():
     scales = profile_scales(4, 0.9, -0.4)
     model = UncorrNoiseModel(n=4, scales=scales, distribution="gaussian", B=None)
-    v = sample_uncorr_noise(model, np.random.default_rng(5), 200_000)
+    v = model.B.entries @ noise_coefficients(model, np.random.default_rng(5), 200_000)
     np.testing.assert_allclose(v.var(axis=1), scales**2, rtol=0.03)
 
 
 def test_uncorr_noise_zero_scales():
     model = UncorrNoiseModel(n=6, scales=np.zeros(6), distribution="bounded_uniform")
-    v = sample_uncorr_noise(model, np.random.default_rng(6), 10)
+    v = model.B.entries @ noise_coefficients(model, np.random.default_rng(6), 10)
     assert np.all(v == 0.0)
 
 
@@ -171,7 +168,7 @@ def test_uncorr_noise_sample_covariance_converges():
     n, r_v, alpha = 50, 5, 100_000
     b = make_random_basis(n, r_v, np.random.default_rng(8))
     model = UncorrNoiseModel(n=n, scales=profile_scales(r_v, 1.1, -0.1), B=b)
-    v = sample_uncorr_noise(model, np.random.default_rng(9), alpha)
+    v = model.B.entries @ noise_coefficients(model, np.random.default_rng(9), alpha)
     dev = np.linalg.norm(v @ v.T / alpha - noise_covariance(model), 2)
     assert dev <= 0.05 * model.lambda_v_plus
 
@@ -223,8 +220,8 @@ def test_signal_noise_cross_covariance_decays(basis100):
         for trial in range(20):
             rng_l = substream(1, 10, alpha, trial)
             rng_v = substream(2, 20, alpha, trial)
-            l, _ = sample_signal(sig, rng_l, alpha)
-            v = sample_uncorr_noise(noise, rng_v, alpha)
+            l = sig.P.entries @ signal_coefficients(sig, rng_l, alpha)
+            v = noise.B.entries @ noise_coefficients(noise, rng_v, alpha)
             norms.append(np.linalg.norm(l @ v.T / alpha, 2))
         meds.append(np.median(norms))
     assert meds[1] < meds[0]
@@ -390,7 +387,7 @@ def test_sddn_support_and_normalization(basis100):
     model = SddnModel(s=5, b0=0.05, q=0.001)
     sig = SignalModel(basis100, np.full(5, 12.0))
     supports = support_sequence(100, model, 40)
-    _, a = sample_signal(sig, np.random.default_rng(1), 40)
+    a = signal_coefficients(sig, np.random.default_rng(1), 40)
     blocks = sample_sddn_batch(model, basis100.r, dwell_blocks(supports), np.random.default_rng(2))
     # The blocks tile the frames; each covers frames that share its rows,
     # and its factor G = scale M P has spectral norm exactly q.
@@ -415,7 +412,8 @@ def test_sddn_norm_product_bound(basis100):
     model = SddnModel(s=5, b0=0.05, q=0.001)
     sig = SignalModel(basis100, np.full(r, lam_plus))
     supports = support_sequence(100, model, 200)
-    l, a = sample_signal(sig, np.random.default_rng(4), 200)
+    a = signal_coefficients(sig, np.random.default_rng(4), 200)
+    l = sig.P.entries @ a
     blocks = sample_sddn_batch(model, basis100.r, dwell_blocks(supports), np.random.default_rng(5))
     w = _sddn_columns(100, blocks, a)
     cap = model.q * np.sqrt(eta * r * lam_plus)
@@ -486,7 +484,8 @@ def test_sddn_matches_reference(n, r, s, dwell, alpha, moments):
     model = SddnModel(s=s, b0=0.5, q=0.3)
     supports = _moving_block(n, s, dwell, alpha)
     assert supports.max() < n and np.any(supports[:, 0] > n - s)  # some blocks wrap
-    l, a = sample_signal(sig, np.random.default_rng(7), alpha)
+    a = signal_coefficients(sig, np.random.default_rng(7), alpha)
+    l = sig.P.entries @ a
     rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
     blocks = sample_sddn_batch(model, r, dwell_blocks(supports), rng)
     w_ref, mom_ref = _reference_sddn_batch(
@@ -545,7 +544,7 @@ def test_sddn_one_dependency_matrix_per_dwell_block(dwell):
     model = SddnModel(s=s, b0=0.5, q=0.3)
     supports = _moving_block(n, s, dwell, alpha)
     assert np.any(supports[:, 0] > n - s)  # some blocks wrap
-    _, a = sample_signal(sig, np.random.default_rng(2), alpha)
+    a = signal_coefficients(sig, np.random.default_rng(2), alpha)
     rng = _RecordingRng(3)
     blocks = sample_sddn_batch(model, r, dwell_blocks(supports), rng)
     starts = np.arange(0, alpha, dwell)

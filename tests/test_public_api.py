@@ -4,6 +4,7 @@ A use is a name or attribute reference in code (an import does not count)
 in one of: the package's other top-level statements, `bench/*.py`, the
 README's library example, or `tests/test_acceptance.py`. A helper that
 only the module tests call belongs in the tests, not in the public API.
+The library example is also run, so it cannot break unseen.
 
 No module reads the process environment, so it cannot become a hidden input.
 Each input value is checked in the config layer: `config.py` does not import
@@ -65,6 +66,14 @@ def test_every_export_is_used_outside_its_definition():
     assert len(exports) > 40  # the export list was found
     unused = sorted(exports - _uses())
     assert not unused, f"exported but used only by the module tests: {unused}"
+
+
+def test_library_example_runs(capsys):
+    # It prints the se of its PCA estimate and the general bound, which holds.
+    exec(compile(_library_example(), "README.md", "exec"), {})
+    printed = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+    assert sorted(printed) == ["bound", "se"], printed
+    assert float(printed["se"]) <= float(printed["bound"])
 
 
 def test_no_module_reads_the_environment():
