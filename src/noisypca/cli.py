@@ -16,10 +16,11 @@ import sys
 import time
 from dataclasses import fields
 
+# bounds loads numpy first, so OpenBLAS's ~60 ms idle spin overlaps the imports below, not the first trials.
+from .bounds import general_bound, rank_delta
 from . import experiments as exp
 from .config import describe, parse_config, with_overrides
 from .errors import InfeasibleModel, NoisyPcaError, ValidationError
-from .bounds import general_bound, rank_delta
 from .experiments import bound_inputs, realize_model
 
 # The BoundInputs scalars that `bound` prints first, in order.

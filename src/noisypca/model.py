@@ -71,10 +71,6 @@ class SignalModel:
             raise ValidationError(f"eta * lambdas must be finite, got {self.eta:g} * {self.lambda_plus:g}")
 
     @property
-    def n(self):
-        return self.P.n
-
-    @property
     def r(self):
         return self.P.r
 

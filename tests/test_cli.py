@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import noisypca
+import noisypca.errors
+import noisypca.experiments
 from noisypca.bounds import rank_delta
 from noisypca.cli import main
 import noisypca.config as config_module
@@ -502,6 +503,24 @@ def test_cli_run_does_not_import_numpy_ma(tmp_path):
     assert proc.stdout.split() == [b"0", b"False"]
 
 
+def test_library_modules_import_without_the_engine(tmp_path):
+    # The bounds, models and subspace primitives are usable alone: importing
+    # them loads neither the Monte Carlo engine, the config layer nor the
+    # process pool.
+    script = (
+        "import sys\n"
+        "import noisypca.bounds, noisypca.model, noisypca.linalg\n"
+        "print(*(name in sys.modules for name in\n"
+        "        ('noisypca.experiments', 'noisypca.config', 'concurrent.futures.process')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SOURCE_ROOT), os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"False", b"False", b"False"]
+
+
 def test_cli_run_does_not_import_statistics(tmp_path):
     # The concentration medians come from numpy: a run does not import
     # statistics, nor the fractions module it pulls in.
@@ -612,6 +631,11 @@ def test_cli_bad_workers_exit_one(tmp_path, capsys, monkeypatch):
          "error: fixed epsilon must be finite and positive, got nan\n"),
         # An integer noise_rv above n is reported under its own name.
         ("bound", MINIMAL.replace("noise_rv = r", "noise_rv = 50"), "error: noise_rv=50 exceeds n=40"),
+        # A logspace grid names its count; a list of signal variances has one entry per direction.
+        ("bound", MINIMAL.replace("alpha_grid = 200,400", "alpha_grid = logspace:1:2"),
+         "error: alpha_grid logspace needs logspace:lo:hi:count\n"),
+        ("bound", MINIMAL.replace("r = 3", "r = 5").replace("lambdas = 12", "lambdas = 12,11"),
+         "error: signal_lambdas has 2 entries, need 5\n"),
         # Signal variances must be finite and > 0, noise amplitudes finite
         # and >= 0, also where the model is drawn for trials.
         ("bound", MINIMAL.replace("lambdas = 12", "lambdas = nan"), "error: lambdas must be"),
@@ -624,6 +648,10 @@ def test_cli_bad_workers_exit_one(tmp_path, capsys, monkeypatch):
         ("bound-tightness", MINIMAL.replace("sddn_b0 = 0.05", "sddn_b0 = 0"),
          "error: sddn_b0 must lie in (0, 1], got 0.0\n"),
         ("bound", MINIMAL.replace("sddn_q = 0.001", "sddn_q = -0.5"), "error: sddn_q must lie in [0, 1), got -0.5\n"),
+        ("bound", MINIMAL.replace("sddn_s = 2", "sddn_s = 0"), "error: sddn_s must be >= 1, got 0\n"),
+        ("bound", MINIMAL.replace("sddn_rho = 1", "sddn_rho = 0"), "error: sddn_rho must be >= 1, got 0\n"),
+        ("bound", MINIMAL.replace("noise_distribution = bounded_uniform", "noise_distribution = cauchy"),
+         "error: unknown noise distribution 'cauchy'\n"),
         (
             "adversarial",
             case_config_text("adversarial", ("alpha_grid = 1000", "trials = 1")).replace(
@@ -740,8 +768,27 @@ def _with_lines(text, *pairs):
             _with_lines(MINIMAL, ("n = 40\nr = 3", "n = 1\nr = 1"), ("sddn = on", "sddn = off"), ("200,400", "100")),
             "error: need 1 <= max_rank < n, got 0",
         ),
+        (
+            "refine",
+            _with_lines(case_config_text("refine", ("alpha_grid = 7068", "trials = 2")),
+                        ("[refine]\nq0 = 0.06\nstages = 4\n", "")),
+            "error: refinement needs q0 and a stage count",
+        ),
+        (
+            "refine",
+            _with_lines(case_config_text("refine", ("alpha_grid = 7068", "trials = 2")), ("sddn = on", "sddn = off")),
+            "error: refinement needs the sparse support model",
+        ),
+        (
+            "missing",
+            _with_lines(case_config_text("missing", ("alpha_grid = 3000", "trials = 2")), ("sddn = on", "sddn = off")),
+            "error: missing-data experiment needs the support model",
+        ),
     ],
-    ids=["adversarial-r-equals-n", "adversarial-flat-profile", "refine-r-equals-n", "rank-estimation-n1"],
+    ids=[
+        "adversarial-r-equals-n", "adversarial-flat-profile", "refine-r-equals-n", "rank-estimation-n1",
+        "refine-no-section", "refine-sddn-off", "missing-sddn-off",
+    ],
 )
 def test_cli_bad_model_fails_before_any_trial(command, text, message, tmp_path, capsys, monkeypatch):
     # A model the experiment cannot run exits 1 with its message before the

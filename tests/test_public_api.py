@@ -1,10 +1,14 @@
-"""Every name that `noisypca` exports has a use outside its own definition.
+"""Every public module-level name of `noisypca` has a use outside its own definition.
 
-A use is a name or attribute reference in code (an import does not count)
-in one of: the package's other top-level statements, `bench/*.py`, the
-README's library example, or `tests/test_acceptance.py`. A helper that
-only the module tests call belongs in the tests, not in the public API.
-The library example is also run, so it cannot break unseen.
+A public module-level name is one that a top-level def, class or assignment
+of a package module binds, without a leading underscore. `__init__.py`
+imports nothing, so each name has one import path: its module. A use is a
+name or attribute reference in code (an import does not count) in one of:
+the package's other top-level statements, `bench/*.py`, the README's
+library example, or `tests/test_acceptance.py`. A helper that only the
+module tests call belongs in the tests, not in the public API. The library
+example is also run, so it cannot break unseen, and `__version__` is the
+version that `pyproject.toml` declares.
 
 No module reads the process environment, so it cannot become a hidden input.
 Each input value is checked in the config layer: `config.py` does not import
@@ -15,6 +19,8 @@ Every error class but `ValidationError` is handled somewhere in the package.
 import ast
 import re
 from pathlib import Path
+
+import noisypca
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "noisypca"
@@ -29,13 +35,23 @@ def _references(node):
     }
 
 
-def _exports():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+def _bound(stmt):
+    """Names that a top-level def, class or assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _public_names():
     return {
-        alias.asname or alias.name
-        for stmt in tree.body
-        if isinstance(stmt, ast.ImportFrom)
-        for alias in stmt.names
+        name
+        for path in PACKAGE.glob("*.py")
+        for stmt in ast.parse(path.read_text()).body
+        for name in _bound(stmt)
+        if not name.startswith("_")
     }
 
 
@@ -50,10 +66,8 @@ def _uses():
     """Every identifier that some acceptable use refers to."""
     used = set()
     for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for stmt in ast.parse(path.read_text()).body:  # a def or class is not its own use
-            used |= _references(stmt) - {getattr(stmt, "name", None)}
+        for stmt in ast.parse(path.read_text()).body:  # a definition is not its own use
+            used |= _references(stmt) - _bound(stmt)
     sources = [p.read_text() for p in (ROOT / "bench").glob("*.py")]
     sources += [_library_example(), (ROOT / "tests" / "test_acceptance.py").read_text()]
     for text in sources:
@@ -62,10 +76,20 @@ def _uses():
 
 
 def test_every_export_is_used_outside_its_definition():
-    exports = _exports()
-    assert len(exports) > 40  # the export list was found
-    unused = sorted(exports - _uses())
-    assert not unused, f"exported but used only by the module tests: {unused}"
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    imports = [ast.unparse(node) for node in ast.walk(init) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert not imports, f"__init__.py re-exports names that their modules provide: {imports}"
+    names = _public_names()
+    assert len(names) >= 60  # the modules were found
+    unused = sorted(names - _uses())
+    assert not unused, f"public but used only by the module tests: {unused}"
+
+
+def test_version_is_the_declared_one():
+    # pyproject.toml is read with a regex: tomllib is not in Python 3.10.
+    match = re.search(r'^version = "([^"]+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    assert match, "pyproject.toml declares no version"
+    assert noisypca.__version__ == match.group(1)
 
 
 def test_library_example_runs(capsys):
